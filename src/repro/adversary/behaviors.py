@@ -1,7 +1,7 @@
 """Byzantine behaviour mixins as class factories.
 
-Each factory takes an honest replica class (DiemBFT-family) and
-returns a subclass with one specific deviation:
+Each factory takes an honest replica class (either protocol family)
+and returns a subclass with one specific deviation:
 
 * :func:`make_silent` — never votes (Byzantine fault that attacks
   liveness of strong commits; Theorem 3's ``t``);
@@ -25,8 +25,7 @@ returns a subclass with one specific deviation:
 
 from __future__ import annotations
 
-from repro.types.block import Block
-from repro.types.messages import ProposalMsg, VoteMsg
+from repro.types.messages import VoteMsg
 
 
 def make_silent(replica_class):
@@ -40,88 +39,36 @@ def make_silent(replica_class):
     return SilentReplica
 
 
-def _is_streamlet_family(replica_class) -> bool:
-    from repro.protocols.streamlet.replica import StreamletReplica
-
-    return issubclass(replica_class, StreamletReplica)
-
-
 def make_equivocating_leader(replica_class):
     """A leader that proposes two conflicting blocks per led round.
 
     The first block goes to replicas with ids below ``n/2``, the second
     to the rest; the leader also processes its first proposal itself.
-    Both blocks extend the leader's best parent, differing in payload
-    tag, so they conflict at the same round — the raw material of
-    Appendix C.  Works on both protocol families (DiemBFT leaders
-    extend ``qc_high``; Streamlet leaders their longest certified tip).
+    Both blocks extend the leader's best parent, differing in their
+    commit-log tag, so they conflict at the same round — the raw
+    material of Appendix C.  Works on both protocol families (DiemBFT
+    leaders extend ``qc_high``; Streamlet leaders their longest
+    certified tip) through the shared ``_proposal_basis`` /
+    ``_signed_proposal`` seam.
     """
-    if _is_streamlet_family(replica_class):
-        return _make_streamlet_equivocator(replica_class)
 
     class EquivocatingLeader(replica_class):
         def _propose(self, round_number, reason):
             del reason
-            parent_qc = self.qc_high
-            now = self.context.now
-            proposals = []
-            for variant in (0, 1):
-                payload = self.payload_source(now)
-                block = Block(
-                    parent_id=parent_qc.block_id,
-                    qc=parent_qc,
-                    round=round_number,
-                    height=parent_qc.height + 1,
-                    proposer=self.replica_id,
-                    payload=payload,
-                    created_at=now,
-                    commit_log=(("equivocation", variant),),
-                )
-                tc = None
-                if parent_qc.round != round_number - 1:
-                    tc = self.pacemaker.known_tc(round_number - 1)
-                proposal = ProposalMsg(
-                    sender=self.replica_id, round=round_number, block=block, tc=tc
-                )
-                signature = self.context.signing_key.sign(
-                    proposal.signing_payload()
-                )
-                proposals.append(
-                    ProposalMsg(
-                        sender=proposal.sender,
-                        round=proposal.round,
-                        block=proposal.block,
-                        tc=proposal.tc,
-                        signature=signature,
-                    )
-                )
-            self.blocks_proposed += 1
-            half = self.config.n // 2
-            for dst in range(self.config.n):
-                variant = 0 if dst < half else 1
-                self.context.send(dst, proposals[variant])
-
-    EquivocatingLeader.__name__ = f"Equivocating{replica_class.__name__}"
-    return EquivocatingLeader
-
-
-def _make_streamlet_equivocator(replica_class):
-    class EquivocatingLeader(replica_class):
-        def _propose(self, round_number):
-            parent = self._choose_parent()
-            parent_qc = self.store.qc_for(parent.id())
-            if parent_qc is None:
+            basis = self._proposal_basis(round_number)
+            if basis is None:
                 return
+            parent_qc, tc = basis
             proposals = [
                 self._signed_proposal(
-                    parent,
                     parent_qc,
                     round_number,
                     commit_log=(("equivocation", variant),),
+                    tc=tc,
                 )
                 for variant in (0, 1)
             ]
-            self.blocks_proposed += 1
+            self._c_blocks_proposed.inc()
             half = self.config.n // 2
             for dst in range(self.config.n):
                 variant = 0 if dst < half else 1
@@ -133,56 +80,16 @@ def _make_streamlet_equivocator(replica_class):
 
 def make_withholding_leader(replica_class, reach: float = 0.5):
     """A leader that sends its proposal only to the first ``reach`` share."""
-    if _is_streamlet_family(replica_class):
-        return _make_streamlet_withholder(replica_class, reach)
 
     class WithholdingLeader(replica_class):
         def _propose(self, round_number, reason):
             del reason
-            parent_qc = self.qc_high
-            block = Block(
-                parent_id=parent_qc.block_id,
-                qc=parent_qc,
-                round=round_number,
-                height=parent_qc.height + 1,
-                proposer=self.replica_id,
-                payload=self.payload_source(self.context.now),
-                created_at=self.context.now,
-            )
-            tc = None
-            if parent_qc.round != round_number - 1:
-                tc = self.pacemaker.known_tc(round_number - 1)
-            proposal = ProposalMsg(
-                sender=self.replica_id, round=round_number, block=block, tc=tc
-            )
-            signature = self.context.signing_key.sign(proposal.signing_payload())
-            proposal = ProposalMsg(
-                sender=proposal.sender,
-                round=proposal.round,
-                block=proposal.block,
-                tc=proposal.tc,
-                signature=signature,
-            )
-            self.blocks_proposed += 1
-            cutoff = int(self.config.n * reach)
-            for dst in range(cutoff):
-                self.context.send(dst, proposal)
-            if self.replica_id >= cutoff:
-                self.context.send(self.replica_id, proposal)
-
-    WithholdingLeader.__name__ = f"Withholding{replica_class.__name__}"
-    return WithholdingLeader
-
-
-def _make_streamlet_withholder(replica_class, reach: float):
-    class WithholdingLeader(replica_class):
-        def _propose(self, round_number):
-            parent = self._choose_parent()
-            parent_qc = self.store.qc_for(parent.id())
-            if parent_qc is None:
+            basis = self._proposal_basis(round_number)
+            if basis is None:
                 return
-            proposal = self._signed_proposal(parent, parent_qc, round_number)
-            self.blocks_proposed += 1
+            parent_qc, tc = basis
+            proposal = self._signed_proposal(parent_qc, round_number, tc=tc)
+            self._c_blocks_proposed.inc()
             cutoff = int(self.config.n * reach)
             for dst in range(cutoff):
                 self.context.send(dst, proposal)

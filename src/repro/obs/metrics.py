@@ -22,11 +22,7 @@ import math
 
 
 class Counter:
-    """A monotonically increasing count.
-
-    ``value`` is a plain attribute so legacy ``+=`` call sites (via the
-    owning object's property shim) stay a single integer add.
-    """
+    """A monotonically increasing count."""
 
     __slots__ = ("name", "value")
 

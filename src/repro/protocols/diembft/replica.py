@@ -1,8 +1,9 @@
 """The DiemBFT replica (Figure 2).
 
-State: highest voted round ``r_vote``, highest locked round ``r_lock``,
-current round (owned by the pacemaker), and the highest known QC
-``qc_high``.
+What Figure 2 adds to the shared prototype
+(:class:`~repro.protocols.base.BaseReplica`) — state: highest voted
+round ``r_vote``, highest locked round ``r_lock``, current round (owned
+by the pacemaker), and the highest known QC ``qc_high``.
 
 Rules, verbatim from the paper:
 
@@ -19,40 +20,30 @@ Rules, verbatim from the paper:
   timeout certificate; delegated to
   :class:`~repro.protocols.pacemaker.Pacemaker`.
 
-The class is written to be subclassed: SFT-DiemBFT overrides vote
-construction and certification hooks; the FBFT baseline overrides late
-vote handling.
+The class is written to be subclassed: SFT-DiemBFT layers
+:class:`~repro.protocols.base.SFTMixin` over it; the FBFT baseline
+overrides late vote handling.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.core.commit_rules import CommitTracker
 from repro.protocols.base import BaseReplica, ReplicaConfig, ReplicaContext
 from repro.protocols.pacemaker import Pacemaker, PacemakerConfig
-from repro.types.block import Block, BlockId, make_genesis
-from repro.types.chain import BlockStore
-from repro.types.messages import (
-    ProposalMsg,
-    QCMsg,
-    TimeoutMsg,
-    VoteMsg,
-)
+from repro.types.block import Block
+from repro.types.messages import ProposalMsg, TimeoutMsg, VoteMsg
 from repro.types.quorum_cert import QuorumCertificate
-from repro.types.transaction import Payload, TxBatch
-from repro.types.vote import Vote
 
 
 class DiemBFTReplica(BaseReplica):
-    """One DiemBFT replica driven by the simulated network."""
+    """One DiemBFT replica: pacemaker rounds, round-based voting rule."""
+
+    commit_rule = "diembft"
 
     def __init__(self, config: ReplicaConfig, context: ReplicaContext) -> None:
         super().__init__(config, context)
-        genesis, genesis_qc = make_genesis()
-        self.genesis = genesis
-        self.store = BlockStore(genesis, genesis_qc)
-        self.qc_high = genesis_qc
+        self.qc_high = self.store.qc_for(self.genesis.id())
         self.r_vote = 0
         self.r_lock = 0
         self.pacemaker = Pacemaker(
@@ -67,105 +58,10 @@ class DiemBFTReplica(BaseReplica):
             on_new_round=self._on_new_round,
             on_local_timeout=self._on_local_timeout,
         )
-        self.commit_tracker = self._make_commit_tracker()
-        self.commit_tracker.tracer = self.tracer
-        self.payload_source = self._default_payload
-        # Vote aggregation (this replica acting as a collector).
-        self._collected_votes: dict[BlockId, dict[int, object]] = {}
-        self._vote_block_info: dict[BlockId, tuple] = {}
-        self._formed_qcs: set[BlockId] = set()
-        self._pending_qc_forms: set[BlockId] = set()
-        # Replica-level idempotence and orphan handling.
-        self._qcs_processed: set[BlockId] = set()
-        self._pending_qcs: dict[BlockId, QuorumCertificate] = {}
-        self._orphan_proposals: dict[BlockId, ProposalMsg] = {}
         # Block-sync: last cast vote (recovered via timeout messages
         # when the aggregating next leader crashed).
         self._last_vote = None
-        # WAL qc_high stashed by restore_from_wal; fed through
-        # _process_qc by rejoin_after_restart() (after start(), which
-        # would otherwise reset the pacemaker round it advances).
-        self._wal_qc_high = None
-        # Statistics: registry-backed counters; the property shims below
-        # keep the legacy attribute API (+= sites, test assertions).
-        self._c_blocks_proposed = self.metrics.counter("blocks_proposed")
-        self._c_votes_sent = self.metrics.counter("votes_sent")
         self._c_timeouts_sent = self.metrics.counter("timeouts_sent")
-        self._c_invalid_messages = self.metrics.counter("invalid_messages")
-        self._init_sync()
-        self._init_checkpoint()
-
-    # ------------------------------------------------------------------
-    # registry-backed statistics (legacy attribute API preserved)
-    # ------------------------------------------------------------------
-
-    @property
-    def blocks_proposed(self) -> int:
-        return self._c_blocks_proposed.value
-
-    @blocks_proposed.setter
-    def blocks_proposed(self, value: int) -> None:
-        self._c_blocks_proposed.value = value
-
-    @property
-    def votes_sent(self) -> int:
-        return self._c_votes_sent.value
-
-    @votes_sent.setter
-    def votes_sent(self, value: int) -> None:
-        self._c_votes_sent.value = value
-
-    @property
-    def timeouts_sent(self) -> int:
-        return self._c_timeouts_sent.value
-
-    @timeouts_sent.setter
-    def timeouts_sent(self, value: int) -> None:
-        self._c_timeouts_sent.value = value
-
-    @property
-    def invalid_messages(self) -> int:
-        return self._c_invalid_messages.value
-
-    @invalid_messages.setter
-    def invalid_messages(self, value: int) -> None:
-        self._c_invalid_messages.value = value
-
-    # ------------------------------------------------------------------
-    # construction hooks (overridden by subclasses)
-    # ------------------------------------------------------------------
-
-    def _make_commit_tracker(self) -> CommitTracker:
-        return CommitTracker(self.store, self.config.f, rule="diembft")
-
-    def _make_vote(self, block: Block):
-        """Build this protocol's vote for ``block`` (plain DiemBFT vote)."""
-        vote = Vote(
-            block_id=block.id(),
-            block_round=block.round,
-            height=block.height,
-            voter=self.replica_id,
-        )
-        return self._sign_vote(vote)
-
-    def _sign_vote(self, vote):
-        signature = self.context.signing_key.sign(vote.signing_payload())
-        # Frozen dataclasses: rebuild with the signature attached.
-        return replace(vote, signature=signature)
-
-    def _after_vote(self, block: Block) -> None:
-        """Hook: called after this replica votes for ``block``."""
-
-    def _on_new_certification(self, qc: QuorumCertificate, now: float) -> None:
-        """Hook: a QC for a known block was recorded for the first time."""
-        self.commit_tracker.on_new_qc(qc, now)
-
-    def _on_late_vote(self, vote) -> None:
-        """Hook: a vote arrived for a block whose QC already formed."""
-
-    def _proposal_commit_log(self) -> tuple:
-        """Hook: light-client commit log to embed in proposals (§5)."""
-        return ()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -179,10 +75,7 @@ class DiemBFTReplica(BaseReplica):
 
         ``r_vote`` is the amnesia-safety core: with it restored the
         ordinary ``round <= r_vote`` voting guard refuses every round
-        the pre-crash incarnation already voted in.  ``qc_high`` is
-        only stashed here — ingesting it advances the pacemaker, which
-        ``start()`` would reset, so :meth:`rejoin_after_restart` feeds
-        it through ``_process_qc`` once the replica is live.
+        the pre-crash incarnation already voted in.
         """
         super().restore_from_wal(state)
         self.r_vote = max(self.r_vote, state.r_vote)
@@ -190,30 +83,14 @@ class DiemBFTReplica(BaseReplica):
         if state.last_vote is not None:
             self._last_vote = state.last_vote
         self.pacemaker.restore_timed_out(state.timed_out_rounds)
-        if state.qc_high is not None and state.qc_high.round > self.qc_high.round:
-            self._wal_qc_high = state.qc_high
-
-    def rejoin_after_restart(self) -> None:
-        """Kick off catch-up from the WAL's highest known QC: its block
-        is unknown to the fresh store, so ``_process_qc`` routes it to
-        the block-sync / snapshot rejoin path."""
-        qc, self._wal_qc_high = self._wal_qc_high, None
-        if qc is not None:
-            self._process_qc(qc, self.context.now)
-
-    def _default_payload(self, now: float) -> Payload:
-        return Payload(
-            batch=TxBatch(
-                count=self.config.block_batch_count,
-                size_bytes=self.config.block_batch_bytes,
-                created_at=now,
-                tag=self.replica_id,
-            )
-        )
 
     # ------------------------------------------------------------------
-    # round transitions
+    # round driver: pacemaker transitions
     # ------------------------------------------------------------------
+
+    @property
+    def current_round(self) -> int:
+        return self.pacemaker.current_round
 
     def _on_new_round(self, round_number: int, reason: str) -> None:
         if self.crashed:
@@ -231,37 +108,13 @@ class DiemBFTReplica(BaseReplica):
         if self.config.leader_of(round_number) == self.replica_id:
             self._propose(round_number, reason)
 
-    def _propose(self, round_number: int, reason: str) -> None:
+    def _proposal_basis(self, round_number: int):
+        """Extend ``qc_high``; a round entered by timeout carries its TC."""
         parent_qc = self.qc_high
-        block = Block(
-            parent_id=parent_qc.block_id,
-            qc=parent_qc,
-            round=round_number,
-            height=parent_qc.height + 1,
-            proposer=self.replica_id,
-            payload=self.payload_source(self.context.now),
-            created_at=self.context.now,
-            commit_log=self._proposal_commit_log(),
-        )
         tc = None
         if parent_qc.round != round_number - 1:
             tc = self.pacemaker.known_tc(round_number - 1)
-        proposal = ProposalMsg(
-            sender=self.replica_id, round=round_number, block=block, tc=tc
-        )
-        signature = self.context.signing_key.sign(proposal.signing_payload())
-        proposal = replace(proposal, signature=signature)
-        self.blocks_proposed += 1
-        tracer = self.tracer
-        if tracer is not None:
-            txs = block.payload.transactions
-            tracer.emit(
-                block.created_at, "propose", round=round_number,
-                height=block.height, block=block.id().short(),
-                value=sum(block.created_at - tx.submitted_at for tx in txs),
-                count=len(txs),
-            )
-        self.context.multicast(proposal, include_self=True)
+        return parent_qc, tc
 
     def _on_local_timeout(self, round_number: int) -> None:
         if self.crashed:
@@ -284,7 +137,7 @@ class DiemBFTReplica(BaseReplica):
         )
         signature = self.context.signing_key.sign(timeout.signing_payload())
         timeout = replace(timeout, signature=signature)
-        self.timeouts_sent += 1
+        self._c_timeouts_sent.inc()
         if self.wal is not None:
             self.wal.record_timeout(round_number)
         if self.tracer is not None:
@@ -292,36 +145,13 @@ class DiemBFTReplica(BaseReplica):
         self.context.multicast(timeout, include_self=True)
 
     # ------------------------------------------------------------------
-    # message handling
+    # proposals: point-to-point, so the transport source must be the sender
     # ------------------------------------------------------------------
 
-    def on_message(self, src: int, message) -> None:
-        if isinstance(message, ProposalMsg):
-            self._on_proposal(src, message)
-        elif isinstance(message, VoteMsg):
-            self._on_vote(src, message)
-        elif isinstance(message, TimeoutMsg):
-            self._on_timeout_msg(src, message)
-        elif isinstance(message, QCMsg):
-            self._on_qc_msg(src, message)
-        else:
-            self._on_other_message(src, message)
+    def _validate_proposal(self, src: int, msg: ProposalMsg) -> bool:
+        return src == msg.sender and super()._validate_proposal(src, msg)
 
-    def _on_other_message(self, src: int, message) -> None:
-        """Hook for subclass-specific message types."""
-        del src, message
-
-    def on_timer(self, tag) -> None:  # timers are closures in this design
-        del tag
-
-    # ------------------------------------------------------------------
-    # proposals
-    # ------------------------------------------------------------------
-
-    def _on_proposal(self, src: int, msg: ProposalMsg) -> None:
-        if not self._validate_proposal(src, msg):
-            self.invalid_messages += 1
-            return
+    def _accept_proposal(self, msg: ProposalMsg) -> None:
         if (
             self.config.drop_stale_messages
             and msg.round < self.pacemaker.current_round
@@ -334,199 +164,42 @@ class DiemBFTReplica(BaseReplica):
         if msg.tc is not None:
             self.pacemaker.note_tc(msg.tc)
             self.pacemaker.advance_on_tc(msg.tc)
-
-        block = msg.block
-        # Remember the proposal; the generic inserted-block path votes
-        # on it, whether insertion happens now or when a missing parent
-        # arrives (orphan flush).
-        self._orphan_proposals.setdefault(block.id(), msg)
-        inserted = self.store.add_block(block)
-        if inserted:
-            self._handle_inserted_blocks(inserted)
-        elif self.sync is not None and block.parent_id not in self.store:
-            # The proposal was orphaned on an unknown parent — the
-            # staleness signal the catch-up subprotocol acts on.
-            self.sync.note_missing(block.parent_id)
-
-    def _validate_proposal(self, src: int, msg: ProposalMsg) -> bool:
-        block = msg.block
-        if block.is_genesis() or block.qc is None:
-            return False
-        if block.round != msg.round or block.proposer != msg.sender:
-            return False
-        if src != msg.sender:
-            return False
-        if self.config.leader_of(msg.round) != msg.sender:
-            return False
-        if block.qc.block_id != block.parent_id:
-            return False
-        if self.config.verify_signatures:
-            if msg.signature is None or not self.context.registry.verify(
-                msg.signing_payload(), msg.signature
-            ):
-                return False
-            if not block.qc.validate(self.context.registry, self.config.quorum()):
-                return False
-        return True
-
-    def _handle_inserted_blocks(self, inserted) -> None:
-        """Process QC effects and voting for each newly stored block."""
-        now = self.context.now
-        for block in inserted:
-            if block.qc is not None:
-                self._process_qc(block.qc, now)
-            pending_qc = self._pending_qcs.pop(block.id(), None)
-            if pending_qc is not None:
-                self._process_qc(pending_qc, now)
-        # Voting happens after all certification state is updated.
-        for block in inserted:
-            msg = self._orphan_proposals.pop(block.id(), None)
-            if msg is not None:
-                self._maybe_vote(msg)
+        super()._accept_proposal(msg)
 
     # ------------------------------------------------------------------
-    # voting
+    # voting rule and dispatch (votes go to the next leader)
     # ------------------------------------------------------------------
 
-    def _maybe_vote(self, msg: ProposalMsg) -> None:
-        block = msg.block
+    def _may_vote(self, block: Block) -> bool:
         round_number = block.round
         if self.pacemaker.has_timed_out(round_number):
-            return
+            return False
         if round_number != self.pacemaker.current_round:
-            return
+            return False
         if round_number <= self.r_vote:
-            return
-        if self.wal is not None and self.wal.has_voted(round_number):
-            # Amnesia safety, belt-and-braces: the WAL is authoritative
-            # about past votes even if volatile r_vote lags it.
-            return
+            return False
         parent = self.store.maybe_get(block.parent_id)
-        if parent is None:
-            return
-        if parent.round < self.r_lock:
-            return
-        if not self._validate_payload(block):
-            return
-        vote = self._make_vote(block)
-        self.r_vote = round_number
-        self.votes_sent += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.context.now, "vote", round=round_number,
-                height=block.height, block=block.id().short(),
-            )
-        self._last_vote = vote
-        self._after_vote(block)
-        if self.wal is not None:
-            # fsync the vote before it leaves the replica
-            self.wal.record_vote(round_number, block.id(), vote)
-        next_leader = self.config.leader_of(round_number + 1)
-        self.context.send(next_leader, VoteMsg(sender=self.replica_id, vote=vote))
+        if parent is None or parent.round < self.r_lock:
+            return False
+        return self._validate_payload(block)
 
     def _validate_payload(self, block: Block) -> bool:
         """External validity hook (Section 2); accepts everything by default."""
         del block
         return True
 
-    # ------------------------------------------------------------------
-    # vote collection (this replica as the round-(r+1) leader)
-    # ------------------------------------------------------------------
+    def _mark_voted(self, vote) -> None:
+        self.r_vote = vote.block_round
+        self._last_vote = vote
+
+    def _send_vote(self, msg: VoteMsg) -> None:
+        self.context.send(self.config.leader_of(msg.vote.block_round + 1), msg)
 
     def _on_vote(self, src: int, msg: VoteMsg) -> None:
-        vote = msg.vote
-        if src != vote.voter or not 0 <= vote.voter < self.config.n:
-            self.invalid_messages += 1
+        if src != msg.vote.voter:
+            self._c_invalid_messages.inc()
             return
-        if self.config.verify_signatures:
-            if vote.signature is None or not self.context.registry.verify(
-                vote.signing_payload(), vote.signature
-            ):
-                self.invalid_messages += 1
-                return
-        if self.config.leader_of(vote.block_round + 1) != self.replica_id:
-            return  # not the collector for this round
-        self._aggregate_vote(vote)
-
-    def _aggregate_vote(self, vote) -> None:
-        """Bucket one validated vote; form the QC at quorum.
-
-        Shared by the ordinary collector path and the sync-enabled
-        timeout-vote recovery path (where *every* replica aggregates).
-        """
-        block_id = vote.block_id
-        if block_id in self._formed_qcs:
-            self._on_late_vote(vote)
-            return
-        bucket = self._collected_votes.setdefault(block_id, {})
-        bucket[vote.voter] = vote
-        self._vote_block_info[block_id] = (vote.block_round, vote.height)
-        if len(bucket) < self.config.quorum():
-            return
-        if self.tracer is not None and len(bucket) == self.config.quorum():
-            self.tracer.emit(
-                self.context.now, "votes_collected", round=vote.block_round,
-                height=vote.height, block=block_id.short(), count=len(bucket),
-            )
-        if self.config.qc_extra_wait > 0:
-            if block_id not in self._pending_qc_forms:
-                self._pending_qc_forms.add(block_id)
-                self.context.set_timer(
-                    self.config.qc_extra_wait, self._form_qc, block_id
-                )
-        else:
-            self._form_qc(block_id)
-
-    def _form_qc(self, block_id: BlockId) -> None:
-        if self.crashed or block_id in self._formed_qcs:
-            return
-        bucket = self._collected_votes.pop(block_id, None)
-        self._pending_qc_forms.discard(block_id)
-        if bucket is None or len(bucket) < self.config.quorum():
-            return
-        round_number, height = self._vote_block_info.pop(block_id)
-        votes = tuple(bucket[voter] for voter in sorted(bucket))
-        qc = QuorumCertificate(
-            block_id=block_id, round=round_number, height=height, votes=votes
-        )
-        self._formed_qcs.add(block_id)
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.context.now, "qc_formed", round=round_number,
-                height=height, block=block_id.short(), count=len(votes),
-            )
-        self._process_qc(qc, self.context.now)
-        if (
-            self.config.linear_votes
-            and self.config.leader_of(round_number + 1) == self.replica_id
-        ):
-            # Linear vote collection: the collector re-broadcasts the
-            # aggregated certificate so peers learn it one hop after
-            # formation instead of waiting for it to ride inside the
-            # next proposal.  The collector check matters because with
-            # sync enabled *every* replica aggregates timeout-recovered
-            # votes — only the designated collector may fan out.
-            self.context.multicast(
-                QCMsg(sender=self.replica_id, qc=qc), include_self=False
-            )
-
-    def _on_qc_msg(self, src: int, msg: QCMsg) -> None:
-        """Ingest a collector's aggregated-QC broadcast (linear mode).
-
-        The certificate is self-certifying — ``2f + 1`` signed votes —
-        so validation is the ordinary QC check regardless of which peer
-        relayed it.
-        """
-        del src
-        qc = msg.qc
-        if qc.is_genesis():
-            return
-        if self.config.verify_signatures and not qc.validate(
-            self.context.registry, self.config.quorum()
-        ):
-            self.invalid_messages += 1
-            return
-        self._process_qc(qc, self.context.now)
+        super()._on_vote(src, msg)
 
     # ------------------------------------------------------------------
     # QC processing (locking rule + synchronization rule)
@@ -538,52 +211,32 @@ class DiemBFTReplica(BaseReplica):
             if self.wal is not None:
                 self.wal.record_qc_high(qc)
         certified = self.store.maybe_get(qc.block_id)
-        if certified is not None:
-            if certified.parent_id is not None:
-                parent = self.store.maybe_get(certified.parent_id)
-                if parent is not None and parent.round > self.r_lock:
-                    self.r_lock = parent.round
-                    if self.wal is not None:
-                        self.wal.record_lock(parent.round)
-            if qc.block_id not in self._qcs_processed:
-                self._qcs_processed.add(qc.block_id)
-                self.store.record_qc(qc)
-                tracer = self.tracer
-                if tracer is None:
-                    self._on_new_certification(qc, now)
-                else:
-                    tracer.emit(
-                        now, "qc", round=qc.round, height=qc.height,
-                        block=qc.block_id.short(), count=len(qc.votes),
-                    )
-                    commits_before = len(self.commit_tracker.commit_order)
-                    self._on_new_certification(qc, now)
-                    for event in self.commit_tracker.commit_order[commits_before:]:
-                        tracer.emit(
-                            now, "commit", round=event.round,
-                            height=event.height, block=event.block_id.short(),
-                        )
-        else:
-            self._pending_qcs.setdefault(qc.block_id, qc)
-            if self.sync is not None and not qc.is_genesis():
-                # A QC certifying a block we have never seen: fetch
-                # its certified ancestor chain from peers.
-                self.sync.note_missing(qc.block_id)
+        if certified is not None and certified.parent_id is not None:
+            parent = self.store.maybe_get(certified.parent_id)
+            if parent is not None and parent.round > self.r_lock:
+                self.r_lock = parent.round
+                if self.wal is not None:
+                    self.wal.record_lock(parent.round)
+        super()._process_qc(qc, now)
         self.pacemaker.advance_on_qc(qc.round)
 
     # ------------------------------------------------------------------
     # timeouts
     # ------------------------------------------------------------------
 
+    def _on_other_message(self, src: int, message) -> None:
+        if isinstance(message, TimeoutMsg):
+            self._on_timeout_msg(src, message)
+
     def _on_timeout_msg(self, src: int, msg: TimeoutMsg) -> None:
         if src != msg.sender:
-            self.invalid_messages += 1
+            self._c_invalid_messages.inc()
             return
         if self.config.verify_signatures:
             if msg.signature is None or not self.context.registry.verify(
                 msg.signing_payload(), msg.signature
             ):
-                self.invalid_messages += 1
+                self._c_invalid_messages.inc()
                 return
         if (
             self.config.drop_stale_messages
@@ -610,49 +263,10 @@ class DiemBFTReplica(BaseReplica):
         a recovered QC is the same 2f+1 signed votes any collector
         would have bundled.
         """
-        if vote.voter != sender or not 0 <= vote.voter < self.config.n:
-            self.invalid_messages += 1
+        if vote.voter != sender:
+            self._c_invalid_messages.inc()
             return
         if self.store.is_certified(vote.block_id):
             return  # QC already known through the ordinary paths
-        if self.config.verify_signatures:
-            if vote.signature is None or not self.context.registry.verify(
-                vote.signing_payload(), vote.signature
-            ):
-                self.invalid_messages += 1
-                return
-        self._aggregate_vote(vote)
-
-    # ------------------------------------------------------------------
-    # checkpoint truncation
-    # ------------------------------------------------------------------
-
-    def _on_truncated(self, pruned) -> None:
-        super()._on_truncated(pruned)
-        for block_id in pruned:
-            self._collected_votes.pop(block_id, None)
-            self._vote_block_info.pop(block_id, None)
-            self._formed_qcs.discard(block_id)
-            self._pending_qc_forms.discard(block_id)
-            self._qcs_processed.discard(block_id)
-            self._pending_qcs.pop(block_id, None)
-            self._orphan_proposals.pop(block_id, None)
-
-    # ------------------------------------------------------------------
-    # introspection helpers (used by runtime/metrics/tests)
-    # ------------------------------------------------------------------
-
-    @property
-    def current_round(self) -> int:
-        return self.pacemaker.current_round
-
-    def committed_blocks(self) -> list:
-        return list(self.commit_tracker.commit_order)
-
-    def committed_tx_count(self) -> int:
-        total = 0
-        for event in self.commit_tracker.commit_order:
-            block = self.store.maybe_get(event.block_id)
-            if block is not None:
-                total += block.payload.tx_count()
-        return total
+        if self._valid_vote(vote):
+            self._aggregate_vote(vote)

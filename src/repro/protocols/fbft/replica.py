@@ -91,14 +91,14 @@ class FBFTDiemBFTReplica(DiemBFTReplica):
         return CommitTracker(
             self.store,
             self.config.f,
-            rule="diembft",
+            rule=self.commit_rule,
             endorsement=self.direct_votes,
         )
 
     def _on_new_certification(self, qc: QuorumCertificate, now: float) -> None:
         if self.direct_votes is not None:
             self.direct_votes.add_qc(qc, now)
-        self.commit_tracker.on_new_qc(qc, now)
+        super()._on_new_certification(qc, now)
 
     def _on_late_vote(self, vote) -> None:
         """A vote beyond the QC: multicast it so everyone can count it.
@@ -118,14 +118,9 @@ class FBFTDiemBFTReplica(DiemBFTReplica):
 
     def _on_other_message(self, src: int, message) -> None:
         if not isinstance(message, ExtraVotesMsg):
+            super()._on_other_message(src, message)
             return
         del src  # extra votes are self-authenticating via vote signatures
         for vote in message.votes:
-            if self.config.verify_signatures:
-                if vote.signature is None or not self.context.registry.verify(
-                    vote.signing_payload(), vote.signature
-                ):
-                    self.invalid_messages += 1
-                    continue
-            if self.direct_votes is not None:
+            if self._valid_vote(vote) and self.direct_votes is not None:
                 self.direct_votes.add_vote(vote, self.context.now)

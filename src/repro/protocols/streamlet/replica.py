@@ -1,6 +1,7 @@
 """The Streamlet replica (Figure 10).
 
-Streamlet trades performance for simplicity:
+Streamlet trades performance for simplicity; what Figure 10 adds to the
+shared prototype (:class:`~repro.protocols.base.BaseReplica`):
 
 * **lock-step rounds** of duration ``2Δ`` (Δ = assumed maximum network
   delay after GST) — the pacemaker is a fixed-interval clock, no
@@ -10,7 +11,8 @@ Streamlet trades performance for simplicity:
 * replicas vote (by **multicast**, not to a collector) for the first
   round-``r`` proposal iff it extends one of the longest certified
   chains they have seen;
-* every replica aggregates votes and forms QCs locally;
+* every replica aggregates votes and forms QCs locally, the instant a
+  quorum completes;
 * an **echo mechanism** re-multicasts every previously unseen message,
   giving the O(n³) per-round message complexity the paper cites;
 * **commit rule**: three adjacent certified blocks at consecutive
@@ -19,17 +21,12 @@ Streamlet trades performance for simplicity:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from repro.core.commit_rules import CommitTracker
 from repro.protocols.base import BaseReplica, ReplicaConfig, ReplicaContext
-from repro.types.block import Block, BlockId
-from repro.types.chain import BlockStore
+from repro.types.block import Block
 from repro.types.messages import EchoMsg, ProposalMsg, QCMsg, VoteMsg
 from repro.types.quorum_cert import QuorumCertificate
-from repro.types.transaction import Payload, TxBatch
-from repro.types.vote import Vote
-from repro.types.block import make_genesis
 
 
 @dataclass(slots=True)
@@ -41,99 +38,21 @@ class StreamletConfig(ReplicaConfig):
 
 
 class StreamletReplica(BaseReplica):
-    """One Streamlet replica on the simulated network."""
+    """One Streamlet replica: clock rounds, longest-chain voting rule."""
+
+    commit_rule = "streamlet"
 
     def __init__(self, config: StreamletConfig, context: ReplicaContext) -> None:
         super().__init__(config, context)
-        genesis, genesis_qc = make_genesis()
-        self.genesis = genesis
-        self.store = BlockStore(genesis, genesis_qc)
-        self.store.record_qc(genesis_qc)
         self.current_round = 0
-        self.commit_tracker = self._make_commit_tracker()
-        self.commit_tracker.tracer = self.tracer
-        self.payload_source = self._default_payload
         self._voted_rounds: set[int] = set()
-        self._collected_votes: dict[BlockId, dict[int, object]] = {}
-        self._vote_block_info: dict[BlockId, tuple] = {}
-        self._formed_qcs: set[BlockId] = set()
-        self._qcs_processed: set[BlockId] = set()
-        self._pending_qcs: dict[BlockId, QuorumCertificate] = {}
-        self._orphan_proposals: dict[BlockId, ProposalMsg] = {}
         self._seen_message_keys: set = set()
-        # WAL highest certified QC stashed by restore_from_wal; fed
-        # through _process_qc by rejoin_after_restart().
-        self._wal_qc_high = None
         # Pre-crash longest certified chain height (0 = fresh boot):
-        # the voting floor enforced by _maybe_vote after a restart.
+        # the voting floor enforced by _may_vote after a restart.
         self._wal_certified_floor = 0
-        # Statistics: registry-backed counters; the property shims below
-        # keep the legacy attribute API (+= sites, test assertions).
-        self._c_blocks_proposed = self.metrics.counter("blocks_proposed")
-        self._c_votes_sent = self.metrics.counter("votes_sent")
-        self._c_invalid_messages = self.metrics.counter("invalid_messages")
-        self._init_sync()
-        self._init_checkpoint()
 
     # ------------------------------------------------------------------
-    # registry-backed statistics (legacy attribute API preserved)
-    # ------------------------------------------------------------------
-
-    @property
-    def blocks_proposed(self) -> int:
-        return self._c_blocks_proposed.value
-
-    @blocks_proposed.setter
-    def blocks_proposed(self, value: int) -> None:
-        self._c_blocks_proposed.value = value
-
-    @property
-    def votes_sent(self) -> int:
-        return self._c_votes_sent.value
-
-    @votes_sent.setter
-    def votes_sent(self, value: int) -> None:
-        self._c_votes_sent.value = value
-
-    @property
-    def invalid_messages(self) -> int:
-        return self._c_invalid_messages.value
-
-    @invalid_messages.setter
-    def invalid_messages(self, value: int) -> None:
-        self._c_invalid_messages.value = value
-
-    # ------------------------------------------------------------------
-    # construction hooks (overridden by SFT-Streamlet)
-    # ------------------------------------------------------------------
-
-    def _make_commit_tracker(self) -> CommitTracker:
-        return CommitTracker(self.store, self.config.f, rule="streamlet")
-
-    def _make_vote(self, block: Block):
-        vote = Vote(
-            block_id=block.id(),
-            block_round=block.round,
-            height=block.height,
-            voter=self.replica_id,
-        )
-        return self._sign_vote(vote)
-
-    def _sign_vote(self, vote):
-        signature = self.context.signing_key.sign(vote.signing_payload())
-        return replace(vote, signature=signature)
-
-    def _after_vote(self, block: Block) -> None:
-        """Hook: called after voting for ``block``."""
-
-    def _on_new_certification(self, qc: QuorumCertificate, now: float) -> None:
-        self.commit_tracker.on_new_qc(qc, now)
-
-    def _ingest_vote_for_endorsement(self, vote, now: float) -> None:
-        """Hook: SFT-Streamlet feeds every observed vote to its tracker."""
-
-    # ------------------------------------------------------------------
-    # lifecycle: lock-step rounds
+    # lifecycle
     # ------------------------------------------------------------------
 
     def start(self) -> None:
@@ -161,8 +80,6 @@ class StreamletReplica(BaseReplica):
         """
         super().restore_from_wal(state)
         self._voted_rounds |= state.voted_rounds()
-        if state.qc_high is not None:
-            self._wal_qc_high = state.qc_high
         # The lock analog: Streamlet's longest-chain voting rule is
         # only safe across a restart if the reborn replica remembers
         # how long the longest certified chain already was.  Its fresh
@@ -172,23 +89,9 @@ class StreamletReplica(BaseReplica):
         # found exactly that with three simultaneous restarts).
         self._wal_certified_floor = state.certified_height
 
-    def rejoin_after_restart(self) -> None:
-        """Kick off catch-up from the WAL's highest certified QC: its
-        block is unknown to the fresh store, so ``_process_qc`` routes
-        it to the block-sync / snapshot rejoin path."""
-        qc, self._wal_qc_high = self._wal_qc_high, None
-        if qc is not None:
-            self._process_qc(qc, self.context.now)
-
-    def _default_payload(self, now: float) -> Payload:
-        return Payload(
-            batch=TxBatch(
-                count=self.config.block_batch_count,
-                size_bytes=self.config.block_batch_bytes,
-                created_at=now,
-                tag=self.replica_id,
-            )
-        )
+    # ------------------------------------------------------------------
+    # round driver: lock-step clock
+    # ------------------------------------------------------------------
 
     def _enter_round(self, round_number: int) -> None:
         if self.crashed:
@@ -205,50 +108,18 @@ class StreamletReplica(BaseReplica):
                 round_number, self.store.highest_certified_block().round
             )
         if self.config.leader_of(round_number) == self.replica_id:
-            self._propose(round_number)
+            self._propose(round_number, "clock")
         self.context.set_timer(
             self.config.round_duration, self._enter_round, round_number + 1
         )
 
-    def _propose(self, round_number: int) -> None:
-        parent = self._choose_parent()
-        parent_qc = self.store.qc_for(parent.id())
+    def _proposal_basis(self, round_number: int):
+        """Extend the longest certified chain; no timeout certificates."""
+        del round_number
+        parent_qc = self.store.qc_for(self._choose_parent().id())
         if parent_qc is None:
-            return  # cannot justify the extension; skip the slot
-        proposal = self._signed_proposal(parent, parent_qc, round_number)
-        self.blocks_proposed += 1
-        tracer = self.tracer
-        if tracer is not None:
-            block = proposal.block
-            txs = block.payload.transactions
-            tracer.emit(
-                block.created_at, "propose", round=round_number,
-                height=block.height, block=block.id().short(),
-                value=sum(block.created_at - tx.submitted_at for tx in txs),
-                count=len(txs),
-            )
-        self.context.multicast(proposal, include_self=True)
-
-    def _signed_proposal(
-        self, parent: Block, parent_qc, round_number: int, commit_log: tuple = ()
-    ) -> ProposalMsg:
-        """Build and sign a proposal extending ``parent`` (also the seam
-        adversarial leader behaviours construct their blocks through)."""
-        block = Block(
-            parent_id=parent.id(),
-            qc=parent_qc,
-            round=round_number,
-            height=parent.height + 1,
-            proposer=self.replica_id,
-            payload=self.payload_source(self.context.now),
-            created_at=self.context.now,
-            commit_log=commit_log,
-        )
-        proposal = ProposalMsg(
-            sender=self.replica_id, round=round_number, block=block
-        )
-        signature = self.context.signing_key.sign(proposal.signing_payload())
-        return replace(proposal, signature=signature)
+            return None  # cannot justify the extension; skip the slot
+        return parent_qc, None
 
     def _choose_parent(self) -> Block:
         """Tip of the longest certified chain (deterministic tiebreak)."""
@@ -258,18 +129,24 @@ class StreamletReplica(BaseReplica):
         return max(tips, key=lambda block: (block.round, block.id().hex()))
 
     # ------------------------------------------------------------------
-    # message handling (+ echo)
+    # echo layer
     # ------------------------------------------------------------------
 
     def on_message(self, src: int, message) -> None:
         if isinstance(message, EchoMsg):
             # Unwrap; authenticity comes from the inner signature.
-            self._handle_protocol_message(message.origin, message.inner, echoed=True)
-        else:
-            self._handle_protocol_message(src, message, echoed=False)
-
-    def on_timer(self, tag) -> None:
-        del tag
+            src, message = message.origin, message.inner
+        key = self._message_key(message)
+        if key is not None:
+            if key in self._seen_message_keys:
+                return
+            self._seen_message_keys.add(key)
+            if self.config.echo_enabled and self._should_echo(message):
+                self.context.multicast(
+                    EchoMsg(sender=self.replica_id, inner=message, origin=src),
+                    include_self=False,
+                )
+        super().on_message(src, message)
 
     def _message_key(self, message):
         if isinstance(message, ProposalMsg):
@@ -294,231 +171,78 @@ class StreamletReplica(BaseReplica):
             return False
         return True
 
-    def _handle_protocol_message(self, src: int, message, echoed: bool) -> None:
-        key = self._message_key(message)
-        if key is not None:
-            if key in self._seen_message_keys:
-                return
-            self._seen_message_keys.add(key)
-            if self.config.echo_enabled and self._should_echo(message):
-                self.context.multicast(
-                    EchoMsg(sender=self.replica_id, inner=message, origin=src),
-                    include_self=False,
-                )
-        if isinstance(message, ProposalMsg):
-            self._on_proposal(src, message, echoed)
-        elif isinstance(message, VoteMsg):
-            self._on_vote(message)
-        elif isinstance(message, QCMsg):
-            self._on_qc_msg(message)
-
     # ------------------------------------------------------------------
-    # proposals and voting
+    # voting rule and dispatch (every replica collects)
     # ------------------------------------------------------------------
 
-    def _on_proposal(self, src: int, msg: ProposalMsg, echoed: bool) -> None:
-        del echoed
-        if not self._validate_proposal(src, msg):
-            self.invalid_messages += 1
-            return
-        block = msg.block
-        self._orphan_proposals.setdefault(block.id(), msg)
-        inserted = self.store.add_block(block)
-        if inserted:
-            self._handle_inserted_blocks(inserted)
-        elif self.sync is not None and block.parent_id not in self.store:
-            self.sync.note_missing(block.parent_id)
-
-    def _validate_proposal(self, src: int, msg: ProposalMsg) -> bool:
-        block = msg.block
-        if block.is_genesis() or block.qc is None:
-            return False
-        if block.round != msg.round or block.proposer != msg.sender:
-            return False
-        if self.config.leader_of(msg.round) != msg.sender:
-            return False
-        if block.qc.block_id != block.parent_id:
-            return False
-        del src  # echoes legitimately relay with src != sender
-        if self.config.verify_signatures:
-            if msg.signature is None or not self.context.registry.verify(
-                msg.signing_payload(), msg.signature
-            ):
-                return False
-            if not block.qc.validate(self.context.registry, self.config.quorum()):
-                return False
-        return True
-
-    def _handle_inserted_blocks(self, inserted) -> None:
-        now = self.context.now
-        for block in inserted:
-            if block.qc is not None:
-                self._process_qc(block.qc, now)
-            pending_qc = self._pending_qcs.pop(block.id(), None)
-            if pending_qc is not None:
-                self._process_qc(pending_qc, now)
-        for block in inserted:
-            msg = self._orphan_proposals.pop(block.id(), None)
-            if msg is not None:
-                self._maybe_vote(msg)
-
-    def _maybe_vote(self, msg: ProposalMsg) -> None:
-        block = msg.block
+    def _may_vote(self, block: Block) -> bool:
         round_number = block.round
         if round_number != self.current_round:
-            return
+            return False
         if round_number in self._voted_rounds:
-            return
-        if self.wal is not None and self.wal.has_voted(round_number):
-            # Amnesia safety, belt-and-braces: the WAL is authoritative
-            # about past votes even if the volatile set lags it.
-            return
+            return False
         parent = self.store.maybe_get(block.parent_id)
         if parent is None:
-            return
+            return False
         # Voting rule: the proposal must extend one of the longest
         # certified chains this replica has seen.
         if not self.store.is_certified(parent.id()):
-            return
+            return False
         if parent.height != self.store.certified_chain_height():
-            return
-        if parent.height < self._wal_certified_floor:
-            # Restart safety: the pre-crash incarnation had certified
-            # a chain this tall.  Until catch-up restores the store to
-            # at least that height, voting for a shorter extension
-            # could certify a conflicting branch from scratch.
-            return
-        vote = self._make_vote(block)
-        self._voted_rounds.add(round_number)
-        self.votes_sent += 1
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.context.now, "vote", round=round_number,
-                height=block.height, block=block.id().short(),
-            )
-        self._after_vote(block)
-        if self.wal is not None:
-            # fsync the vote before it leaves the replica
-            self.wal.record_vote(round_number, block.id(), vote)
-        vote_msg = VoteMsg(sender=self.replica_id, vote=vote)
+            return False
+        # Restart safety: the pre-crash incarnation had certified a
+        # chain this tall.  Until catch-up restores the store to at
+        # least that height, voting for a shorter extension could
+        # certify a conflicting branch from scratch.
+        return parent.height >= self._wal_certified_floor
+
+    def _mark_voted(self, vote) -> None:
+        self._voted_rounds.add(vote.block_round)
+
+    def _send_vote(self, msg: VoteMsg) -> None:
         if self.config.linear_votes:
             # Linear collection: one point-to-point vote to the next
             # round's leader (the collector), which aggregates and
             # re-broadcasts the certificate — O(n) per vote phase
             # instead of the multicast-plus-echo all-to-all.
-            collector = self.config.leader_of(round_number + 1)
-            self.context.send(collector, vote_msg)
+            self.context.send(
+                self.config.leader_of(msg.vote.block_round + 1), msg
+            )
         else:
-            self.context.multicast(vote_msg, include_self=True)
+            self.context.multicast(msg, include_self=True)
 
-    # ------------------------------------------------------------------
-    # vote aggregation (every replica collects)
-    # ------------------------------------------------------------------
-
-    def _on_vote(self, msg: VoteMsg) -> None:
-        vote = msg.vote
-        if not 0 <= vote.voter < self.config.n:
-            self.invalid_messages += 1
-            return
-        if self.config.verify_signatures:
-            if vote.signature is None or not self.context.registry.verify(
-                vote.signing_payload(), vote.signature
-            ):
-                self.invalid_messages += 1
-                return
-        if (
-            self.config.linear_votes
-            and self.config.leader_of(vote.block_round + 1) != self.replica_id
-        ):
-            return  # not the collector for this round
-        self._ingest_vote_for_endorsement(vote, self.context.now)
-        block_id = vote.block_id
-        if block_id in self._formed_qcs:
-            return
-        bucket = self._collected_votes.setdefault(block_id, {})
-        bucket[vote.voter] = vote
-        self._vote_block_info[block_id] = (vote.block_round, vote.height)
-        if len(bucket) >= self.config.quorum():
-            self._form_qc(block_id)
-
-    def _form_qc(self, block_id: BlockId) -> None:
-        bucket = self._collected_votes.pop(block_id, None)
-        if bucket is None:
-            return
-        round_number, height = self._vote_block_info.pop(block_id)
-        votes = tuple(bucket[voter] for voter in sorted(bucket))
-        qc = QuorumCertificate(
-            block_id=block_id, round=round_number, height=height, votes=votes
+    def _collects_votes(self, round_number: int) -> bool:
+        return not self.config.linear_votes or super()._collects_votes(
+            round_number
         )
-        self._formed_qcs.add(block_id)
-        if self.tracer is not None:
-            # Streamlet forms the QC the instant the quorum completes,
-            # so collection and formation share a timestamp.
-            self.tracer.emit(
-                self.context.now, "votes_collected", round=round_number,
-                height=height, block=block_id.short(), count=len(votes),
-            )
-            self.tracer.emit(
-                self.context.now, "qc_formed", round=round_number,
-                height=height, block=block_id.short(), count=len(votes),
-            )
-        self._process_qc(qc, self.context.now)
-        if (
-            self.config.linear_votes
-            and self.config.leader_of(round_number + 1) == self.replica_id
-        ):
-            self.context.multicast(
-                QCMsg(sender=self.replica_id, qc=qc), include_self=False
-            )
 
-    def _on_qc_msg(self, msg: QCMsg) -> None:
-        """Ingest a collector's aggregated-QC broadcast (linear mode)."""
-        qc = msg.qc
-        if qc.is_genesis():
-            return
-        if self.config.verify_signatures and not qc.validate(
-            self.context.registry, self.config.quorum()
-        ):
-            self.invalid_messages += 1
-            return
+    def _on_quorum(self, key: tuple) -> None:
+        # No leader waits on stragglers here: every replica forms the
+        # QC the instant its quorum completes (qc_extra_wait is a
+        # DiemBFT-family knob).
+        self._form_qc(key)
+
+    def _on_relayed_qc(self, qc: QuorumCertificate) -> None:
+        # Every replica collects, so a relayed certificate supersedes
+        # whatever this one was still aggregating for the block.
         self._formed_qcs.add(qc.block_id)
-        self._collected_votes.pop(qc.block_id, None)
-        self._vote_block_info.pop(qc.block_id, None)
-        self._process_qc(qc, self.context.now)
+        self._drop_vote_buckets((qc.block_id,))
 
-    def _process_qc(self, qc: QuorumCertificate, now: float) -> None:
-        if qc.block_id in self.store:
-            if qc.block_id not in self._qcs_processed:
-                self._qcs_processed.add(qc.block_id)
-                self.store.record_qc(qc)
-                if self.wal is not None:
-                    # Streamlet has no qc_high; persist the highest
-                    # certified QC as the restart catch-up anchor, and
-                    # the longest certified chain height as the voting
-                    # floor a reborn instance must respect.
-                    self.wal.record_qc_high(qc)
-                    self.wal.record_certified_height(
-                        self.store.certified_chain_height()
-                    )
-                tracer = self.tracer
-                if tracer is None:
-                    self._on_new_certification(qc, now)
-                else:
-                    tracer.emit(
-                        now, "qc", round=qc.round, height=qc.height,
-                        block=qc.block_id.short(), count=len(qc.votes),
-                    )
-                    commits_before = len(self.commit_tracker.commit_order)
-                    self._on_new_certification(qc, now)
-                    for event in self.commit_tracker.commit_order[commits_before:]:
-                        tracer.emit(
-                            now, "commit", round=event.round,
-                            height=event.height, block=event.block_id.short(),
-                        )
-        else:
-            self._pending_qcs.setdefault(qc.block_id, qc)
-            if self.sync is not None and not qc.is_genesis():
-                self.sync.note_missing(qc.block_id)
+    # ------------------------------------------------------------------
+    # certification: durable catch-up anchor and voting floor
+    # ------------------------------------------------------------------
+
+    def _on_new_certification(self, qc: QuorumCertificate, now: float) -> None:
+        if self.wal is not None:
+            # Streamlet has no qc_high; persist the highest certified
+            # QC as the restart catch-up anchor, and the longest
+            # certified chain height as the voting floor a reborn
+            # instance must respect.
+            self.wal.record_qc_high(qc)
+            self.wal.record_certified_height(
+                self.store.certified_chain_height()
+            )
+        super()._on_new_certification(qc, now)
 
     # ------------------------------------------------------------------
     # checkpoint truncation
@@ -526,32 +250,6 @@ class StreamletReplica(BaseReplica):
 
     def _on_truncated(self, pruned) -> None:
         super()._on_truncated(pruned)
-        for block_id in pruned:
-            self._collected_votes.pop(block_id, None)
-            self._vote_block_info.pop(block_id, None)
-            self._formed_qcs.discard(block_id)
-            self._qcs_processed.discard(block_id)
-            self._pending_qcs.pop(block_id, None)
-            self._orphan_proposals.pop(block_id, None)
-            self._seen_message_keys.discard(("proposal", block_id))
-            self._seen_message_keys.discard(("qc", block_id))
         self._seen_message_keys = {
-            key
-            for key in self._seen_message_keys
-            if not (key[0] == "vote" and key[1] in pruned)
+            key for key in self._seen_message_keys if key[1] not in pruned
         }
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def committed_blocks(self) -> list:
-        return list(self.commit_tracker.commit_order)
-
-    def committed_tx_count(self) -> int:
-        total = 0
-        for event in self.commit_tracker.commit_order:
-            block = self.store.maybe_get(event.block_id)
-            if block is not None:
-                total += block.payload.tx_count()
-        return total

@@ -116,9 +116,8 @@ class CheckpointManager:
         self._fetch: _SnapshotFetch | None = None
         self._next_nonce = 0
         self._max_attempts = 3 * max(1, self.config.n - 1)
-        # Statistics (deterministic; surfaced in campaign metrics).
-        # Registry-backed; legacy attribute API preserved via the
-        # property shims below.
+        # Statistics (deterministic; surfaced in campaign metrics):
+        # counters in the owning replica's registry.
         metrics = replica.metrics
         self._c_checkpoints_signed = metrics.counter("checkpoint.signed")
         self._c_certificates_formed = metrics.counter("checkpoint.certificates")
@@ -131,66 +130,6 @@ class CheckpointManager:
             "checkpoint.invalid_snapshots"
         )
         self._c_peer_rotations = metrics.counter("checkpoint.peer_rotations")
-
-    # ------------------------------------------------------------------
-    # registry-backed statistics (legacy attribute API preserved)
-    # ------------------------------------------------------------------
-
-    @property
-    def checkpoints_signed(self) -> int:
-        return self._c_checkpoints_signed.value
-
-    @checkpoints_signed.setter
-    def checkpoints_signed(self, value: int) -> None:
-        self._c_checkpoints_signed.value = value
-
-    @property
-    def certificates_formed(self) -> int:
-        return self._c_certificates_formed.value
-
-    @certificates_formed.setter
-    def certificates_formed(self, value: int) -> None:
-        self._c_certificates_formed.value = value
-
-    @property
-    def blocks_truncated(self) -> int:
-        return self._c_blocks_truncated.value
-
-    @blocks_truncated.setter
-    def blocks_truncated(self, value: int) -> None:
-        self._c_blocks_truncated.value = value
-
-    @property
-    def snapshots_served(self) -> int:
-        return self._c_snapshots_served.value
-
-    @snapshots_served.setter
-    def snapshots_served(self, value: int) -> None:
-        self._c_snapshots_served.value = value
-
-    @property
-    def snapshots_installed(self) -> int:
-        return self._c_snapshots_installed.value
-
-    @snapshots_installed.setter
-    def snapshots_installed(self, value: int) -> None:
-        self._c_snapshots_installed.value = value
-
-    @property
-    def invalid_snapshots(self) -> int:
-        return self._c_invalid_snapshots.value
-
-    @invalid_snapshots.setter
-    def invalid_snapshots(self, value: int) -> None:
-        self._c_invalid_snapshots.value = value
-
-    @property
-    def peer_rotations(self) -> int:
-        return self._c_peer_rotations.value
-
-    @peer_rotations.setter
-    def peer_rotations(self, value: int) -> None:
-        self._c_peer_rotations.value = value
 
     # ------------------------------------------------------------------
     # driving: execute committed blocks, sign interval boundaries
@@ -237,7 +176,7 @@ class CheckpointManager:
         )
         signature = self.context.signing_key.sign(message.signing_payload())
         message = replace(message, signature=signature)
-        self.checkpoints_signed += 1
+        self._c_checkpoints_signed.inc()
         tracer = self.replica.tracer
         if tracer is not None:
             tracer.emit(
@@ -298,7 +237,7 @@ class CheckpointManager:
 
     def _form_certificate(self, key, signers: dict) -> None:
         height, block_id, digest = key
-        self.certificates_formed += 1
+        self._c_certificates_formed.inc()
         tracer = self.replica.tracer
         if tracer is not None:
             tracer.emit(
@@ -356,7 +295,7 @@ class CheckpointManager:
             return
         pruned = store.truncate_below(self.stable.block_id)
         self._stable_truncated = True
-        self.blocks_truncated += len(pruned)
+        self._c_blocks_truncated.inc(len(pruned))
         if pruned:
             self.replica._on_truncated(pruned)
 
@@ -428,7 +367,7 @@ class CheckpointManager:
         if fetch.peer == self.replica.replica_id:
             fetch.peer = (fetch.peer + 1) % self.config.n
         fetch.attempts += 1
-        self.peer_rotations += 1
+        self._c_peer_rotations.inc()
         self._next_nonce += 1
         fetch.nonce = self._next_nonce
         self._send_request(fetch)
@@ -486,7 +425,7 @@ class CheckpointManager:
                 applied_count=snapshot.applied_count,
                 rejected_count=snapshot.rejected_count,
             )
-            self.snapshots_served += 1
+            self._c_snapshots_served.inc()
             tracer = self.replica.tracer
             if tracer is not None:
                 tracer.emit(
@@ -522,7 +461,7 @@ class CheckpointManager:
             self._fetch = None
             return
         if not self._validate_snapshot(msg, fetch):
-            self.invalid_snapshots += 1
+            self._c_invalid_snapshots.inc()
             self._cancel_timer(fetch)
             self._rotate(fetch)
             return
@@ -634,7 +573,7 @@ class CheckpointManager:
             for key, signers in self._pending.items()
             if key[0] > msg.cert_height
         }
-        self.snapshots_installed += 1
+        self._c_snapshots_installed.inc()
         tracer = replica.tracer
         if tracer is not None:
             tracer.emit(
@@ -672,11 +611,11 @@ class CheckpointManager:
 
     def stats(self) -> dict:
         return {
-            "checkpoints_signed": self.checkpoints_signed,
-            "certificates_formed": self.certificates_formed,
-            "blocks_truncated": self.blocks_truncated,
-            "snapshots_served": self.snapshots_served,
-            "snapshots_installed": self.snapshots_installed,
-            "invalid_snapshots": self.invalid_snapshots,
-            "peer_rotations": self.peer_rotations,
+            "checkpoints_signed": self._c_checkpoints_signed.value,
+            "certificates_formed": self._c_certificates_formed.value,
+            "blocks_truncated": self._c_blocks_truncated.value,
+            "snapshots_served": self._c_snapshots_served.value,
+            "snapshots_installed": self._c_snapshots_installed.value,
+            "invalid_snapshots": self._c_invalid_snapshots.value,
+            "peer_rotations": self._c_peer_rotations.value,
         }

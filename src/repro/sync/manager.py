@@ -72,9 +72,8 @@ class SyncManager:
         # Give up on a target after every peer has been tried a few
         # times; a fresh staleness signal restarts the fetch.
         self._max_attempts = 3 * max(1, self.config.n - 1)
-        # Statistics (deterministic; surfaced in campaign metrics).
-        # Registry-backed counters; the property shims below keep the
-        # legacy attribute API.
+        # Statistics (deterministic; surfaced in campaign metrics):
+        # counters in the owning replica's registry.
         metrics = replica.metrics
         self._c_requests_sent = metrics.counter("sync.requests_sent")
         self._c_responses_served = metrics.counter("sync.responses_served")
@@ -82,58 +81,6 @@ class SyncManager:
         self._c_invalid_responses = metrics.counter("sync.invalid_responses")
         self._c_blocks_synced = metrics.counter("sync.blocks_synced")
         self._c_peer_rotations = metrics.counter("sync.peer_rotations")
-
-    # ------------------------------------------------------------------
-    # registry-backed statistics (legacy attribute API preserved)
-    # ------------------------------------------------------------------
-
-    @property
-    def requests_sent(self) -> int:
-        return self._c_requests_sent.value
-
-    @requests_sent.setter
-    def requests_sent(self, value: int) -> None:
-        self._c_requests_sent.value = value
-
-    @property
-    def responses_served(self) -> int:
-        return self._c_responses_served.value
-
-    @responses_served.setter
-    def responses_served(self, value: int) -> None:
-        self._c_responses_served.value = value
-
-    @property
-    def responses_applied(self) -> int:
-        return self._c_responses_applied.value
-
-    @responses_applied.setter
-    def responses_applied(self, value: int) -> None:
-        self._c_responses_applied.value = value
-
-    @property
-    def invalid_responses(self) -> int:
-        return self._c_invalid_responses.value
-
-    @invalid_responses.setter
-    def invalid_responses(self, value: int) -> None:
-        self._c_invalid_responses.value = value
-
-    @property
-    def blocks_synced(self) -> int:
-        return self._c_blocks_synced.value
-
-    @blocks_synced.setter
-    def blocks_synced(self, value: int) -> None:
-        self._c_blocks_synced.value = value
-
-    @property
-    def peer_rotations(self) -> int:
-        return self._c_peer_rotations.value
-
-    @peer_rotations.setter
-    def peer_rotations(self, value: int) -> None:
-        self._c_peer_rotations.value = value
 
     # ------------------------------------------------------------------
     # staleness detection (called by the owning replica)
@@ -190,7 +137,7 @@ class SyncManager:
         )
         signature = self.context.signing_key.sign(request.signing_payload())
         request = replace(request, signature=signature)
-        self.requests_sent += 1
+        self._c_requests_sent.inc()
         tracer = self.replica.tracer
         if tracer is not None:
             target = "" if fetch.target is _TIP else fetch.target.short()
@@ -222,7 +169,7 @@ class SyncManager:
             return
         fetch.peer = self._next_peer(fetch.peer)
         fetch.attempts += 1
-        self.peer_rotations += 1
+        self._c_peer_rotations.inc()
         self._next_nonce += 1
         fetch.nonce = self._next_nonce
         self._send_request(fetch)
@@ -272,7 +219,7 @@ class SyncManager:
         )
         signature = self.context.signing_key.sign(response.signing_payload())
         response = replace(response, signature=signature)
-        self.responses_served += 1
+        self._c_responses_served.inc()
         tracer = self.replica.tracer
         if tracer is not None:
             tracer.emit(
@@ -297,7 +244,7 @@ class SyncManager:
         if fetch is None:
             return [], None
         if not self._validate(msg):
-            self.invalid_responses += 1
+            self._c_invalid_responses.inc()
             self._cancel_timer(fetch)
             self._rotate(fetch)
             return [], None
@@ -316,8 +263,8 @@ class SyncManager:
         tip_qc = None
         if msg.tip_qc is not None and msg.tip_qc.block_id == msg.blocks[0].id():
             tip_qc = msg.tip_qc
-        self.responses_applied += 1
-        self.blocks_synced += len(inserted)
+        self._c_responses_applied.inc()
+        self._c_blocks_synced.inc(len(inserted))
         tracer = self.replica.tracer
         if tracer is not None:
             tracer.emit(
@@ -401,10 +348,10 @@ class SyncManager:
 
     def stats(self) -> dict:
         return {
-            "requests": self.requests_sent,
-            "responses_served": self.responses_served,
-            "responses_applied": self.responses_applied,
-            "invalid_responses": self.invalid_responses,
-            "blocks_synced": self.blocks_synced,
-            "peer_rotations": self.peer_rotations,
+            "requests": self._c_requests_sent.value,
+            "responses_served": self._c_responses_served.value,
+            "responses_applied": self._c_responses_applied.value,
+            "invalid_responses": self._c_invalid_responses.value,
+            "blocks_synced": self._c_blocks_synced.value,
+            "peer_rotations": self._c_peer_rotations.value,
         }

@@ -138,3 +138,34 @@ def small_experiment(**overrides):
     )
     defaults.update(overrides)
     return ExperimentConfig(**defaults)
+
+
+def make_isolated_replica(replica_class, config, replica_id=0):
+    """A replica wired to a throwaway network holding only itself.
+
+    Returns ``(replica, registry, simulator, sent)``: the registry
+    signs on behalf of the absent peers, the simulator fires the
+    replica's timers, and ``sent`` collects everything the replica puts
+    on the wire as ``(dst, message)`` pairs (``dst`` is ``"all"`` for a
+    multicast) instead of delivering it.
+    """
+    from repro.net.network import Network, NetworkConfig
+    from repro.net.sim import SimClock, SimTransport
+    from repro.net.simulator import Simulator
+    from repro.net.topology import UniformTopology
+    from repro.protocols.base import ReplicaContext
+
+    simulator = Simulator()
+    network = Network(simulator, UniformTopology(config.n), NetworkConfig())
+    registry = KeyRegistry(config.n)
+    context = ReplicaContext(
+        replica_id, SimTransport(network), SimClock(simulator), registry
+    )
+    sent = []
+    context.send = lambda dst, message: sent.append((dst, message))
+    context.multicast = lambda message, include_self=True: sent.append(
+        ("all", message)
+    )
+    replica = replica_class(config, context)
+    network.register(replica_id, replica)
+    return replica, registry, simulator, sent

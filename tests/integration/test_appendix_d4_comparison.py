@@ -13,7 +13,7 @@ chain.
 These tests probe the exact voting rules that create the asymmetry.
 """
 
-from repro.protocols.base import ReplicaConfig, ReplicaContext
+from repro.protocols.base import ReplicaConfig
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
 from repro.protocols.sft_streamlet import SFTStreamletReplica
 from repro.protocols.streamlet import StreamletConfig
@@ -22,24 +22,7 @@ from repro.types.block import Block
 from repro.types.messages import ProposalMsg
 from repro.types.quorum_cert import QuorumCertificate
 from repro.types.vote import StrongVote
-from tests.conftest import small_experiment
-
-
-def make_isolated_replica(replica_class, config):
-    """A replica wired to a throwaway single-node network."""
-    from repro.crypto.registry import KeyRegistry
-    from repro.net.network import Network, NetworkConfig
-    from repro.net.sim import SimClock, SimTransport
-    from repro.net.simulator import Simulator
-    from repro.net.topology import UniformTopology
-
-    simulator = Simulator()
-    network = Network(simulator, UniformTopology(config.n), NetworkConfig())
-    registry = KeyRegistry(config.n)
-    context = ReplicaContext(0, SimTransport(network), SimClock(simulator), registry)
-    replica = replica_class(config, context)
-    network.register(0, replica)
-    return replica, registry
+from tests.conftest import make_isolated_replica, small_experiment
 
 
 def adversarial_qc(registry, block, n):
@@ -75,7 +58,7 @@ class TestDiemBFTOneBlockRevert:
     def test_honest_replica_votes_on_single_block_fork(self):
         """A lone higher-round certified fork block attracts honest votes."""
         config = ReplicaConfig(n=4, f=1, round_timeout=10.0)
-        replica, registry = make_isolated_replica(SFTDiemBFTReplica, config)
+        replica, registry, _, _ = make_isolated_replica(SFTDiemBFTReplica, config)
         replica.start()
 
         # Main chain: rounds 1..4 (replica locks on round 3's parent…
@@ -125,15 +108,17 @@ class TestDiemBFTOneBlockRevert:
             sender=config.leader_of(7), round=7, block=extension
         )
         replica.store.add_block(extension)
-        votes_before = replica.votes_sent
+        votes_before = replica.metrics.get("votes_sent").value
         replica._maybe_vote(proposal)
-        assert replica.votes_sent == votes_before + 1
+        assert replica.metrics.get("votes_sent").value == votes_before + 1
 
 
 class TestStreamletNeedsCompetitiveChain:
     def _replica_with_main_chain(self, length):
         config = StreamletConfig(n=4, f=1, round_duration=1000.0)
-        replica, registry = make_isolated_replica(SFTStreamletReplica, config)
+        replica, registry, _, _ = make_isolated_replica(
+            SFTStreamletReplica, config
+        )
         parent = replica.genesis
         parent_qc = replica.store.qc_for(parent.id())
         for round_number in range(1, length + 1):
@@ -178,10 +163,10 @@ class TestStreamletNeedsCompetitiveChain:
         proposal = ProposalMsg(
             sender=config.leader_of(8), round=8, block=extension
         )
-        votes_before = replica.votes_sent
+        votes_before = replica.metrics.get("votes_sent").value
         replica._maybe_vote(proposal)
         # Streamlet's longest-chain rule refuses: no vote.
-        assert replica.votes_sent == votes_before
+        assert replica.metrics.get("votes_sent").value == votes_before
 
     def test_competitive_length_fork_is_votable(self):
         """Only after regrowing to the tip height do honest votes flow."""
@@ -215,9 +200,9 @@ class TestStreamletNeedsCompetitiveChain:
         proposal = ProposalMsg(
             sender=config.leader_of(10), round=10, block=extension
         )
-        votes_before = replica.votes_sent
+        votes_before = replica.metrics.get("votes_sent").value
         replica._maybe_vote(proposal)
-        assert replica.votes_sent == votes_before + 1
+        assert replica.metrics.get("votes_sent").value == votes_before + 1
 
     def test_adversary_work_scales_with_depth(self):
         """Quantify D.4: blocks the adversary must certify per depth."""

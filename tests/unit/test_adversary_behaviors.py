@@ -6,10 +6,15 @@ from repro.adversary import (
     make_silent,
     make_withholding_leader,
 )
+import pytest
+
+from repro.protocols.base import ReplicaConfig
 from repro.protocols.diembft import DiemBFTReplica
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
+from repro.protocols.sft_streamlet import SFTStreamletReplica
+from repro.protocols.streamlet import StreamletConfig
 from repro.runtime.config import build_cluster
-from tests.conftest import small_experiment
+from tests.conftest import make_isolated_replica, small_experiment
 
 
 def run_with_override(replica_id, replica_class, duration=6.0, **overrides):
@@ -22,12 +27,12 @@ def run_with_override(replica_id, replica_class, duration=6.0, **overrides):
 class TestSilent:
     def test_silent_replica_never_votes(self):
         cluster = run_with_override(6, make_silent(SFTDiemBFTReplica))
-        assert cluster.replicas[6].votes_sent == 0
+        assert cluster.replicas[6].metrics.get("votes_sent").value == 0
 
     def test_silent_replica_still_proposes(self):
         # Silence attacks strong-commit liveness, not leadership.
         cluster = run_with_override(6, make_silent(SFTDiemBFTReplica))
-        assert cluster.replicas[6].blocks_proposed > 0
+        assert cluster.replicas[6].metrics.get("blocks_proposed").value > 0
 
     def test_factory_names_are_descriptive(self):
         assert "Silent" in make_silent(SFTDiemBFTReplica).__name__
@@ -35,7 +40,7 @@ class TestSilent:
     def test_works_on_plain_diembft_too(self):
         cluster = run_with_override(6, make_silent(DiemBFTReplica),
                                     protocol="diembft")
-        assert cluster.replicas[6].votes_sent == 0
+        assert cluster.replicas[6].metrics.get("votes_sent").value == 0
         assert len(cluster.replicas[0].commit_tracker.commit_order) > 20
 
 
@@ -75,7 +80,7 @@ class TestWithholdingLeader:
             4, make_withholding_leader(SFTDiemBFTReplica, reach=0.3)
         )
         timeouts = sum(
-            replica.timeouts_sent
+            replica.metrics.get("timeouts_sent").value
             for index, replica in enumerate(cluster.replicas)
             if index != 4
         )
@@ -87,7 +92,51 @@ class TestWithholdingLeader:
             duration=4.0,
         )
         honest = [r for i, r in enumerate(cluster.replicas) if i != 4]
-        assert all(replica.timeouts_sent == 0 for replica in honest)
+        assert all(
+            replica.metrics.get("timeouts_sent").value == 0 for replica in honest
+        )
+
+
+@pytest.mark.parametrize(
+    "replica_class, config",
+    [
+        (SFTDiemBFTReplica, ReplicaConfig(n=4, f=1)),
+        (SFTStreamletReplica, StreamletConfig(n=4, f=1)),
+    ],
+)
+class TestLeaderFactoriesOnTheWire:
+    """Both families build through one ``_signed_proposal`` seam; what
+    the Byzantine leaders put on the wire is pinned down to the block
+    ids, because the bench's fault workload and the fuzz corpus replay
+    them (ids recorded before the factories were unified)."""
+
+    def _led_round(self, factory, replica_class, config):
+        leader, _, _, sent = make_isolated_replica(
+            factory(replica_class), config, replica_id=1
+        )
+        leader._propose(1, "start")
+        assert leader.metrics.get("blocks_proposed").value == 1
+        assert all(msg.signature is not None and msg.tc is None for _, msg in sent)
+        return [(dst, msg.block) for dst, msg in sent]
+
+    def test_equivocator(self, replica_class, config):
+        wire = self._led_round(make_equivocating_leader, replica_class, config)
+        assert [dst for dst, _ in wire] == [0, 1, 2, 3]
+        assert [block.id().hex()[:16] for _, block in wire] == (
+            ["ed8f68eb702b15db"] * 2 + ["b8d7bfbb5f71b3b7"] * 2
+        )
+        assert [block.commit_log for _, block in wire] == (
+            [(("equivocation", 0),)] * 2 + [(("equivocation", 1),)] * 2
+        )
+        assert {(block.round, block.parent_id) for _, block in wire} == {
+            (1, wire[0][1].parent_id)
+        }
+
+    def test_withholder(self, replica_class, config):
+        wire = self._led_round(make_withholding_leader, replica_class, config)
+        assert [dst for dst, _ in wire] == [0, 1]  # reach 0.5, self included
+        assert {block.id().hex()[:16] for _, block in wire} == {"a178626abafe4f05"}
+        assert wire[0][1].commit_log == ()
 
 
 class TestLazyVoter:
@@ -96,7 +145,7 @@ class TestLazyVoter:
             6, make_lazy_voter(SFTDiemBFTReplica, delay=0.2), duration=6.0
         )
         lazy = cluster.replicas[6]
-        assert lazy.votes_sent > 0
+        assert lazy.metrics.get("votes_sent").value > 0
         # Its votes arrive too late for QCs: never among the endorsers
         # of fresh blocks at other replicas.
         observer = cluster.replicas[0]

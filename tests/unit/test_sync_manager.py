@@ -150,7 +150,7 @@ class TestResponseValidation:
         )
         replica.deliver(1, response)
         assert len(replica.store) == before
-        assert replica.sync.invalid_responses == 1
+        assert replica.metrics.get("sync.invalid_responses").value == 1
 
     def test_invalid_tip_qc_rejected_without_store_mutation(self, donor):
         cluster = build_cluster()
@@ -171,7 +171,7 @@ class TestResponseValidation:
         )
         replica.deliver(1, response)
         assert len(replica.store) == before
-        assert replica.sync.invalid_responses == 1
+        assert replica.metrics.get("sync.invalid_responses").value == 1
 
     def test_broken_linkage_rejected(self, donor):
         cluster = build_cluster()
@@ -187,7 +187,7 @@ class TestResponseValidation:
         )
         replica.deliver(1, response)
         assert len(replica.store) == before
-        assert replica.sync.invalid_responses == 1
+        assert replica.metrics.get("sync.invalid_responses").value == 1
 
     def test_unsolicited_response_is_dropped(self, donor):
         cluster = build_cluster()
@@ -196,7 +196,7 @@ class TestResponseValidation:
         before = len(replica.store)
         replica.deliver(1, signed_response(cluster, 1, nonce=99, blocks=chain))
         assert len(replica.store) == before
-        assert replica.sync.responses_applied == 0
+        assert replica.metrics.get("sync.responses_applied").value == 0
 
 
 class TestRetryAndRotation:
@@ -211,7 +211,7 @@ class TestRetryAndRotation:
         cluster.simulator.run_until(replica.config.sync_retry * 2.5)
         peers = [dst for dst, _ in sent]
         assert peers[:3] == [1, 2, 3]
-        assert replica.sync.peer_rotations >= 2
+        assert replica.metrics.get("sync.peer_rotations").value >= 2
 
     def test_rotation_skips_self(self, donor):
         cluster = build_cluster()
@@ -229,7 +229,7 @@ class TestRetryAndRotation:
         (_, request), = sent
         replica.deliver(1, signed_response(cluster, 1, request.nonce, ()))
         assert [dst for dst, _ in sent] == [1, 2]
-        assert replica.sync.peer_rotations == 1
+        assert replica.metrics.get("sync.peer_rotations").value == 1
 
     def test_gives_up_after_attempt_budget(self, donor):
         cluster = build_cluster()
@@ -238,7 +238,9 @@ class TestRetryAndRotation:
         replica.sync.note_missing(donor_chain(donor, 1)[0].id())
         cluster.simulator.run_until(60.0)
         assert replica.sync.inflight() == 0
-        assert replica.sync.requests_sent == 3 * (replica.config.n - 1)
+        assert replica.metrics.get("sync.requests_sent").value == 3 * (
+            replica.config.n - 1
+        )
 
 
 class TestApply:
@@ -258,7 +260,7 @@ class TestApply:
         assert full[0].id() in replica.store
         assert replica.store.is_certified(full[0].id())
         assert replica.sync.inflight() == 0
-        assert replica.sync.blocks_synced == len(full)
+        assert replica.metrics.get("sync.blocks_synced").value == len(full)
 
     def test_deep_gap_chases_missing_parent(self, donor):
         cluster = build_cluster()
