@@ -333,6 +333,8 @@ class BaseReplica:
         self.store = BlockStore(genesis, genesis_qc)
         self.commit_tracker = self._make_commit_tracker()
         self.commit_tracker.tracer = self.tracer
+        #: ``(now, parent_id) -> Payload`` for a block extending
+        #: ``parent_id``; harnesses rebind it to a mempool.
         self.payload_source = self._default_payload
         # Vote aggregation (this replica acting as a collector); see
         # _aggregate_vote for why buckets are keyed by more than the id.
@@ -365,7 +367,8 @@ class BaseReplica:
     def _make_commit_tracker(self) -> CommitTracker:
         return CommitTracker(self.store, self.config.f, rule=self.commit_rule)
 
-    def _default_payload(self, now: float) -> Payload:
+    def _default_payload(self, now: float, parent_id=None) -> Payload:
+        del parent_id
         return Payload(
             batch=TxBatch(
                 count=self.config.block_batch_count,
@@ -542,7 +545,7 @@ class BaseReplica:
             round=round_number,
             height=parent_qc.height + 1,
             proposer=self.replica_id,
-            payload=self.payload_source(now),
+            payload=self.payload_source(now, parent_qc.block_id),
             created_at=now,
             commit_log=commit_log,
         )

@@ -118,10 +118,24 @@ class RuntimeReport:
             return 0
         return min((len(chain) for chain in chains.values()), default=0)
 
+    def _total(self, key: str) -> int:
+        return sum(r.get(key, 0) for r in self.results.values())
+
     def total_replies(self) -> int:
-        return sum(r.get("replies_sent", 0) for r in self.results.values())
+        return self._total("replies_sent")
+
+    def txs_carried(self) -> int:
+        """Transactions in committed blocks, summed over replicas."""
+        return self._total("txs_carried")
+
+    def txs_distinct(self) -> int:
+        """Of those, the ones committed for the first time (still
+        pending when the replica applied the commit); the rest were
+        re-proposed duplicates."""
+        return self._total("txs_distinct")
 
     def summary(self) -> dict:
+        carried, distinct = self.txs_carried(), self.txs_distinct()
         return {
             "scenario": self.spec.name,
             "protocol": self.spec.protocol,
@@ -132,6 +146,11 @@ class RuntimeReport:
             "min_commits": self.min_commits(),
             "chains_agree": self.chains_agree(),
             "replies_sent": self.total_replies(),
+            "txs_carried": carried,
+            "txs_distinct": distinct,
+            "carried_per_distinct": (
+                round(carried / distinct, 4) if distinct else None
+            ),
             "commits": {
                 rid: result.get("commits", 0)
                 for rid, result in sorted(self.results.items())

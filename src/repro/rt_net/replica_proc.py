@@ -14,12 +14,22 @@ The host around the replica does what the in-process harness does in
 the simulator tier:
 
 * submits client transactions (``ClientRequestMsg`` frames from the
-  client fleet) into a per-replica :class:`~repro.runtime.client.Mempool`
-  wired as the replica's ``payload_source``;
-* polls the commit log and answers each routed transaction's client
-  with a ``ClientReplyMsg`` (clients ack at f+1 matching replies);
-* on SIGTERM (the manager's stop signal) snapshots the committed chain
-  and metrics into a result JSON and exits cleanly.
+  client fleet) into a per-replica :class:`~repro.runtime.client.Mempool`.
+  Clients broadcast every request to all ``n`` replicas, so every
+  leader holds every pending transaction;
+* as the replica's ``payload_source``, proposes each of them once: a
+  block extending ``parent_id`` skips whatever the blocks from
+  ``parent_id`` down to the last commit already applied to the mempool
+  carry, read off the replica's own block store.  A transaction on an
+  abandoned fork is on no such path and is proposed again by itself;
+* polls the commit log, removes committed transactions from the mempool
+  and answers each routed transaction's client with a
+  ``ClientReplyMsg`` (clients ack at f+1 matching replies);
+* on SIGTERM (the manager's stop signal) snapshots the committed chain,
+  metrics and the ``txs_carried`` / ``txs_distinct`` pair into a result
+  JSON and exits cleanly.  ``txs_carried`` counts transactions in
+  committed blocks, ``txs_distinct`` those that were still pending when
+  their commit was applied; the difference is re-proposed duplicates.
 """
 
 from __future__ import annotations
@@ -81,8 +91,6 @@ class ReplicaHost:
         self.mempool = Mempool(
             max_block_transactions=replica_config.batch_size,
             max_block_bytes=replica_config.max_batch_bytes,
-            pipelined=replica_config.pipelined_proposals,
-            inflight_timeout=8.0 * replica_config.round_timeout,
         )
         #: The replica's built-in synthetic-batch source, kept as the
         #: fallback so an idle mempool proposes exactly the payloads the
@@ -95,6 +103,8 @@ class ReplicaHost:
         self._commit_cursor = 0
         self.committed: list = []
         self.replies_sent = 0
+        self.txs_carried = 0
+        self.txs_distinct = 0
         self._stopping = False
 
     # ------------------------------------------------------------------
@@ -107,15 +117,41 @@ class ReplicaHost:
     def _on_client_message(self, client_id: int, message) -> None:
         if not isinstance(message, ClientRequestMsg):
             return
-        transaction = message.transaction
-        self.mempool.submit(transaction)
-        self._routes[transaction.txid()] = client_id
+        txid = self.mempool.submit(message.transaction)
+        self._routes[txid] = client_id
 
-    def _payload_source(self, now: float):
-        payload = self.mempool.make_payload(now)
-        if payload.transactions:
-            return payload
-        return self._default_payload(now)
+    def _carried_txids(self, parent_id) -> set:
+        """Txids a block extending ``parent_id`` would repeat: those in
+        its ancestors above the last commit applied to the mempool.
+
+        Stopping at the first *committed* ancestor instead would miss
+        commits the next poll has yet to apply, whose transactions are
+        still pending here.
+        """
+        carried: set = set()
+        store = self.replica.store
+        if parent_id not in store:
+            return carried
+        # Nothing at or below the last applied commit is still pending.
+        applied = self._commit_cursor
+        commit_order = self.replica.commit_tracker.commit_order
+        floor = commit_order[applied - 1].height if applied else 0
+        for block in store.iter_ancestors(parent_id):
+            if block.height <= floor:
+                break
+            carried.update(
+                transaction.txid() for transaction in block.payload.transactions
+            )
+        return carried
+
+    def _payload_source(self, now: float, parent_id):
+        if self.mempool.pending_count():
+            payload = self.mempool.make_payload(
+                now, self._carried_txids(parent_id)
+            )
+            if payload.transactions:
+                return payload
+        return self._default_payload(now, parent_id)
 
     # ------------------------------------------------------------------
     # commit feedback
@@ -134,9 +170,10 @@ class ReplicaHost:
             block = replica.store.maybe_get(event.block_id)
             if block is None or not block.payload.transactions:
                 continue
-            self.mempool.remove_committed(block.payload.transactions)
+            self.txs_carried += len(block.payload.transactions)
             for transaction in block.payload.transactions:
                 txid = transaction.txid()
+                self.txs_distinct += self.mempool.remove(txid)
                 client_id = self._routes.pop(txid, None)
                 if client_id is None:
                     continue
@@ -198,6 +235,8 @@ class ReplicaHost:
             "mempool_submitted": self.mempool.submitted,
             "mempool_pending": self.mempool.pending_count(),
             "replies_sent": self.replies_sent,
+            "txs_carried": self.txs_carried,
+            "txs_distinct": self.txs_distinct,
             "metrics": self.replica.metrics.snapshot(),
         }
         tmp = self.result_path.with_suffix(".tmp")

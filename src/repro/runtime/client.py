@@ -14,27 +14,37 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.crypto.hashing import HashDigest
 from repro.types.transaction import Payload, Transaction
 
 
 class Mempool:
     """FIFO pool of pending client transactions for one replica.
 
-    Drains are capped by ``max_block_transactions`` and, when non-zero,
-    ``max_block_bytes`` (a payload always takes at least one
-    transaction so a jumbo entry cannot wedge the queue).
+    Entries leave the pool only on commit (:meth:`remove_committed`),
+    never on proposal: a leader whose round fails must not lose them.
+    :meth:`make_payload` therefore *copies* from the queue, capped by
+    ``max_block_transactions`` and, when non-zero, ``max_block_bytes``
+    (a payload always takes at least one transaction so a jumbo entry
+    cannot wedge the queue).  Two things keep a copy from re-shipping
+    what is already on its way to commit:
 
-    ``pipelined`` selects the drain discipline.  Off is stop-and-wait
-    re-proposal: every drain copies the unacknowledged front of the
-    queue, so a leader re-ships the same batch until commit feedback
-    removes it.  On marks drained transactions *in flight* for
-    ``inflight_timeout`` seconds and skips them in later drains, so
-    consecutive proposals carry fresh batches — the pipelining that
-    lets a leader propose round ``r+1``'s transactions before round
-    ``r`` commits.  Transactions whose proposal went nowhere (failed
-    round, crashed leader) become eligible again when the timeout
-    lapses; nothing is lost either way because entries only leave the
-    pool on commit.
+    * ``exclude`` — the txids the caller knows the proposal's
+      uncommitted ancestors already carry.  The TCP tier, where clients
+      broadcast every request to all replicas and so every leader holds
+      every transaction, passes the set read off its block store
+      (``ReplicaHost._payload_source``): each request is proposed once,
+      and if that chain is abandoned the set no longer names it, so it
+      is eligible again without a timer.
+    * ``pipelined`` — for harnesses that submit each transaction to one
+      mempool and do not consult the chain.  Off is stop-and-wait: each
+      payload copies the unacknowledged front of the queue.  On marks
+      copied transactions *in flight* for ``inflight_timeout`` seconds
+      and skips them in later payloads, so consecutive proposals carry
+      fresh batches; a proposal that went nowhere (failed round,
+      crashed leader) becomes eligible again when the timeout lapses.
+
+    Skipped entries keep their queue position either way.
     """
 
     def __init__(
@@ -52,26 +62,47 @@ class Mempool:
         self._in_flight: dict = {}  # txid -> eligibility deadline
         self.submitted = 0
 
-    def submit(self, transaction: Transaction) -> None:
-        self._pending[transaction.txid()] = transaction
-        self.submitted += 1
+    def submit(self, transaction: Transaction) -> HashDigest:
+        """Queue ``transaction`` and return the txid it is filed under.
+
+        A resend of a still-pending transaction keeps its queue
+        position and is not counted again.
+        """
+        txid = transaction.txid()
+        if txid not in self._pending:
+            self._pending[txid] = transaction
+            self.submitted += 1
+        return txid
 
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def remove_committed(self, transactions) -> None:
-        """Drop transactions that made it into a committed block."""
-        for transaction in transactions:
-            txid = transaction.txid()
-            self._pending.pop(txid, None)
-            self._in_flight.pop(txid, None)
+    def remove(self, txid: HashDigest) -> bool:
+        """Drop one committed transaction; False if it was not pending."""
+        self._in_flight.pop(txid, None)
+        return self._pending.pop(txid, None) is not None
 
-    def make_payload(self, now: float) -> Payload:
-        """Drain up to a block's worth of transactions into a payload.
+    def remove_committed(self, transactions) -> int:
+        """Drop transactions that made it into a committed block.
 
-        Transactions stay pending until committed (leaders of failed
-        rounds must not lose them), so this *copies* the front of the
-        queue rather than popping it.
+        Returns how many were actually pending — the rest were
+        duplicates of something already removed (or never submitted
+        here).
+        """
+        return sum(
+            self.remove(transaction.txid()) for transaction in transactions
+        )
+
+    def payload_source(self, now: float, parent_id=None) -> Payload:
+        """``BaseReplica.payload_source`` for the simulator harnesses,
+        which rely on ``pipelined`` (or accept re-proposal) rather than
+        on what the chain under ``parent_id`` already carries."""
+        del parent_id
+        return self.make_payload(now)
+
+    def make_payload(self, now: float, exclude=()) -> Payload:
+        """Copy up to a block's worth of transactions into a payload,
+        skipping ``exclude``d txids and, when pipelined, in-flight ones.
         """
         in_flight = self._in_flight
         if self.pipelined and in_flight:
@@ -84,7 +115,7 @@ class Mempool:
         size = 0
         max_bytes = self.max_block_bytes
         for txid, transaction in self._pending.items():
-            if self.pipelined and txid in in_flight:
+            if txid in exclude or (self.pipelined and txid in in_flight):
                 continue
             tx_size = transaction.size_bytes()
             if front and max_bytes and size + tx_size > max_bytes:
@@ -158,7 +189,7 @@ class ClientWorkload:
         for replica in cluster.replicas:
             mempool = Mempool()
             self.mempools[replica.replica_id] = mempool
-            replica.payload_source = mempool.make_payload
+            replica.payload_source = mempool.payload_source
 
     def start(self) -> None:
         if self._interval > 0:

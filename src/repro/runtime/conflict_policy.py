@@ -119,8 +119,8 @@ class ConflictAwareMempool:
     # payload production (the leader-side rule)
     # ------------------------------------------------------------------
 
-    def make_payload(self, now: float) -> Payload:
-        del now
+    def make_payload(self, now: float, parent_id=None) -> Payload:
+        del now, parent_id
         self._refresh_inclusions()
         chosen = []
         blocked_keys = set()

@@ -75,7 +75,7 @@ class KVWorkload:
                 inflight_timeout=8.0 * per_round,
             )
             self.mempools[replica.replica_id] = mempool
-            replica.payload_source = mempool.make_payload
+            replica.payload_source = mempool.payload_source
         self.feedback = CommitFeedback(
             cluster, self.mempools, interval=feedback_interval
         )

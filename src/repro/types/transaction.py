@@ -26,10 +26,20 @@ class Transaction:
     sequence: int
     payload: bytes = b""
     submitted_at: float = 0.0
+    _txid: HashDigest | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def txid(self) -> HashDigest:
-        """Return a collision-resistant transaction identifier."""
-        return hash_fields("txn", self.client_id, self.sequence, self.payload)
+        """Collision-resistant transaction identifier (computed once,
+        then cached — mempools, block ids and reply routing all key on it)."""
+        cached = self._txid
+        if cached is None:
+            cached = hash_fields(
+                "txn", self.client_id, self.sequence, self.payload
+            )
+            object.__setattr__(self, "_txid", cached)
+        return cached
 
     def size_bytes(self) -> int:
         """Approximate wire size of this transaction."""

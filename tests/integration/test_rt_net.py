@@ -14,7 +14,8 @@ import asyncio
 
 import pytest
 
-from repro.experiments.spec import load_scenario
+from repro.core.commit_rules import CommitEvent
+from repro.experiments.spec import load_scenario, spec_to_mapping
 from repro.rt_net.clients import ClientFleet
 from repro.rt_net.differential import common_prefix_len, run_differential
 from repro.rt_net.manager import (
@@ -22,8 +23,11 @@ from repro.rt_net.manager import (
     _free_ports,
     unsupported_features,
 )
+from repro.rt_net.replica_proc import ReplicaHost
 from repro.rt_net.transport import TcpTransport, WallClock
-from repro.types.messages import ClientReplyMsg
+from repro.types.block import Block
+from repro.types.messages import ClientReplyMsg, ClientRequestMsg
+from repro.types.transaction import Payload, Transaction
 
 SCENARIO = "scenarios/rt_smoke.toml"
 
@@ -121,6 +125,98 @@ class TestRuntimeManager:
             RuntimeManager(faulty)
 
 
+class TestProposeOnce:
+    """The host's payload source against a hand-built block tree
+    (no sockets: the transport is constructed but never started)."""
+
+    @pytest.fixture
+    def host(self, tmp_path):
+        spec = load_scenario(SCENARIO)
+        host = ReplicaHost(
+            {
+                "spec": spec_to_mapping(spec),
+                "epoch": 0.0,
+                "ports": {rid: 1 + rid for rid in range(spec.n)},
+                "result_path": str(tmp_path / "result.json"),
+            },
+            replica_id=0,
+        )
+        yield host
+        host.loop.close()
+        asyncio.set_event_loop(None)
+
+    @staticmethod
+    def _extend(host, parent, round_number, *transactions):
+        store = host.replica.store
+        block = Block(
+            parent_id=parent.id(), qc=store.qc_for(parent.id()),
+            round=round_number, height=parent.height + 1, proposer=0,
+            payload=Payload(transactions=transactions),
+        )
+        store.add_block(block)
+        return block
+
+    @staticmethod
+    def _request(host, transaction):
+        host._on_client_message(
+            9, ClientRequestMsg(sender=9, transaction=transaction)
+        )
+
+    def test_skips_exactly_the_unapplied_ancestors(self, host):
+        late, unapplied, parent_tx, sibling_tx, fresh = (
+            Transaction(client_id=1, sequence=sequence)
+            for sequence in range(5)
+        )
+        # genesis - applied - committed - parent   <- the proposal extends this
+        #                             \_ sibling  (abandoned)
+        applied = self._extend(host, host.replica.genesis, 1, late)
+        committed = self._extend(host, applied, 2, unapplied)
+        parent = self._extend(host, committed, 3, parent_tx)
+        self._extend(host, committed, 4, sibling_tx)
+        commit_order = host.replica.commit_tracker.commit_order
+        for block in (applied, committed):
+            commit_order.append(CommitEvent(
+                block_id=block.id(), round=block.round, height=block.height,
+                committed_at=0.0, created_at=0.0,
+            ))
+        # The poll has applied the first commit only; `late`'s request
+        # frame arrives after that, the rest were pending all along.
+        host._commit_cursor = 1
+        for transaction in (late, unapplied, parent_tx, sibling_tx, fresh):
+            self._request(host, transaction)
+
+        payload = host._payload_source(0.0, parent.id())
+        # Not walked below the applied floor, not excluded on the
+        # abandoned sibling; excluded on the path, committed or not.
+        assert payload.transactions == (late, sibling_tx, fresh)
+
+        # Once the second commit is applied its transaction is gone
+        # from the mempool rather than excluded, and the counts show
+        # one carried transaction that was pending.
+        host._poll_commits_final()
+        assert host._commit_cursor == 2
+        assert (host.txs_carried, host.txs_distinct) == (1, 1)
+        assert host._payload_source(0.0, parent.id()).transactions == (
+            late, sibling_tx, fresh,
+        )
+        assert host._carried_txids(parent.id()) == {parent_tx.txid()}
+
+    def test_idle_mempool_proposes_the_synthetic_batch(self, host):
+        payload = host._payload_source(0.0, host.replica.genesis.id())
+        assert payload.transactions == () and payload.batch is not None
+
+    def test_unknown_parent_excludes_nothing(self, host):
+        transaction = Transaction(client_id=1, sequence=0)
+        self._request(host, transaction)
+        orphan = Block(
+            parent_id=host.replica.genesis.id(), qc=None, round=1, height=1,
+            proposer=0,
+        )
+        assert host._payload_source(0.0, orphan.id()).transactions == (
+            transaction,
+        )
+
+
 class TestDifferential:
     """One spec, both tiers, identical committed chains."""
 
@@ -166,3 +262,8 @@ class TestClientFleet:
         assert fleet.total_acked() > 0
         assert report.total_replies() >= fleet.total_acked()
         assert report.chains_agree()
+        # Each request is proposed once.  The slack is CI's: a request
+        # frame that reaches a replica after it applied that
+        # transaction's commit is carried once more.
+        assert report.txs_distinct() > 0
+        assert report.txs_carried() <= 1.05 * report.txs_distinct()

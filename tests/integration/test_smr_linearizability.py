@@ -19,7 +19,7 @@ def run_kv_workload(duration=8.0, command_count=300, seed=5, crash=None,
     mempools = {}
     for replica in cluster.replicas:
         mempool = Mempool(max_block_transactions=20)
-        replica.payload_source = mempool.make_payload
+        replica.payload_source = mempool.payload_source
         mempools[replica.replica_id] = mempool
     from repro.runtime.client import CommitFeedback
 

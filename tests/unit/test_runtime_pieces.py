@@ -150,6 +150,96 @@ class TestMempool:
         assert mempool.pending_count() == 0
         assert mempool._in_flight == {}
 
+    def test_resubmission_is_not_counted_twice(self):
+        mempool = Mempool()
+        txn = self._txn(0)
+        assert mempool.submit(txn) == txn.txid()
+        assert mempool.submit(self._txn(0)) == txn.txid()
+        assert mempool.submitted == 1
+
+    def test_remove_committed_counts_what_was_pending(self):
+        mempool = Mempool()
+        for sequence in range(3):
+            mempool.submit(self._txn(sequence))
+        committed = [self._txn(0), self._txn(1), self._txn(7)]
+        assert mempool.remove_committed(committed) == 2
+        # The same block committed again removes nothing.
+        assert mempool.remove_committed(committed) == 0
+        assert mempool.pending_count() == 1
+
+    def test_exclude_skips_but_keeps_queue_position(self):
+        mempool = Mempool(max_block_transactions=10)
+        txns = [self._txn(sequence) for sequence in range(5)]
+        for txn in txns:
+            mempool.submit(txn)
+        carried = {txns[1].txid(), txns[3].txid()}
+        payload = mempool.make_payload(0.0, carried)
+        assert payload.transactions == (txns[0], txns[2], txns[4])
+        # Nothing was marked or moved: once the chain that carried them
+        # is abandoned (they are no longer excluded) they are back, in
+        # their original order.
+        assert mempool.make_payload(0.1, set()).transactions == tuple(txns)
+
+    def test_exclude_still_fills_the_caps_from_what_follows(self):
+        txns = [self._txn(sequence) for sequence in range(6)]
+        carried = {txns[0].txid(), txns[1].txid()}
+        by_count = Mempool(max_block_transactions=3)
+        # 16 bytes each: a 40-byte cap fits two.
+        by_bytes = Mempool(max_block_transactions=10, max_block_bytes=40)
+        for txn in txns:
+            by_count.submit(txn)
+            by_bytes.submit(txn)
+        assert by_count.make_payload(0.0, carried).transactions == (
+            txns[2], txns[3], txns[4],
+        )
+        assert by_bytes.make_payload(0.0, carried).transactions == (
+            txns[2], txns[3],
+        )
+
+    def test_exclude_composes_with_pipelined(self):
+        mempool = Mempool(
+            max_block_transactions=2, pipelined=True, inflight_timeout=1.0
+        )
+        txns = [self._txn(sequence) for sequence in range(5)]
+        for txn in txns:
+            mempool.submit(txn)
+        first = mempool.make_payload(0.0, {txns[0].txid()})
+        assert first.transactions == (txns[1], txns[2])
+        # 1 and 2 are in flight, 3 is excluded: only 0 and 4 remain.
+        second = mempool.make_payload(0.1, {txns[3].txid()})
+        assert second.transactions == (txns[0], txns[4])
+        # An excluded entry was never marked in flight.
+        assert txns[3].txid() not in mempool._in_flight
+
+    @pytest.mark.parametrize("pipelined", [False, True])
+    def test_empty_exclude_changes_nothing(self, pipelined):
+        def filled():
+            mempool = Mempool(
+                max_block_transactions=3, max_block_bytes=100,
+                pipelined=pipelined, inflight_timeout=0.25,
+            )
+            for sequence in range(8):
+                mempool.submit(self._txn(sequence))
+            return mempool
+
+        plain, with_exclude = filled(), filled()
+        for step in range(6):
+            now = 0.1 * step
+            assert (
+                with_exclude.make_payload(now, set()).transactions
+                == plain.make_payload(now).transactions
+            )
+        assert with_exclude._in_flight == plain._in_flight
+
+    def test_payload_source_ignores_the_parent(self):
+        mempool = Mempool(max_block_transactions=2)
+        for sequence in range(3):
+            mempool.submit(self._txn(sequence))
+        assert (
+            mempool.payload_source(0.0, object()).transactions
+            == mempool.make_payload(0.0).transactions
+        )
+
 
 class TestPercentile:
     def test_quantile_zero_rejected(self):

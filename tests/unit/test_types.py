@@ -78,6 +78,70 @@ class TestPayload:
         assert txn_a.txid() != txn_b.txid()
 
 
+class TestTxidMemo:
+    def _txn(self, **overrides):
+        fields = dict(client_id=3, sequence=9, payload=b"set k v",
+                      submitted_at=1.5)
+        fields.update(overrides)
+        return Transaction(**fields)
+
+    def test_same_digest_as_a_fresh_hash(self):
+        from repro.crypto.hashing import hash_fields
+
+        txn = self._txn()
+        first = txn.txid()
+        assert first == hash_fields("txn", 3, 9, b"set k v")
+        assert txn.txid() is first  # second call hits the memo
+
+    def test_replace_does_not_inherit_a_stale_id(self):
+        from dataclasses import replace
+
+        txn = self._txn()
+        old = txn.txid()
+        changed = replace(txn, payload=b"set k w")
+        assert changed.txid() == self._txn(payload=b"set k w").txid()
+        assert changed.txid() != old
+        # A field outside the id leaves it equal, computed afresh.
+        assert replace(txn, submitted_at=2.0).txid() == old
+
+    def test_memo_is_outside_equality_hash_and_repr(self):
+        warm, cold = self._txn(), self._txn()
+        warm.txid()
+        assert warm == cold
+        assert hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+
+    def test_pickle_and_codec_roundtrips_agree(self):
+        import pickle
+
+        from repro.rt_net.codec import FrameDecoder, encode_frame
+
+        warm, cold = self._txn(), self._txn()
+        digest = warm.txid()
+        # The wire carries init fields only: a computed id changes no byte.
+        assert encode_frame(warm) == encode_frame(cold)
+        (decoded,) = FrameDecoder().feed(encode_frame(warm))
+        for copy in (decoded, pickle.loads(pickle.dumps(warm)),
+                     pickle.loads(pickle.dumps(cold))):
+            assert copy == warm
+            assert copy.txid() == digest
+
+    def test_block_id_unchanged_by_warm_transactions(self):
+        genesis, genesis_qc = make_genesis()
+
+        def block(txns):
+            return Block(
+                parent_id=genesis.id(), qc=genesis_qc, round=1, height=1,
+                proposer=0, payload=Payload(transactions=txns),
+            )
+
+        warm = (self._txn(), self._txn(sequence=10))
+        for txn in warm:
+            txn.txid()
+        cold = (self._txn(), self._txn(sequence=10))
+        assert block(warm).id() == block(cold).id()
+
+
 class TestVotes:
     def _vote_pair(self):
         genesis, _ = make_genesis()
