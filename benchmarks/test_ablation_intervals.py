@@ -14,8 +14,9 @@ size of votes.
 """
 
 from repro.adversary import make_equivocating_leader
+from repro.experiments.spec import ScenarioSpec
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
-from repro.runtime.config import ExperimentConfig, build_cluster
+from repro.runtime.config import build_cluster
 from repro.runtime.metrics import check_commit_safety
 
 N, F = 7, 2
@@ -23,7 +24,7 @@ BYZANTINE_ID = 3
 
 
 def run_mode(generalized: bool, window: int | None = None):
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         protocol="sft-diembft",
         n=N,
         topology="uniform",
@@ -31,13 +32,13 @@ def run_mode(generalized: bool, window: int | None = None):
         jitter=0.002,
         duration=20.0,
         round_timeout=0.4,
-        seed=41,
+        seeds=(41,),
         generalized_intervals=generalized,
         interval_window=window,
         block_batch_count=10,
         block_batch_bytes=1_000,
     )
-    cluster = build_cluster(config)
+    cluster = build_cluster(spec)
     cluster.build(
         replica_overrides={
             BYZANTINE_ID: make_equivocating_leader(SFTDiemBFTReplica)

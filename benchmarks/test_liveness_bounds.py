@@ -8,15 +8,16 @@ best achieved strength and the mean/max time to reach it.
 """
 
 from repro.adversary import make_silent
+from repro.experiments.spec import FaultMix, ScenarioSpec
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
-from repro.runtime.config import ExperimentConfig, build_cluster
+from repro.runtime.config import build_cluster
 from repro.runtime.metrics import check_commit_safety
 
 N, F = 10, 3
 
 
 def run_with_faults(fault_count: int, byzantine: bool, generalized: bool):
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         protocol="sft-diembft",
         n=N,
         f=F,
@@ -25,17 +26,13 @@ def run_with_faults(fault_count: int, byzantine: bool, generalized: bool):
         jitter=0.002,
         duration=24.0,
         round_timeout=0.5,
-        seed=37,
+        seeds=(37,),
         generalized_intervals=generalized,
         block_batch_count=10,
         block_batch_bytes=1_000,
-        crash_schedule=(
-            ()
-            if byzantine
-            else tuple((N - 1 - index, 0.0) for index in range(fault_count))
-        ),
+        faults=FaultMix(crash=0 if byzantine else fault_count),
     )
-    cluster = build_cluster(config)
+    cluster = build_cluster(spec)
     overrides = {}
     if byzantine:
         for index in range(fault_count):

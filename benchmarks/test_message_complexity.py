@@ -12,14 +12,14 @@ protocols; the growth exponent is estimated from the endpoints.
 
 import math
 
-from repro.runtime.config import ExperimentConfig, build_cluster
+from repro.experiments.spec import ScenarioSpec
 from repro.runtime.metrics import check_commit_safety
 
 SWEEP_N = (7, 13, 25, 49, 100)
 
 
 def run_uniform(protocol: str, n: int, duration: float, seed: int = 31):
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         protocol=protocol,
         n=n,
         topology="uniform",
@@ -27,13 +27,13 @@ def run_uniform(protocol: str, n: int, duration: float, seed: int = 31):
         jitter=0.002,
         duration=duration,
         round_timeout=1.0,
-        seed=seed,
+        seeds=(seed,),
         verify_signatures=False,
         observers=(0,),
         block_batch_count=100,
         block_batch_bytes=10_000,
     )
-    return build_cluster(config).run()
+    return spec.build().run()
 
 
 def messages_per_block(cluster) -> float:

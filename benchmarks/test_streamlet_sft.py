@@ -10,14 +10,14 @@ DiemBFT's round-based rules vs a full competitive chain for
 Streamlet's height-based rules).
 """
 
-from repro.runtime.config import ExperimentConfig, build_cluster
+from repro.experiments.spec import ScenarioSpec
 from repro.runtime.metrics import check_commit_safety, strong_latency_series
 
 RATIOS = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 
 
 def run(protocol: str, n: int = 13):
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         protocol=protocol,
         n=n,
         topology="uniform",
@@ -25,12 +25,12 @@ def run(protocol: str, n: int = 13):
         jitter=0.002,
         duration=12.0,
         round_timeout=0.5,
-        seed=43,
+        seeds=(43,),
         verify_signatures=False,
         block_batch_count=10,
         block_batch_bytes=1_000,
     )
-    return build_cluster(config).run()
+    return spec.build().run()
 
 
 def test_sft_streamlet_strength_and_costs(benchmark):

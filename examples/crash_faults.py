@@ -10,12 +10,12 @@ round-robin rotation (at latest when it acts as vote collector).
 Run:  python examples/crash_faults.py
 """
 
-from repro import ExperimentConfig, build_cluster, check_commit_safety
+from repro import FaultMix, ScenarioSpec, check_commit_safety
 
 
 def run_with_crashes(crash_count: int) -> None:
     n, duration = 10, 20.0
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         protocol="sft-diembft",
         n=n,
         f=3,
@@ -24,15 +24,13 @@ def run_with_crashes(crash_count: int) -> None:
         jitter=0.002,
         duration=duration,
         round_timeout=0.5,
-        seed=5,
+        seeds=(5,),
         block_batch_count=10,
         block_batch_bytes=1_000,
-        crash_schedule=tuple(
-            (n - 1 - index, 0.0) for index in range(crash_count)
-        ),
+        faults=FaultMix(crash=crash_count),  # the top ids, at t = 0
     )
-    f = config.resolved_f()
-    cluster = build_cluster(config).run()
+    f = spec.resolved_f()
+    cluster = spec.build().run()
     survivors = [replica for replica in cluster.replicas if not replica.crashed]
     check_commit_safety(survivors)
 

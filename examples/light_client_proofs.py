@@ -10,13 +10,13 @@ Tampered proofs are rejected.
 Run:  python examples/light_client_proofs.py
 """
 
-from repro import ExperimentConfig, LightClient, build_cluster
+from repro import LightClient, ScenarioSpec
 from repro.lightclient import ProofError, StrongCommitProof, build_proof
 from repro.types.quorum_cert import QuorumCertificate
 
 
 def main() -> None:
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         protocol="sft-diembft",
         n=7,
         topology="uniform",
@@ -24,18 +24,18 @@ def main() -> None:
         jitter=0.002,
         duration=8.0,
         round_timeout=0.5,
-        seed=9,
+        seeds=(9,),
         block_batch_count=10,
         block_batch_bytes=1_000,
     )
-    cluster = build_cluster(config).run()
+    cluster = spec.build().run()
     replica = cluster.replicas[0]
 
     client = LightClient(
-        cluster.registry, n=config.n, f=config.resolved_f()
+        cluster.registry, n=spec.n, f=spec.resolved_f()
     )
     print(f"light client initialized with the PKI only "
-          f"(n={config.n}, f={config.resolved_f()})\n")
+          f"(n={spec.n}, f={spec.resolved_f()})\n")
 
     proofs_verified = 0
     entries_accepted = 0

@@ -11,11 +11,11 @@ consensus.
 Run:  python examples/quickstart.py
 """
 
-from repro import ExperimentConfig, build_cluster, check_commit_safety
+from repro import ScenarioSpec, check_commit_safety
 
 
 def main() -> None:
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         protocol="sft-diembft",
         n=7,
         topology="uniform",
@@ -23,15 +23,15 @@ def main() -> None:
         jitter=0.002,
         duration=10.0,
         round_timeout=0.5,
-        seed=7,
+        seeds=(7,),
         block_batch_count=100,
         block_batch_bytes=10_000,
     )
-    f = config.resolved_f()
-    print(f"running {config.protocol} with n={config.n}, f={f} "
-          f"for {config.duration:.0f}s of simulated time…")
+    f = spec.resolved_f()
+    print(f"running {spec.protocol} with n={spec.n}, f={f} "
+          f"for {spec.duration:.0f}s of simulated time…")
 
-    cluster = build_cluster(config).run()
+    cluster = spec.build().run()
     check_commit_safety(cluster.replicas)
 
     replica = cluster.replicas[0]
@@ -61,7 +61,7 @@ def main() -> None:
     cursor = block
     for _ in range(3):
         count = replica.endorser_count(cursor.id())
-        print(f"  round {cursor.round}: {count}/{config.n} endorsers")
+        print(f"  round {cursor.round}: {count}/{spec.n} endorsers")
         children = replica.store.children(cursor.id())
         if not children:
             break

@@ -10,27 +10,23 @@ message-complexity gulf between Streamlet's all-to-all + echo pattern
 Run:  python examples/streamlet_sft.py
 """
 
-from repro import (
-    ExperimentConfig,
-    build_cluster,
-    check_commit_safety,
-    strong_latency_series,
-)
+from repro import ScenarioSpec, check_commit_safety, strong_latency_series
 
 
 def run(protocol: str):
-    config = ExperimentConfig(
+    spec = ScenarioSpec(
         protocol=protocol,
         n=7,
         topology="uniform",
         uniform_delay=0.010,
         jitter=0.002,
         duration=8.0,
-        seed=3,
+        round_timeout=1.0,
+        seeds=(3,),
         block_batch_count=10,
         block_batch_bytes=1_000,
     )
-    cluster = build_cluster(config).run()
+    cluster = spec.build().run()
     check_commit_safety(cluster.replicas)
     return cluster
 

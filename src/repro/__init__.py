@@ -8,10 +8,12 @@ chain extends, at linear message complexity.
 
 Quick start::
 
-    from repro import ExperimentConfig, build_cluster, strong_latency_series
+    from repro import ScenarioSpec, strong_latency_series
 
-    config = ExperimentConfig(protocol="sft-diembft", n=31, duration=30.0)
-    cluster = build_cluster(config).run()
+    spec = ScenarioSpec(
+        protocol="sft-diembft", n=31, topology="symmetric", duration=30.0
+    )
+    cluster = spec.build().run()
     for point in strong_latency_series(cluster, ratios=(1.0, 1.5, 2.0)):
         print(point.ratio, point.mean_latency)
 
@@ -56,7 +58,6 @@ from repro.protocols.streamlet import StreamletConfig, StreamletReplica
 from repro.runtime import (
     ClientWorkload,
     Cluster,
-    ExperimentConfig,
     LatencyReport,
     build_cluster,
     check_commit_safety,
@@ -119,7 +120,6 @@ __all__ = [
     "run_campaign",
     "load_scenario",
     # runtime
-    "ExperimentConfig",
     "build_cluster",
     "Cluster",
     "ClientWorkload",

@@ -7,7 +7,8 @@ with its own key (the :class:`~repro.protocols.base.ReplicaContext`
 hands it nothing else), matching the simulation's unforgeability
 assumption.
 
-Crash faults are built into the runtime (``ExperimentConfig.crash_schedule``).
+Crash faults are built into the runtime (``FaultMix.crash``, or
+``build_cluster``'s ``crash_schedule`` keyword for explicit ids).
 """
 
 from repro.adversary.behaviors import (

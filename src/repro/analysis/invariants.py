@@ -307,29 +307,11 @@ def recovery_time(spec) -> float:
     return recovery
 
 
-def _max_delay_s(spec) -> float:
-    """The worst one-hop network delay the *resolved* topology can
-    produce, mirroring ``ExperimentConfig._max_delay`` exactly.
-    (Taking the max over every topology's knobs — the pre-fix
-    behaviour — inflated uniform-topology pacing by delta/ab_delay,
-    which made ``liveness_applicable`` count lazy voters as fast
-    enough and misjudge genuinely-stalled schedules as violations.)"""
-    candidates = [spec.intra_delay]
-    if spec.topology == "uniform":
-        candidates.append(spec.uniform_delay)
-    else:
-        candidates.extend([spec.delta, spec.ab_delay])
-    return max(candidates)
-
-
 def _per_round_s(spec) -> float:
     """A round's nominal pacing: Streamlet's fixed slot, or the
     DiemBFT-family base timeout."""
     if spec.protocol in ("streamlet", "sft-streamlet"):
-        per_round = spec.streamlet_round_duration
-        if per_round is None:
-            per_round = 2.0 * (_max_delay_s(spec) + spec.jitter) + 0.005
-        return per_round
+        return spec.streamlet_slot()
     return spec.round_timeout
 
 
@@ -397,7 +379,7 @@ def liveness_applicable(spec) -> bool:
         # found schedules with no Byzantine faults at all that stall at
         # zero commits this way.  (DiemBFT-family timeouts back off and
         # retry, so bounded reordering only slows them down.)
-        needed = 2.0 * (_max_delay_s(spec) + spec.jitter
+        needed = 2.0 * (spec.max_delay() + spec.jitter
                         + spec.reorder_window) + 0.005
         if _per_round_s(spec) < needed:
             return False
@@ -533,7 +515,7 @@ def check_cluster_invariants(cluster, spec=None) -> list:
             cluster.byzantine_ids
             | {r.replica_id for r in cluster.replicas if r.crashed}
         ) if crashed else len(cluster.byzantine_ids)
-        naive = bool(getattr(cluster.config, "naive_accounting", False))
+        naive = cluster.config.naive_accounting
     violations = []
     violations.extend(check_definition_1(replicas, actual_faults, expected=naive))
     violations.extend(check_prefix_consistency(replicas))

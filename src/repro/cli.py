@@ -12,8 +12,6 @@ Examples::
     python -m repro fuzz run --seeds 0:50 --workers 4
     python -m repro fuzz replay scenarios/fuzz_corpus/appendix_c_naive.json
     python -m repro fuzz shrink failing.json --out minimal.json
-    python -m repro bench run --suite smoke --label local
-    python -m repro bench compare BENCH_local.json BENCH_baseline.json
     python -m repro trace summarize scenarios/fuzz_corpus/some_case.json
     python -m repro trace export scenario.json --out trace.json
     python -m repro rt run scenarios/rt_smoke.toml --clients 4
@@ -35,13 +33,18 @@ from repro.analysis import (
 from repro.analysis.chain_stats import collect_chain_stats
 from repro.analysis.health import QCDiversityMonitor
 from repro.core.resilience import ratio_grid
-from repro.runtime.config import PROTOCOLS, ExperimentConfig, build_cluster
+from repro.experiments.spec import FaultMix, ScenarioSpec
+from repro.runtime.config import PROTOCOLS
 from repro.runtime.metrics import (
     check_commit_safety,
     regular_commit_latency,
     strong_latency_series,
     throughput_txps,
 )
+
+
+#: The paper's block shape (~1000 txns / ~450 KB), for `run` / `figure`.
+_PAPER_BLOCK = {"block_batch_count": 1000, "block_batch_bytes": 450_000}
 
 
 def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
@@ -68,11 +71,8 @@ def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="emit the latency series as CSV")
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    crash_schedule = tuple(
-        (args.n - 1 - index, 0.0) for index in range(args.crash)
-    )
-    return ExperimentConfig(
+def _spec_from_args(args) -> ScenarioSpec:
+    return ScenarioSpec(
         protocol=args.protocol,
         n=args.n,
         topology=args.topology,
@@ -81,36 +81,37 @@ def _config_from_args(args) -> ExperimentConfig:
         duration=args.duration,
         round_timeout=args.timeout,
         qc_extra_wait=args.extra_wait,
-        seed=args.seed,
+        seeds=(args.seed,),
         generalized_intervals=args.intervals,
         verify_signatures=args.n <= 31,
         observers="all" if args.n <= 31 else 5,
-        crash_schedule=crash_schedule,
+        faults=FaultMix(crash=args.crash),
+        **_PAPER_BLOCK,
     )
 
 
 def command_run(args) -> int:
-    config = _config_from_args(args)
-    print(f"protocol={config.protocol} n={config.n} f={config.resolved_f()} "
-          f"topology={config.build_topology().describe()} "
-          f"duration={config.duration}s seed={config.seed}")
-    cluster = build_cluster(config).run()
+    spec = _spec_from_args(args)
+    print(f"protocol={spec.protocol} n={spec.n} f={spec.resolved_f()} "
+          f"topology={spec.build_topology().describe()} "
+          f"duration={spec.duration}s seed={args.seed}")
+    cluster = spec.build().run()
     survivors = [replica for replica in cluster.replicas if not replica.crashed]
     check_commit_safety(survivors)
     replica = survivors[0]
     commits = len(replica.commit_tracker.commit_order)
     mean, count = regular_commit_latency(
-        cluster, created_before=config.duration * 0.66
+        cluster, created_before=spec.duration * 0.66
     )
     print(f"\ncommits: {commits}  rounds: {replica.current_round}  "
           f"throughput: {throughput_txps(cluster):.0f} txn/s")
     if mean is not None:
         print(f"regular commit latency: {mean:.3f}s over {count} samples")
     series = strong_latency_series(
-        cluster, ratio_grid(), created_before=config.duration * 0.66
+        cluster, ratio_grid(), created_before=spec.duration * 0.66
     )
     if args.csv:
-        print(format_series_csv(series, label=config.protocol))
+        print(format_series_csv(series, label=spec.protocol))
     else:
         print()
         print(format_fig7_table(
@@ -133,7 +134,7 @@ def command_figure(args) -> int:
         return 2
     results = {}
     for delta in deltas:
-        config = ExperimentConfig(
+        spec = ScenarioSpec(
             protocol="sft-diembft",
             n=100,
             topology=topology,
@@ -142,13 +143,14 @@ def command_figure(args) -> int:
             duration=args.duration,
             round_timeout=timeout,
             timeout_multiplier=1.0 if topology == "asymmetric" else 1.5,
-            seed=11,
+            seeds=(11,),
             verify_signatures=False,
             observers=10,
+            **_PAPER_BLOCK,
         )
         label = f"δ={delta * 1000:.0f}ms"
         print(f"running {topology} {label}…", file=sys.stderr)
-        cluster = build_cluster(config).run()
+        cluster = spec.build().run()
         results[label] = strong_latency_series(
             cluster, ratio_grid(), created_before=args.duration * 0.6
         )
@@ -178,15 +180,15 @@ def command_counterexample(args) -> int:
 
 
 def command_health(args) -> int:
-    config = _config_from_args(args)
-    cluster = build_cluster(config).run()
+    spec = _spec_from_args(args)
+    cluster = spec.build().run()
     replica = cluster.replicas[0]
-    monitor = QCDiversityMonitor(config.n)
+    monitor = QCDiversityMonitor(spec.n)
     monitor.observe_chain(replica.store, replica.commit_tracker.commit_order)
     print(f"observed {monitor.qc_count()} chain QCs; "
           f"max achievable strength: "
-          f"{monitor.max_achievable_strength(config.resolved_f())} "
-          f"(2f = {2 * config.resolved_f()})")
+          f"{monitor.max_achievable_strength(spec.resolved_f())} "
+          f"(2f = {2 * spec.resolved_f()})")
     print(f"\n{'replica':>8}{'QCs':>7}{'rate':>7}{'last round':>12}")
     for health in monitor.report():
         last = health.last_seen_round if health.last_seen_round else "—"
@@ -457,123 +459,6 @@ def command_fuzz_shrink(args) -> int:
     return 0
 
 
-def command_bench_run(args) -> int:
-    from repro.perf import (
-        SUITES,
-        bench_path,
-        build_report,
-        compare_benchmarks,
-        format_bench_table,
-        run_suite,
-        save_bench,
-    )
-
-    cases = SUITES[args.suite]()
-    print(
-        f"bench {args.label}: suite={args.suite} ({len(cases)} cases), "
-        f"repeats={args.repeats}, workers={args.workers}",
-        file=sys.stderr,
-    )
-
-    def progress(entry):
-        wall = entry.get("run_wall_clock_s", entry["wall_clock_s"])
-        print(
-            f"  {entry['job_id']}: {entry['metrics'].get('events', 0)} events "
-            f"in {wall:.2f}s",
-            file=sys.stderr,
-        )
-
-    results = run_suite(
-        cases, repeats=args.repeats, workers=args.workers, progress=progress
-    )
-    report = build_report(
-        args.label, args.suite, results, repeats=args.repeats,
-        workers=args.workers,
-    )
-    out = args.out or bench_path(args.label)
-    save_bench(report, out)
-    print(f"report written to {out}", file=sys.stderr)
-    print(format_bench_table(report))
-    if args.baseline:
-        from repro.perf import format_comparison
-
-        baseline = _load_bench_file(args.baseline)
-        print()
-        print(format_comparison(report, baseline))
-        _print_bench_warnings(report, baseline)
-        try:
-            regressions = compare_benchmarks(
-                report, baseline, threshold=args.threshold
-            )
-        except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-        return _report_bench_regressions(regressions, args.threshold)
-    return 0
-
-
-def _load_bench_file(path):
-    import json
-
-    from repro.perf import load_bench
-
-    try:
-        return load_bench(path)
-    except (OSError, json.JSONDecodeError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        raise SystemExit(2) from error
-
-
-def _print_bench_warnings(current, baseline) -> list:
-    """Surface cases present in only one report (partial coverage)."""
-    from repro.perf import coverage_warnings
-
-    warnings = coverage_warnings(current, baseline)
-    if warnings:
-        print(f"\nbench coverage: {len(warnings)} warning(s)")
-        for warning in warnings:
-            print(f"  warning: {warning}")
-    return warnings
-
-
-def _report_bench_regressions(regressions, threshold) -> int:
-    if not regressions:
-        print(f"\nbench gate: no regressions (threshold {threshold:.0%})")
-        return 0
-    print(f"\nbench gate: {len(regressions)} regression(s) past "
-          f"{threshold:.0%}")
-    for regression in regressions:
-        print(f"  {regression.describe()}")
-    return 1
-
-
-def command_bench_compare(args) -> int:
-    from repro.perf import compare_benchmarks, format_comparison
-
-    current = _load_bench_file(args.report)
-    baseline = _load_bench_file(args.baseline)
-    print(format_comparison(current, baseline))
-    warnings = _print_bench_warnings(current, baseline)
-    try:
-        regressions = compare_benchmarks(
-            current, baseline, threshold=args.threshold
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    exit_code = _report_bench_regressions(regressions, args.threshold)
-    if args.strict_coverage and warnings:
-        # A renamed or dropped case would otherwise escape the gate by
-        # simply not being compared.
-        print(
-            f"bench gate: strict coverage failed — {len(warnings)} case(s) "
-            "present in only one report",
-            file=sys.stderr,
-        )
-        return exit_code or 1
-    return exit_code
-
-
 def _print_rt_summary(summary: dict) -> None:
     import json
 
@@ -603,12 +488,11 @@ def command_rt_run(args) -> int:
 
             from repro.rt_net.clients import drive_fleet
 
-            experiment = spec.to_experiment_config(manager.seed)
             manager.start()
             manager.wait_ready()
             fleet = drive_fleet(
                 manager.endpoints(),
-                experiment.resolved_f(),
+                spec.resolved_f(),
                 duration,
                 num_clients=args.clients,
                 seed=manager.seed,
@@ -823,43 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_shrink.add_argument("--out", default=None,
                              help="where to write the minimized spec")
     fuzz_shrink.set_defaults(handler=command_fuzz_shrink)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="macro-benchmarks and BENCH_*.json perf tracking"
-    )
-    bench_sub = bench_parser.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="run the benchmark suite and write BENCH_<label>.json"
-    )
-    bench_run.add_argument("--suite", choices=("full", "smoke"),
-                           default="full")
-    bench_run.add_argument("--label", default="local",
-                           help="report label (file: BENCH_<label>.json)")
-    bench_run.add_argument("--repeats", type=int, default=3,
-                           help="runs per case; best-of wall clock is kept")
-    bench_run.add_argument("--workers", type=int, default=1,
-                           help="parallel workers (1 for stable timings)")
-    bench_run.add_argument("--out", default=None,
-                           help="override the report path")
-    bench_run.add_argument("--baseline", default=None,
-                           help="also compare against this bench report")
-    bench_run.add_argument("--threshold", type=float, default=0.20,
-                           help="relative events/sec regression threshold")
-    bench_run.set_defaults(handler=command_bench_run)
-
-    bench_compare = bench_sub.add_parser(
-        "compare", help="gate one bench report against a baseline"
-    )
-    bench_compare.add_argument("report", help="current BENCH_*.json")
-    bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
-    bench_compare.add_argument("--threshold", type=float, default=0.20,
-                               help="relative events/sec regression threshold")
-    bench_compare.add_argument("--strict-coverage", action="store_true",
-                               help="fail when a case is present in only "
-                                    "one report (renames/drops escape the "
-                                    "gate otherwise)")
-    bench_compare.set_defaults(handler=command_bench_compare)
 
     rt_parser = subparsers.add_parser(
         "rt", help="real-network runtime (multi-process asyncio TCP)"

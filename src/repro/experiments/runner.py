@@ -76,18 +76,12 @@ def _round(value, digits: int = 6):
 
 def _series_metrics(cluster, spec) -> list:
     """Figure-7-style series as plain dicts (JSON- and diff-friendly)."""
-    cutoff = spec.duration * spec.cutoff_fraction
-    if spec.series_observers is not None:
-        saved = cluster.config.observers
-        cluster.config.observers = tuple(spec.series_observers)
-        try:
-            series = strong_latency_series(
-                cluster, spec.ratios, created_before=cutoff
-            )
-        finally:
-            cluster.config.observers = saved
-    else:
-        series = strong_latency_series(cluster, spec.ratios, created_before=cutoff)
+    series = strong_latency_series(
+        cluster,
+        spec.ratios,
+        created_before=spec.duration * spec.cutoff_fraction,
+        observers=spec.series_observers,
+    )
     return [
         {
             "ratio": point.ratio,
@@ -319,8 +313,7 @@ def run_job(job) -> dict:
     """Execute one job and return its report entry (picklable dict).
 
     ``wall_clock_s`` covers the whole job (build + run + analysis);
-    ``run_wall_clock_s`` is the simulation loop alone — the number the
-    benchmark subsystem (:mod:`repro.perf`) tracks, so the invariant
+    ``run_wall_clock_s`` is the simulation loop alone, so the invariant
     oracle's cost never pollutes engine throughput measurements.
     """
     start = time.perf_counter()

@@ -21,7 +21,17 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 from repro.adversary.behaviors import BEHAVIOR_FACTORIES
-from repro.runtime.config import PROTOCOLS, ExperimentConfig, build_cluster
+from repro.net.network import NetworkConfig
+from repro.net.topology import (
+    AsymmetricTopology,
+    RegionTopology,
+    SymmetricTopology,
+    Topology,
+    UniformTopology,
+)
+from repro.protocols.base import ReplicaConfig
+from repro.protocols.streamlet.replica import StreamletConfig
+from repro.runtime.config import PROTOCOLS, build_cluster
 
 #: Scripted (non-cluster) scenario kinds the fuzz engine knows how to
 #: run.  ``"appendix_c"`` replays the paper's Appendix C construction
@@ -228,7 +238,14 @@ class PartitionWindow:
 
 @dataclass(slots=True)
 class ScenarioSpec:
-    """One named, declarative experiment scenario."""
+    """One named, declarative experiment scenario — the only
+    description of a run; every layer reads its knobs from here.
+
+    ``topology`` is ``"uniform"``, ``"symmetric"``, ``"asymmetric"``
+    (Figure 6), or ``"regions"`` (custom ``region_sizes`` with a flat
+    cross-region delay of ``delta``); ``delta`` is the inter-region
+    delay δ.
+    """
 
     name: str = "scenario"
     protocol: str = "sft-diembft"
@@ -402,56 +419,83 @@ class ScenarioSpec:
     # resolution into runnable pieces
     # ------------------------------------------------------------------
 
-    def to_experiment_config(self, seed: int | None = None) -> ExperimentConfig:
-        return ExperimentConfig(
-            protocol=self.protocol,
-            n=self.n,
-            f=self.f,
-            topology=self.topology,
-            delta=self.delta,
-            region_sizes=self.region_sizes,
-            intra_delay=self.intra_delay,
-            ab_delay=self.ab_delay,
-            uniform_delay=self.uniform_delay,
-            jitter=self.jitter,
-            bandwidth_bytes_per_sec=self.bandwidth_bytes_per_sec,
-            processing_delay=self.processing_delay,
-            gst=self.gst,
-            pre_gst_delay=self.pre_gst_delay,
-            duplicate_rate=self.duplicate_rate,
-            reorder_window=self.reorder_window,
-            round_timeout=self.round_timeout,
-            timeout_multiplier=self.timeout_multiplier,
-            max_timeout=self.max_timeout,
-            qc_extra_wait=self.qc_extra_wait,
-            generalized_intervals=self.generalized_intervals,
-            interval_window=self.interval_window,
-            naive_accounting=self.naive_accounting,
-            verify_signatures=self.verify_signatures,
-            drop_stale_messages=self.drop_stale_messages,
-            block_batch_count=self.block_batch_count,
-            block_batch_bytes=self.block_batch_bytes,
-            streamlet_round_duration=self.streamlet_round_duration,
-            sync_enabled=self.sync_enabled,
-            workload_rate=self.workload_rate,
-            workload_payload_bytes=self.workload_payload_bytes,
-            batch_size=self.batch_size,
-            max_batch_bytes=self.max_batch_bytes,
-            pipelined_proposals=self.pipelined_proposals,
-            linear_votes=self.linear_votes,
-            checkpoint_interval=self.checkpoint_interval,
-            trace_level=self.trace_level,
-            flight_recorder=self.flight_recorder,
-            duration=self.duration,
-            seed=self.seeds[0] if seed is None else seed,
-            observers=self.observers,
-            crash_schedule=self.faults.crash_schedule(self.n),
-            recovery_schedule=self.faults.recovery_schedule(self.n),
-            partition_schedule=tuple(
-                (window.resolve(self.n), window.start, window.end)
-                for window in self.partitions
-            ),
-        )
+    def build_topology(self) -> Topology:
+        if self.topology == "uniform":
+            return UniformTopology(self.n, delay=self.uniform_delay)
+        if self.topology == "symmetric":
+            return SymmetricTopology(
+                self.n, delta=self.delta, intra_delay=self.intra_delay
+            )
+        if self.topology == "asymmetric":
+            if self.n != 100:
+                raise ValueError(
+                    "the asymmetric topology is defined for n=100 (45/45/10)"
+                )
+            return AsymmetricTopology(
+                delta=self.delta,
+                ab_delay=self.ab_delay,
+                intra_delay=self.intra_delay,
+            )
+        if self.topology == "regions":
+            if sum(self.region_sizes) != self.n:
+                raise ValueError(
+                    f"region_sizes {self.region_sizes} must sum to n={self.n}"
+                )
+            inter = {
+                (i, j): self.delta
+                for i in range(len(self.region_sizes))
+                for j in range(i + 1, len(self.region_sizes))
+            }
+            return RegionTopology(
+                self.region_sizes, inter, intra_delay=self.intra_delay
+            )
+        raise ValueError(f"unknown topology {self.topology!r}")
+
+    def network_config(self, seed: int) -> NetworkConfig:
+        return NetworkConfig(seed=seed, **_forwarded(self, NetworkConfig))
+
+    def observer_ids(self) -> tuple:
+        if self.observers == "all":
+            return tuple(range(self.n))
+        if isinstance(self.observers, int):
+            stride = max(1, self.observers)
+            return tuple(range(0, self.n, stride))
+        return tuple(self.observers)
+
+    def replica_config(self, replica_id: int) -> ReplicaConfig:
+        """The per-replica view: every knob the replica's config class
+        declares under the spec's own name, plus the three derived
+        values (``f``, ``observer``, Streamlet's slot)."""
+        streamlet = self.protocol in ("streamlet", "sft-streamlet")
+        config_class = StreamletConfig if streamlet else ReplicaConfig
+        knobs = _forwarded(self, config_class)
+        knobs["f"] = self.resolved_f()
+        knobs["observer"] = replica_id in self.observer_ids()
+        if streamlet:
+            knobs["round_duration"] = self.streamlet_slot()
+        return config_class(**knobs)
+
+    def max_delay(self) -> float:
+        """The worst one-hop delay the chosen topology can produce.
+
+        Only that topology's knobs count — a max over every preset's
+        would inflate uniform pacing by ``delta``/``ab_delay`` — except
+        that ``ab_delay`` counts for ``regions`` too: it sizes every
+        committed Streamlet baseline's slot.
+        """
+        candidates = [self.intra_delay]
+        if self.topology == "uniform":
+            candidates.append(self.uniform_delay)
+        else:
+            candidates.extend([self.delta, self.ab_delay])
+        return max(candidates)
+
+    def streamlet_slot(self) -> float:
+        """Streamlet's lock-step round length: explicit, else ``2Δ``
+        from the topology's worst delay plus jitter."""
+        if self.streamlet_round_duration is not None:
+            return self.streamlet_round_duration
+        return 2.0 * (self.max_delay() + self.jitter) + 0.005
 
     def replica_overrides(self) -> dict[int, type]:
         from repro.runtime.cluster import _PROTOCOL_CLASSES
@@ -467,9 +511,7 @@ class ScenarioSpec:
                 "it has no cluster — run it through the fuzz engine "
                 "(repro.experiments.runner handles it transparently)"
             )
-        return build_cluster(
-            self.to_experiment_config(seed), self.replica_overrides()
-        )
+        return build_cluster(self, seed)
 
 
 # ----------------------------------------------------------------------
@@ -481,6 +523,17 @@ _FAULT_FIELDS = {fault_field.name for fault_field in dataclass_fields(FaultMix)}
 _PARTITION_FIELDS = {
     partition_field.name for partition_field in dataclass_fields(PartitionWindow)
 }
+
+
+def _forwarded(spec: ScenarioSpec, target) -> dict:
+    """``spec``'s value for every knob the ``target`` config dataclass
+    declares under the same name — the whole threading mechanism, so a
+    new knob is one field here and one on the class that consumes it."""
+    return {
+        target_field.name: getattr(spec, target_field.name)
+        for target_field in dataclass_fields(target)
+        if target_field.name in _SPEC_FIELDS
+    }
 
 
 def spec_from_mapping(data: dict, name: str | None = None) -> ScenarioSpec:

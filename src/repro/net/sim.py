@@ -21,7 +21,7 @@ class SimTransport:
 
     The three interface methods are bound straight to the underlying
     :class:`Network` methods at construction time, so the adapter adds
-    zero frames to the per-message hot path the perf suite gates.
+    zero frames to the per-message hot path.
     """
 
     __slots__ = ("network", "send", "multicast", "unregister")

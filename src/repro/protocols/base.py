@@ -147,7 +147,7 @@ class ReplicaConfig:
       strong-vote mode;
     * ``observer`` — whether this replica pays for endorsement /
       strength bookkeeping (metrics); protocol behaviour is unaffected;
-    * ``naive_endorsement`` — count every indirect vote as an
+    * ``naive_accounting`` — count every indirect vote as an
       endorsement, ignoring markers (the flawed scheme Appendix C
       refutes; only the fuzzer's invariant oracle turns this on);
     * ``verify_signatures`` — validate every signature on receipt
@@ -206,7 +206,7 @@ class ReplicaConfig:
     generalized_intervals: bool = False
     interval_window: int | None = None
     observer: bool = True
-    naive_endorsement: bool = False
+    naive_accounting: bool = False
     verify_signatures: bool = True
     drop_stale_messages: bool = True
     block_batch_count: int = 1000
@@ -919,7 +919,7 @@ class SFTMixin:
             EndorsementTracker(
                 self.store,
                 mode=self.marker_mode,
-                naive=self.config.naive_endorsement,
+                naive=self.config.naive_accounting,
             )
             if self.config.observer
             else None

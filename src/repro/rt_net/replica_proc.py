@@ -67,7 +67,6 @@ class ReplicaHost:
         self.ports = {int(k): int(v) for k, v in config["ports"].items()}
         self.result_path = Path(config["result_path"])
         self.duration = float(config.get("duration", self.spec.duration))
-        self.experiment = self.spec.to_experiment_config(self.seed)
 
         self.loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self.loop)
@@ -80,11 +79,11 @@ class ReplicaHost:
             on_client_message=self._on_client_message,
             loop=self.loop,
         )
-        registry = KeyRegistry(self.experiment.n)
+        registry = KeyRegistry(self.spec.n)
         context = ReplicaContext(replica_id, self.transport, self.clock, registry)
-        replica_class = _PROTOCOL_CLASSES[self.experiment.protocol]
+        replica_class = _PROTOCOL_CLASSES[self.spec.protocol]
         self.replica = replica_class(
-            self.experiment.replica_config(replica_id), context
+            self.spec.replica_config(replica_id), context
         )
 
         replica_config = self.replica.config
@@ -224,7 +223,7 @@ class ReplicaHost:
         self._poll_commits_final()
         result = {
             "replica_id": self.replica_id,
-            "protocol": self.experiment.protocol,
+            "protocol": self.spec.protocol,
             "seed": self.seed,
             "committed": self.committed,
             "commits": len(self.committed),

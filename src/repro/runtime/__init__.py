@@ -2,7 +2,7 @@
 
 from repro.runtime.client import ClientWorkload, CommitFeedback, Mempool
 from repro.runtime.cluster import Cluster
-from repro.runtime.config import ExperimentConfig, build_cluster
+from repro.runtime.config import build_cluster
 from repro.runtime.conflict_policy import ConflictAwareMempool
 from repro.runtime.metrics import (
     LatencyReport,
@@ -15,7 +15,6 @@ from repro.runtime.metrics import (
 from repro.obs import TraceLog
 
 __all__ = [
-    "ExperimentConfig",
     "build_cluster",
     "Cluster",
     "Mempool",

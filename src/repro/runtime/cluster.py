@@ -22,24 +22,36 @@ _PROTOCOL_CLASSES = {
 class Cluster:
     """Replicas, network, and simulator wired together.
 
+    ``config`` *is* the run's
+    :class:`~repro.experiments.spec.ScenarioSpec` — read, never
+    written; ``seed`` is the one seed of its list this cluster runs.
     ``replica_overrides`` maps replica ids to alternative replica
     classes (adversarial behaviours from :mod:`repro.adversary`);
     they receive the same ``(config, context)`` constructor arguments.
     Overrides may be supplied at construction time (the
     :func:`~repro.runtime.config.build_cluster` factory path) or to
     :meth:`build` directly; the ``build`` argument wins.
+    ``crash_schedule`` holds the ``(replica_id, time)`` crashes to
+    inject; recovery and partition schedules resolve from the spec.
     """
 
     def __init__(
         self,
         config,
+        seed: int,
         simulator,
         topology,
         network,
         registry,
         replica_overrides: dict | None = None,
+        crash_schedule: tuple = (),
     ):
         self.config = config
+        self.seed = seed
+        self.crash_schedule = tuple(crash_schedule)
+        # (replica_id, crash_time, restart_time) triples; non-empty
+        # turns on the durable WAL disk and the restart machinery.
+        self.recovery_schedule = config.faults.recovery_schedule(config.n)
         self.simulator = simulator
         self.topology = topology
         self.network = network
@@ -54,8 +66,8 @@ class Cluster:
         self.workload = None  # KVWorkload when workload_rate > 0
         self.trace = None  # shared TraceLog when trace_level != "off"
         # Crash-recovery: the simulated stable storage (DurableDisk)
-        # when the config carries a recovery schedule, else None (the
-        # default — zero WAL work, byte-identical replay).
+        # when the spec's faults yield a recovery schedule, else None
+        # (the default — zero WAL work, byte-identical replay).
         self.durable = None
         self.restarts = 0
         self.amnesia_restarts = 0
@@ -75,11 +87,11 @@ class Cluster:
             else dict(replica_overrides)
         )
         self.byzantine_ids = frozenset(overrides)
-        if getattr(self.config, "trace_level", "off") != "off":
+        if self.config.trace_level != "off":
             from repro.obs import TraceLog
 
             self.trace = TraceLog()
-        if getattr(self.config, "recovery_schedule", ()):
+        if self.recovery_schedule:
             from repro.types.wal import DurableDisk
 
             self.durable = DurableDisk()
@@ -98,16 +110,18 @@ class Cluster:
             replica = replica_class(self.config.replica_config(replica_id), context)
             self.replicas.append(replica)
             self.network.register(replica_id, replica)
-        for groups, start, end in getattr(self.config, "partition_schedule", ()):
-            self.network.add_partition(groups, start, end)
-        if getattr(self.config, "workload_rate", 0.0) > 0:
+        for window in self.config.partitions:
+            self.network.add_partition(
+                window.resolve(self.config.n), window.start, window.end
+            )
+        if self.config.workload_rate > 0:
             from repro.runtime.workload import KVWorkload
 
             self.workload = KVWorkload(
                 self,
                 rate=self.config.workload_rate,
                 payload_bytes=self.config.workload_payload_bytes,
-                seed=self.config.seed,
+                seed=self.seed,
             )
         self._built = True
         return self
@@ -125,12 +139,11 @@ class Cluster:
             self.simulator.schedule_at(self.simulator.now, replica.start)
         if self.workload is not None:
             self.workload.start()
-        for replica_id, crash_time in self.config.crash_schedule:
+        for replica_id, crash_time in self.crash_schedule:
             self.simulator.schedule_at(
                 crash_time, self.replicas[replica_id].crash
             )
-        for entry in getattr(self.config, "recovery_schedule", ()):
-            replica_id, crash_time, restart_time = entry
+        for replica_id, crash_time, restart_time in self.recovery_schedule:
             # Indirection through self.replicas: restart replaces the
             # instance, so later events must not capture it eagerly.
             self.simulator.schedule_at(
@@ -206,8 +219,11 @@ class Cluster:
     # accessors
     # ------------------------------------------------------------------
 
-    def observer_replicas(self) -> list:
-        ids = set(self.config.observer_ids())
+    def observer_replicas(self, observers=None) -> list:
+        """Replicas in the observer role; ``observers`` narrows the
+        view to explicit ids (an analysis choice, e.g. Figure 7b's
+        region-A/B series) without touching the spec."""
+        ids = set(self.config.observer_ids() if observers is None else observers)
         return [replica for replica in self.replicas if replica.replica_id in ids]
 
     def honest_replicas(self) -> list:

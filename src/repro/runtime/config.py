@@ -1,247 +1,57 @@
-"""Declarative experiment configuration.
+"""The single factory path from a scenario to a runnable cluster.
 
-:class:`ExperimentConfig` captures one simulated deployment — protocol,
-replica count, geo topology, network behaviour, and protocol knobs —
-and :func:`build_cluster` turns it into a ready-to-run
+A :class:`~repro.experiments.spec.ScenarioSpec` is the only description
+of a run — protocol, replica count, geo topology, network behaviour,
+protocol knobs, fault mix — and :func:`build_cluster` turns one spec
+plus one seed into a ready-to-run
 :class:`~repro.runtime.cluster.Cluster`.
-
-The defaults mirror the paper's evaluation: ``n = 100`` (``f = 33``),
-1000-transaction / 450 KB blocks, round-robin leaders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from repro.net.network import Network, NetworkConfig
+from repro.net.network import Network
 from repro.net.simulator import Simulator
-from repro.net.topology import (
-    AsymmetricTopology,
-    RegionTopology,
-    SymmetricTopology,
-    Topology,
-    UniformTopology,
-)
-from repro.protocols.base import ReplicaConfig
-from repro.protocols.streamlet.replica import StreamletConfig
 
 PROTOCOLS = ("diembft", "sft-diembft", "fbft", "streamlet", "sft-streamlet")
 
 
-@dataclass(slots=True)
-class ExperimentConfig:
-    """One simulated experiment.
-
-    ``topology`` is ``"uniform"``, ``"symmetric"``, ``"asymmetric"``
-    (Figure 6), or ``"regions"`` (custom ``region_sizes`` with a flat
-    cross-region delay of ``delta``); ``delta`` is the inter-region
-    delay δ.  ``observers`` selects which replicas pay for
-    endorsement/strength bookkeeping: ``"all"``, an integer stride
-    (every k-th replica), or an explicit iterable of ids.
-
-    ``partition_schedule`` holds ``(groups, start, end)`` entries —
-    each partitions the replica set into ``groups`` during the
-    ``[start, end)`` window and heals afterwards (late delivery, see
-    :meth:`repro.net.network.Network.add_partition`).
-    """
-
-    protocol: str = "sft-diembft"
-    n: int = 100
-    f: int | None = None
-    # Topology (Figure 6).
-    topology: str = "symmetric"
-    delta: float = 0.100
-    region_sizes: tuple = ()
-    intra_delay: float = 0.001
-    ab_delay: float = 0.020
-    uniform_delay: float = 0.010
-    # Network behaviour.
-    jitter: float = 0.002
-    bandwidth_bytes_per_sec: float = 0.0
-    processing_delay: float = 0.0
-    gst: float = 0.0
-    pre_gst_delay: float = 0.0
-    # At-least-once delivery faults (default off, byte-identical when
-    # off): per-unicast duplication probability and the extra-delay
-    # window that lets messages overtake each other.
-    duplicate_rate: float = 0.0
-    reorder_window: float = 0.0
-    # Protocol knobs.
-    round_timeout: float = 1.0
-    timeout_multiplier: float = 1.5
-    max_timeout: float = 8.0
-    qc_extra_wait: float = 0.0
-    generalized_intervals: bool = False
-    interval_window: int | None = None
-    naive_accounting: bool = False
-    verify_signatures: bool = True
-    drop_stale_messages: bool = True
-    block_batch_count: int = 1000
-    block_batch_bytes: int = 450_000
-    streamlet_round_duration: float | None = None
-    # Block-sync / catch-up subprotocol (repro.sync); off preserves the
-    # pre-sync runs byte-for-byte.
-    sync_enabled: bool = True
-    # Throughput program: real-transaction workload, batching,
-    # pipelining, linear vote collection.  workload_rate = 0 keeps the
-    # synthetic-payload path byte-for-byte; linear_votes off keeps the
-    # all-to-all vote flow byte-for-byte.
-    workload_rate: float = 0.0
-    workload_payload_bytes: int = 64
-    batch_size: int = 256
-    max_batch_bytes: int = 0
-    pipelined_proposals: bool = False
-    linear_votes: bool = False
-    # Checkpointing (repro.sync.checkpoint): every this-many commits
-    # replicas sign state digests; 2f+1 matching digests truncate
-    # history and enable snapshot joins.  0 keeps runs byte-for-byte.
-    checkpoint_interval: int = 0
-    # Observability (repro.obs): span-chain tracing level ("off",
-    # "spans", "full") and the always-on per-replica flight-recorder
-    # ring.  trace_level off keeps runs byte-for-byte; the flight ring
-    # never feeds behaviour or metrics.
-    trace_level: str = "off"
-    flight_recorder: bool = True
-    # Run control.
-    duration: float = 60.0
-    seed: int = 1
-    observers: object = "all"
-    crash_schedule: tuple = ()  # (replica_id, time) pairs
-    # (replica_id, crash_time, restart_time) triples; non-empty turns
-    # on the durable WAL disk and the restart machinery.
-    recovery_schedule: tuple = ()
-    partition_schedule: tuple = ()  # (groups, start, end) entries
-
-    def resolved_f(self) -> int:
-        return self.f if self.f is not None else (self.n - 1) // 3
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        """A copy with the given fields replaced (sweep helper)."""
-        return replace(self, **kwargs)
-
-    # ------------------------------------------------------------------
-    # derived pieces
-    # ------------------------------------------------------------------
-
-    def build_topology(self) -> Topology:
-        if self.topology == "uniform":
-            return UniformTopology(self.n, delay=self.uniform_delay)
-        if self.topology == "symmetric":
-            return SymmetricTopology(
-                self.n, delta=self.delta, intra_delay=self.intra_delay
-            )
-        if self.topology == "asymmetric":
-            if self.n != 100:
-                raise ValueError(
-                    "the asymmetric topology is defined for n=100 (45/45/10)"
-                )
-            return AsymmetricTopology(
-                delta=self.delta,
-                ab_delay=self.ab_delay,
-                intra_delay=self.intra_delay,
-            )
-        if self.topology == "regions":
-            sizes = tuple(self.region_sizes)
-            if sum(sizes) != self.n:
-                raise ValueError(
-                    f"region_sizes {sizes} must sum to n={self.n}"
-                )
-            inter = {
-                (i, j): self.delta
-                for i in range(len(sizes))
-                for j in range(i + 1, len(sizes))
-            }
-            return RegionTopology(sizes, inter, intra_delay=self.intra_delay)
-        raise ValueError(f"unknown topology {self.topology!r}")
-
-    def network_config(self) -> NetworkConfig:
-        return NetworkConfig(
-            jitter=self.jitter,
-            seed=self.seed,
-            gst=self.gst,
-            pre_gst_delay=self.pre_gst_delay,
-            bandwidth_bytes_per_sec=self.bandwidth_bytes_per_sec,
-            processing_delay=self.processing_delay,
-            duplicate_rate=self.duplicate_rate,
-            reorder_window=self.reorder_window,
-        )
-
-    def observer_ids(self) -> tuple:
-        if self.observers == "all":
-            return tuple(range(self.n))
-        if isinstance(self.observers, int):
-            stride = max(1, self.observers)
-            return tuple(range(0, self.n, stride))
-        return tuple(self.observers)
-
-    def replica_config(self, replica_id: int) -> ReplicaConfig:
-        observing = replica_id in set(self.observer_ids())
-        common = dict(
-            n=self.n,
-            f=self.resolved_f(),
-            round_timeout=self.round_timeout,
-            timeout_multiplier=self.timeout_multiplier,
-            max_timeout=self.max_timeout,
-            qc_extra_wait=self.qc_extra_wait,
-            generalized_intervals=self.generalized_intervals,
-            interval_window=self.interval_window,
-            observer=observing,
-            naive_endorsement=self.naive_accounting,
-            verify_signatures=self.verify_signatures,
-            drop_stale_messages=self.drop_stale_messages,
-            block_batch_count=self.block_batch_count,
-            block_batch_bytes=self.block_batch_bytes,
-            sync_enabled=self.sync_enabled,
-            batch_size=self.batch_size,
-            max_batch_bytes=self.max_batch_bytes,
-            pipelined_proposals=self.pipelined_proposals,
-            linear_votes=self.linear_votes,
-            checkpoint_interval=self.checkpoint_interval,
-            trace_level=self.trace_level,
-            flight_recorder=self.flight_recorder,
-        )
-        if self.protocol in ("streamlet", "sft-streamlet"):
-            duration = self.streamlet_round_duration
-            if duration is None:
-                duration = 2.0 * (self._max_delay() + self.jitter) + 0.005
-            return StreamletConfig(round_duration=duration, **common)
-        return ReplicaConfig(**common)
-
-    def _max_delay(self) -> float:
-        topology = self.build_topology()
-        candidates = [self.intra_delay]
-        if self.topology == "uniform":
-            candidates.append(self.uniform_delay)
-        else:
-            candidates.extend([self.delta, self.ab_delay])
-        del topology
-        return max(candidates)
-
-
-def build_cluster(config: ExperimentConfig, replica_overrides: dict | None = None):
-    """Construct a :class:`~repro.runtime.cluster.Cluster` from ``config``.
+def build_cluster(
+    spec,
+    seed: int | None = None,
+    replica_overrides: dict | None = None,
+    crash_schedule: tuple | None = None,
+):
+    """Construct a :class:`~repro.runtime.cluster.Cluster` for one seed.
 
     This is the single factory path: every runnable cluster — honest,
-    Byzantine (via ``replica_overrides``), partitioned (via
-    ``config.partition_schedule``) — comes through here, whether the
-    caller is a test, an example, the CLI, or the campaign engine.
+    Byzantine, partitioned, recovering — comes through here, whether
+    the caller is a test, an example, the CLI, or the campaign engine.
+    ``seed`` defaults to the spec's first.  The two keywords say what a
+    fault mix cannot: ``replica_overrides`` maps explicit replica ids to
+    behaviour classes and ``crash_schedule`` lists explicit
+    ``(replica_id, time)`` crashes; left ``None`` they resolve from
+    ``spec.faults`` (top ids first), as the recovery and partition
+    schedules always do.
     """
     from repro.crypto.registry import KeyRegistry
     from repro.runtime.cluster import Cluster
 
-    if config.protocol not in PROTOCOLS:
-        raise ValueError(
-            f"unknown protocol {config.protocol!r}; expected one of {PROTOCOLS}"
-        )
+    if seed is None:
+        seed = spec.seeds[0]
+    if replica_overrides is None:
+        replica_overrides = spec.replica_overrides()
+    if crash_schedule is None:
+        crash_schedule = spec.faults.crash_schedule(spec.n)
     simulator = Simulator()
-    topology = config.build_topology()
-    network = Network(simulator, topology, config.network_config())
-    registry = KeyRegistry(config.n)
+    topology = spec.build_topology()
+    network = Network(simulator, topology, spec.network_config(seed))
     return Cluster(
-        config=config,
+        config=spec,
+        seed=seed,
         simulator=simulator,
         topology=topology,
         network=network,
-        registry=registry,
+        registry=KeyRegistry(spec.n),
         replica_overrides=replica_overrides,
+        crash_schedule=crash_schedule,
     )

@@ -55,13 +55,17 @@ def regular_commit_latency(cluster, created_before: float | None = None):
 
 
 def strong_commit_latency(
-    cluster, level: int, created_before: float | None = None
+    cluster, level: int, created_before: float | None = None, observers=None
 ) -> tuple:
-    """Mean creation-to-``level``-strong latency; returns (mean, n, eligible)."""
+    """Mean creation-to-``level``-strong latency; returns (mean, n, eligible).
+
+    ``observers`` restricts the average to those replica ids (default:
+    every observer the spec names).
+    """
     total = 0.0
     count = 0
     eligible = 0
-    for replica in cluster.observer_replicas():
+    for replica in cluster.observer_replicas(observers):
         if replica.crashed:
             continue
         tracker = replica.commit_tracker
@@ -82,6 +86,7 @@ def strong_latency_series(
     cluster,
     ratios,
     created_before: float | None = None,
+    observers=None,
 ) -> list:
     """A full Figure-7-style series: one LatencyReport per ratio."""
     f = cluster.config.resolved_f()
@@ -89,7 +94,7 @@ def strong_latency_series(
     for ratio in ratios:
         level = level_for_ratio(ratio, f)
         mean, count, eligible = strong_commit_latency(
-            cluster, level, created_before
+            cluster, level, created_before, observers
         )
         series.append(
             LatencyReport(

@@ -120,24 +120,13 @@ def registry() -> KeyRegistry:
     return KeyRegistry(4)
 
 
-def small_experiment(**overrides):
-    """A fast SFT-DiemBFT experiment config for integration tests."""
-    from repro.runtime.config import ExperimentConfig
+def small_experiment(seed: int = 42, **overrides):
+    """A fast SFT-DiemBFT scenario for integration tests: the spec
+    defaults (n=7, uniform 10 ms links, 10-txn blocks) for 8 simulated
+    seconds under one seed."""
+    from repro.experiments.spec import ScenarioSpec
 
-    defaults = dict(
-        protocol="sft-diembft",
-        n=7,
-        topology="uniform",
-        uniform_delay=0.01,
-        jitter=0.002,
-        duration=8.0,
-        round_timeout=0.5,
-        seed=42,
-        block_batch_count=10,
-        block_batch_bytes=1_000,
-    )
-    defaults.update(overrides)
-    return ExperimentConfig(**defaults)
+    return ScenarioSpec(**{"duration": 8.0, "seeds": (seed,), **overrides})
 
 
 def make_isolated_replica(replica_class, config, replica_id=0):

@@ -20,10 +20,10 @@ def alive(cluster):
 class TestCrashFaults:
     def test_liveness_with_f_crashes(self):
         # n = 7, f = 2: two crashed replicas must not stop progress.
-        config = small_experiment(
-            duration=14.0, crash_schedule=((5, 0.0), (6, 0.0))
-        )
-        cluster = build_cluster(config).run()
+        config = small_experiment(duration=14.0)
+        cluster = build_cluster(
+            config, crash_schedule=((5, 0.0), (6, 0.0))
+        ).run()
         survivors = alive(cluster)
         assert all(
             len(replica.commit_tracker.commit_order) > 10
@@ -33,10 +33,8 @@ class TestCrashFaults:
 
     def test_strength_capped_at_2f_minus_c(self):
         # Theorem 2: with c benign faults the cap is (2f - c)-strong.
-        config = small_experiment(
-            duration=14.0, crash_schedule=((6, 0.0),)
-        )
-        cluster = build_cluster(config).run()
+        config = small_experiment(duration=14.0)
+        cluster = build_cluster(config, crash_schedule=((6, 0.0),)).run()
         f = cluster.config.resolved_f()
         best = -1
         for replica in alive(cluster):
@@ -45,8 +43,8 @@ class TestCrashFaults:
         assert best == 2 * f - 1  # c = 1
 
     def test_crash_mid_run_prefix_stays_strong(self):
-        config = small_experiment(duration=14.0, crash_schedule=((6, 4.0),))
-        cluster = build_cluster(config).run()
+        config = small_experiment(duration=14.0)
+        cluster = build_cluster(config, crash_schedule=((6, 4.0),)).run()
         f = cluster.config.resolved_f()
         replica = cluster.replicas[0]
         # Blocks committed before the crash reached full 2f strength.
@@ -60,8 +58,8 @@ class TestCrashFaults:
         assert max(timeline.current for timeline in early) == max_strength(f)
 
     def test_crashed_leader_rounds_time_out(self):
-        config = small_experiment(duration=14.0, crash_schedule=((3, 0.0),))
-        cluster = build_cluster(config).run()
+        config = small_experiment(duration=14.0)
+        cluster = build_cluster(config, crash_schedule=((3, 0.0),)).run()
         survivors = alive(cluster)
         assert any(
             replica.metrics.get("timeouts_sent").value > 0

@@ -30,8 +30,8 @@ class TestTheorem2CrashFaults:
         # theorem's round-robin argument also assumes each replica's
         # leadership slot embeds its vote, which the adjacent-crash slot
         # cannot, hence a small randomized-inclusion slack.
-        config = small_experiment(duration=16.0, crash_schedule=((6, 0.0),))
-        cluster = build_cluster(config).run()
+        config = small_experiment(duration=16.0)
+        cluster = build_cluster(config, crash_schedule=((6, 0.0),)).run()
         f = cluster.config.resolved_f()
         n = cluster.config.n
         target = 2 * f - 1

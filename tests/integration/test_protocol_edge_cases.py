@@ -36,8 +36,8 @@ class TestMinimalCluster:
         this test documents the bare protocol's behaviour.
         """
         cluster = build_cluster(
-            small_experiment(n=4, duration=10.0, crash_schedule=((3, 1.0),),
-                             sync_enabled=False)
+            small_experiment(n=4, duration=10.0, sync_enabled=False),
+            crash_schedule=((3, 1.0),),
         ).run()
         survivors = [r for r in cluster.replicas if not r.crashed]
         check_commit_safety(survivors)
@@ -55,9 +55,8 @@ class TestMinimalCluster:
         """Production systems rotate leaders among healthy replicas
         (Diem's leader reputation); excluding the dead replica from
         the rotation restores the consecutive-round window."""
-        config = small_experiment(n=4, duration=10.0,
-                                  crash_schedule=((3, 1.0),))
-        cluster = build_cluster(config)
+        config = small_experiment(n=4, duration=10.0)
+        cluster = build_cluster(config, crash_schedule=((3, 1.0),))
         cluster.build()
         # Reconfigure every live replica's leader function to skip 3.
         for replica in cluster.replicas:
@@ -141,7 +140,7 @@ class TestReorderingAndOrphans:
 class TestTimeoutCertificatePath:
     def test_tc_proposals_accepted_after_leader_crash(self):
         cluster = build_cluster(
-            small_experiment(duration=10.0, crash_schedule=((1, 0.0),))
+            small_experiment(duration=10.0), crash_schedule=((1, 0.0),)
         ).run()
         survivors = [r for r in cluster.replicas if not r.crashed]
         check_commit_safety(survivors)

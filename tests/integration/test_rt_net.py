@@ -250,7 +250,7 @@ class TestClientFleet:
             manager.wait_ready()
             fleet = ClientFleet(
                 manager.endpoints(),
-                f=spec.to_experiment_config(manager.seed).resolved_f(),
+                f=spec.resolved_f(),
                 num_clients=2,
                 seed=manager.seed,
             )

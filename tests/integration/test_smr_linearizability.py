@@ -12,10 +12,8 @@ from tests.conftest import small_experiment
 def run_kv_workload(duration=8.0, command_count=300, seed=5, crash=None,
                     protocol="sft-diembft"):
     """Drive a cluster with a randomized KV workload via mempools."""
-    overrides = dict(protocol=protocol, duration=duration, seed=seed)
-    if crash:
-        overrides["crash_schedule"] = crash
-    cluster = build_cluster(small_experiment(**overrides)).build()
+    config = small_experiment(protocol=protocol, duration=duration, seed=seed)
+    cluster = build_cluster(config, crash_schedule=crash).build()
     mempools = {}
     for replica in cluster.replicas:
         mempool = Mempool(max_block_transactions=20)

@@ -5,14 +5,23 @@ proposals → commit feedback), the pipelined drain discipline's
 duplicate suppression, the O(n²) → O(n) vote-traffic change under
 linear vote collection, determinism across worker counts with every
 new flag on, and — the other direction — that with every flag off the
-committed campaign and bench baselines replay byte-identically.
+committed campaign baseline and two pinned counter sets replay
+byte-identically.
 """
 
 import json
 import multiprocessing
 from pathlib import Path
 
-from repro.experiments import Campaign, CampaignRunner, ScenarioSpec, run_job
+import pytest
+
+from repro.experiments import (
+    Campaign,
+    CampaignRunner,
+    FaultMix,
+    ScenarioSpec,
+    run_job,
+)
 from repro.experiments.campaign import Job
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -169,25 +178,34 @@ class TestFlagsOffBaselines:
             [entry["metrics"] for entry in baseline["jobs"]], sort_keys=True
         )
 
-    def test_smoke_bench_cases_match_committed_ci_baseline(self):
-        # Deterministic counters (events/commits/messages) of the two
-        # cheapest smoke-suite cases must replay the committed CI
-        # baseline exactly; wall clocks are hardware-bound and ignored.
-        from repro.perf import smoke_suite, suite_jobs
-
-        cases = [
-            case
-            for case in smoke_suite()
-            if case.name in ("happy_n4", "fuzz_smoke_seed7")
-        ]
-        assert len(cases) == 2
-        baseline = json.loads((ROOT / "BENCH_ci_baseline.json").read_text())
-        by_name = {entry["name"]: entry for entry in baseline["benchmarks"]}
-        for case, job in zip(cases, suite_jobs(cases)):
-            entry = run_job(job)
-            base = by_name[case.name]
-            assert entry["metrics"]["events"] == base["events"], case.name
-            assert entry["metrics"]["commits"] == base["commits"], case.name
-            assert (
-                entry["metrics"]["messages"]["sent"] == base["messages_sent"]
-            ), case.name
+    @pytest.mark.parametrize(
+        "spec, seed, events, commits, sent",
+        [
+            (
+                ScenarioSpec(
+                    name="happy_n4", n=4, round_timeout=0.25,
+                    verify_signatures=False, sync_enabled=False, duration=8.0,
+                    observers=1,
+                ),
+                1, 2978, 370, 2976,
+            ),
+            (
+                ScenarioSpec(
+                    name="fuzz-smoke-00007", protocol="sft-streamlet", n=4,
+                    uniform_delay=0.0199, jitter=0.0049, gst=0.924,
+                    pre_gst_delay=0.273, round_timeout=0.3, sync_enabled=False,
+                    duration=4.791, seeds=(7,),
+                    faults=FaultMix(withhold=1, lazy_delay=0.371),
+                ),
+                7, 6220, 70, 5903,
+            ),
+        ],
+        ids=["happy_n4", "fuzz_smoke_seed7"],
+    )
+    def test_deterministic_counters_replay(self, spec, seed, events, commits, sent):
+        # A sync-off happy path and a fuzz-shaped Streamlet schedule:
+        # events/commits/messages are pure functions of (spec, seed).
+        metrics = run_job(Job(job_id="pin", spec=spec, seed=seed))["metrics"]
+        assert metrics["events"] == events
+        assert metrics["commits"] == commits
+        assert metrics["messages"]["sent"] == sent

@@ -60,9 +60,7 @@ def test_safety_under_random_faults(plan):
         for replica_id, behaviour in faults
         if behaviour == "crash"
     )
-    config = small_experiment(
-        duration=6.0, seed=seed, round_timeout=0.4, crash_schedule=crash_schedule
-    )
+    config = small_experiment(duration=6.0, seed=seed, round_timeout=0.4)
     overrides = {}
     for replica_id, behaviour in faults:
         if behaviour == "silent":
@@ -73,7 +71,7 @@ def test_safety_under_random_faults(plan):
             overrides[replica_id] = make_withholding_leader(
                 SFTDiemBFTReplica, reach=0.5
             )
-    cluster = build_cluster(config)
+    cluster = build_cluster(config, crash_schedule=crash_schedule)
     cluster.build(replica_overrides=overrides)
     if partition:
         cluster.network.add_partition(

@@ -20,7 +20,7 @@ class TestChainStats:
 
     def test_crash_run_has_skipped_rounds(self):
         cluster = build_cluster(
-            small_experiment(duration=10.0, crash_schedule=((3, 0.0),))
+            small_experiment(duration=10.0), crash_schedule=((3, 0.0),)
         ).run()
         stats = collect_chain_stats(cluster.replicas[0])
         assert stats.skipped_rounds > 0

@@ -11,7 +11,7 @@ import pytest
 from dataclasses import replace
 
 from repro.crypto.hashing import hash_fields
-from repro.runtime.config import ExperimentConfig, build_cluster
+from repro.experiments.spec import ScenarioSpec
 from repro.sync.checkpoint import _SnapshotFetch, state_digest
 from repro.types.messages import (
     CheckpointMsg,
@@ -29,7 +29,7 @@ def checkpoint_cluster(**overrides):
         jitter=0.002,
         duration=6.0,
         round_timeout=0.5,
-        seed=11,
+        seeds=(11,),
         block_batch_count=2,
         block_batch_bytes=100,
         workload_rate=20.0,
@@ -37,7 +37,7 @@ def checkpoint_cluster(**overrides):
         verify_signatures=True,
     )
     params.update(overrides)
-    cluster = build_cluster(ExperimentConfig(**params))
+    cluster = ScenarioSpec(**params).build()
     cluster.run()
     return cluster
 

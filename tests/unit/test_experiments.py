@@ -1,6 +1,7 @@
 """Campaign engine units: specs, fault mixes, expansion, baselines."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -10,26 +11,114 @@ from repro.experiments import (
     PartitionWindow,
     Regression,
     ScenarioSpec,
+    collect_job_metrics,
     diff_reports,
     load_scenario,
     spec_from_mapping,
 )
+from repro.net.network import NetworkConfig
+from repro.protocols.base import ReplicaConfig
+from repro.protocols.streamlet.replica import StreamletConfig
+from repro.runtime.config import build_cluster
+from repro.runtime.metrics import strong_latency_series
+
+# Every knob a spec forwards by name, with a non-default value to carry.
+# The key sets are pins: a knob that silently stops (or starts) being
+# forwarded fails ``test_forwarded_names_are_pinned`` with its name.
+REPLICA_KNOBS = {
+    "n": 10,
+    "f": 1,
+    "round_timeout": 0.75,
+    "timeout_multiplier": 2.0,
+    "max_timeout": 9.0,
+    "qc_extra_wait": 0.05,
+    "generalized_intervals": True,
+    "interval_window": 5,
+    "naive_accounting": True,
+    "verify_signatures": False,
+    "drop_stale_messages": False,
+    "block_batch_count": 3,
+    "block_batch_bytes": 77,
+    "sync_enabled": False,
+    "batch_size": 5,
+    "max_batch_bytes": 99,
+    "pipelined_proposals": True,
+    "linear_votes": True,
+    "checkpoint_interval": 4,
+    "trace_level": "spans",
+    "flight_recorder": False,
+}
+NETWORK_KNOBS = {
+    "jitter": 0.003,
+    "gst": 1.5,
+    "pre_gst_delay": 0.2,
+    "bandwidth_bytes_per_sec": 1e6,
+    "processing_delay": 0.001,
+    "duplicate_rate": 0.1,
+    "reorder_window": 0.02,
+}
+
+
+def _shared_names(target) -> set:
+    spec_names = {spec_field.name for spec_field in fields(ScenarioSpec)}
+    return spec_names & {target_field.name for target_field in fields(target)}
+
+
+class TestKnobForwarding:
+    def test_forwarded_names_are_pinned(self):
+        assert _shared_names(ReplicaConfig) == set(REPLICA_KNOBS)
+        assert _shared_names(StreamletConfig) == set(REPLICA_KNOBS)
+        assert _shared_names(NetworkConfig) == set(NETWORK_KNOBS)
+
+    @pytest.mark.parametrize(
+        "protocol, config_class",
+        [("sft-diembft", ReplicaConfig), ("sft-streamlet", StreamletConfig)],
+    )
+    @pytest.mark.parametrize("name", sorted(REPLICA_KNOBS))
+    def test_replica_knob_reaches_replica_config(
+        self, name, protocol, config_class
+    ):
+        value = REPLICA_KNOBS[name]
+        assert value != getattr(ScenarioSpec(), name)
+        spec = ScenarioSpec(protocol=protocol, **{name: value})
+        config = spec.replica_config(0)
+        assert type(config) is config_class
+        assert getattr(config, name) == value
+
+    @pytest.mark.parametrize("name", sorted(NETWORK_KNOBS))
+    def test_network_knob_reaches_network_config(self, name):
+        value = NETWORK_KNOBS[name]
+        assert value != getattr(ScenarioSpec(), name)
+        config = ScenarioSpec(**{name: value}).network_config(seed=5)
+        assert getattr(config, name) == value
+        assert config.seed == 5
+
+    def test_derived_replica_values(self):
+        spec = ScenarioSpec(n=10, observers=(0,))
+        assert spec.replica_config(0).f == 3  # f=None resolves to (n-1)//3
+        assert spec.replica_config(0).observer
+        assert not spec.replica_config(5).observer
+        slot = ScenarioSpec(protocol="streamlet", streamlet_round_duration=0.3)
+        assert slot.replica_config(0).round_duration == 0.3
 
 
 class TestScenarioSpec:
-    def test_defaults_resolve_to_config(self):
+    def test_defaults_resolve_to_cluster(self):
         spec = ScenarioSpec(name="x", n=7)
-        config = spec.to_experiment_config()
-        assert config.protocol == "sft-diembft"
-        assert config.n == 7
-        assert config.seed == 1
-        assert config.crash_schedule == ()
-        assert config.partition_schedule == ()
+        cluster = spec.build().build()
+        assert cluster.config is spec  # the spec is the config, not a copy
+        assert spec.protocol == "sft-diembft"
+        assert len(cluster.replicas) == 7
+        assert cluster.seed == 1
+        assert cluster.crash_schedule == ()
+        assert cluster.recovery_schedule == ()
+        assert cluster.network._partitions == []
 
     def test_seed_override(self):
         spec = ScenarioSpec(name="x", seeds=(3, 4))
-        assert spec.to_experiment_config().seed == 3
-        assert spec.to_experiment_config(9).seed == 9
+        assert spec.build().seed == 3
+        assert spec.build(9).seed == 9
+        assert spec.build(9).network.config.seed == 9
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError, match="unknown protocol"):
@@ -58,9 +147,31 @@ class TestScenarioSpec:
         # Silent behaviour on the top id, crash scheduled for the next.
         assert cluster.byzantine_ids == frozenset({6})
         assert type(cluster.replicas[6]).__name__.startswith("Silent")
-        assert cluster.config.crash_schedule == ((5, 0.0),)
+        assert cluster.crash_schedule == ((5, 0.0),)
         assert len(cluster.network._partitions) == 1
 
+    def test_explicit_crash_schedule_keyword(self):
+        spec = ScenarioSpec(name="x", n=7, duration=2.0)
+        cluster = build_cluster(spec, 1, crash_schedule=((3, 1.0),)).run()
+        crashed = [r.replica_id for r in cluster.replicas if r.crashed]
+        assert crashed == [3]
+
+    def test_crash_schedule_defaults_to_the_fault_mix(self):
+        spec = ScenarioSpec(name="x", n=7, faults=FaultMix(crash=2, crash_at=0.5))
+        schedule = build_cluster(spec, 1).crash_schedule
+        assert schedule == spec.faults.crash_schedule(7) == ((6, 0.5), (5, 0.5))
+
+    def test_series_observers_narrow_the_view_not_the_spec(self):
+        spec = ScenarioSpec(name="x", n=4, duration=2.0, series_observers=(0, 2))
+        cluster = spec.build().run()
+        assert len(cluster.observer_replicas()) == 4
+        narrowed = cluster.observer_replicas(spec.series_observers)
+        assert [replica.replica_id for replica in narrowed] == [0, 2]
+        metrics = collect_job_metrics(cluster, spec)
+        assert spec.observers == "all"  # analysis reads, never writes
+        everyone = strong_latency_series(cluster, spec.ratios, spec.duration * 0.66)
+        for point, full in zip(metrics["strong_latency_series"], everyone):
+            assert 0 < point["eligible"] < full.eligible
 
 class TestFaultMix:
     def test_assignment_is_deterministic_and_disjoint(self):

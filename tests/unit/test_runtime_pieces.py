@@ -1,4 +1,4 @@
-"""ExperimentConfig, mempool, metrics helpers, report formatting."""
+"""ScenarioSpec derived pieces, mempool, metrics helpers, report formatting."""
 
 import pytest
 
@@ -8,53 +8,53 @@ from repro.analysis.report import (
     format_series_csv,
     format_simple_table,
 )
+from repro.experiments.spec import ScenarioSpec
 from repro.runtime.client import Mempool
-from repro.runtime.config import ExperimentConfig, build_cluster
 from repro.runtime.metrics import LatencyReport, percentile
 from repro.types.transaction import Transaction
 
 
-class TestExperimentConfig:
+class TestSpecDerivedPieces:
     def test_default_f_from_n(self):
-        assert ExperimentConfig(n=100).resolved_f() == 33
-        assert ExperimentConfig(n=7).resolved_f() == 2
+        assert ScenarioSpec(n=100).resolved_f() == 33
+        assert ScenarioSpec(n=7).resolved_f() == 2
 
     def test_explicit_f_wins(self):
-        assert ExperimentConfig(n=10, f=3).resolved_f() == 3
+        assert ScenarioSpec(n=10, f=3).resolved_f() == 3
 
     def test_with_overrides_copies(self):
-        base = ExperimentConfig(n=7)
+        base = ScenarioSpec(n=7)
         changed = base.with_overrides(delta=0.2)
         assert changed.delta == 0.2
         assert base.delta == 0.1
         assert changed.n == 7
 
     def test_observer_stride(self):
-        config = ExperimentConfig(n=10, observers=3)
+        config = ScenarioSpec(n=10, observers=3)
         assert config.observer_ids() == (0, 3, 6, 9)
 
     def test_observer_all(self):
-        config = ExperimentConfig(n=4, observers="all")
+        config = ScenarioSpec(n=4, observers="all")
         assert config.observer_ids() == (0, 1, 2, 3)
 
     def test_observer_explicit(self):
-        config = ExperimentConfig(n=10, observers=(1, 5))
+        config = ScenarioSpec(n=10, observers=(1, 5))
         assert config.observer_ids() == (1, 5)
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
-            build_cluster(ExperimentConfig(protocol="pbft"))
+            ScenarioSpec(protocol="pbft")
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(topology="mesh").build_topology()
+            ScenarioSpec(topology="mesh").build_topology()
 
     def test_asymmetric_requires_n_100(self):
         with pytest.raises(ValueError):
-            ExperimentConfig(topology="asymmetric", n=10).build_topology()
+            ScenarioSpec(topology="asymmetric", n=10).build_topology()
 
     def test_streamlet_round_duration_derived(self):
-        config = ExperimentConfig(
+        config = ScenarioSpec(
             protocol="streamlet", n=7, topology="uniform", uniform_delay=0.01,
             jitter=0.002,
         )
@@ -62,7 +62,7 @@ class TestExperimentConfig:
         assert replica_config.round_duration >= 2 * (0.01 + 0.002)
 
     def test_replica_config_observer_flag(self):
-        config = ExperimentConfig(n=10, observers=(0,))
+        config = ScenarioSpec(n=10, observers=(0,))
         assert config.replica_config(0).observer
         assert not config.replica_config(5).observer
 
