@@ -1,9 +1,10 @@
-"""Shared runners for the paper-reproduction benchmarks.
+"""Shared runners for the paper-reproduction tests.
 
-Every benchmark simulates a full cluster (pytest-benchmark times the
-simulation) and then prints the series/rows the corresponding paper
-figure reports, so ``pytest benchmarks/ --benchmark-only -s`` yields a
-direct paper-vs-measured comparison (recorded in EXPERIMENTS.md).
+Every test here simulates a full cluster, asserts the claim the
+corresponding paper figure or theorem makes, and prints the
+series/rows that figure reports, so ``pytest benchmarks/ -s`` yields a
+direct paper-vs-measured comparison.  Wall-clock performance is
+measured by ``bench/`` (``python3 bench/run.py``), not here.
 
 All cluster construction goes through the campaign engine's
 :class:`~repro.experiments.ScenarioSpec`, so the benchmarks exercise

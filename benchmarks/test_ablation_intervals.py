@@ -78,29 +78,25 @@ def vote_extra_ints(cluster) -> float:
     return total / max(1, len(qc.votes))
 
 
-def test_ablation_marker_vs_intervals(benchmark):
+def test_ablation_marker_vs_intervals():
     results = {}
 
-    def run_all():
-        modes = (
-            ("marker", False, None),
-            ("intervals[1,r]", True, None),
-            (f"intervals[r-{N},r]", True, N),
-        )
-        for label, generalized, window in modes:
-            cluster = run_mode(generalized, window)
-            honest = [
-                replica
-                for index, replica in enumerate(cluster.replicas)
-                if index != BYZANTINE_ID
-            ]
-            check_commit_safety(honest)
-            high = 2 * F - 1  # t = 1 Byzantine → Theorem 3 target
-            reached, eligible = reach_stats(cluster, high)
-            results[label] = (reached, eligible, vote_extra_ints(cluster))
-        return results
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
+    modes = (
+        ("marker", False, None),
+        ("intervals[1,r]", True, None),
+        (f"intervals[r-{N},r]", True, N),
+    )
+    for label, generalized, window in modes:
+        cluster = run_mode(generalized, window)
+        honest = [
+            replica
+            for index, replica in enumerate(cluster.replicas)
+            if index != BYZANTINE_ID
+        ]
+        check_commit_safety(honest)
+        high = 2 * F - 1  # t = 1 Byzantine → Theorem 3 target
+        reached, eligible = reach_stats(cluster, high)
+        results[label] = (reached, eligible, vote_extra_ints(cluster))
 
     print()
     print(f"Ablation §3.4 — equivocating leader (replica {BYZANTINE_ID}), "

@@ -19,17 +19,11 @@ from repro.experiments import Campaign, CampaignRunner
 from benchmarks.conftest import series_from_job, symmetric_spec
 
 
-def test_fig7a_symmetric_geo_distribution(benchmark):
+def test_fig7a_symmetric_geo_distribution():
     campaign = Campaign(
         symmetric_spec(delta=0.100), matrix={"delta": [0.100, 0.200]}
     )
-    report = {}
-
-    def run_campaign():
-        report.update(CampaignRunner(campaign.expand(), workers=1).run())
-        return report
-
-    benchmark.pedantic(run_campaign, rounds=1, iterations=1)
+    report = CampaignRunner(campaign.expand(), workers=1).run()
 
     results = {}
     for job_entry in report["jobs"]:

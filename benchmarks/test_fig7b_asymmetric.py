@@ -15,7 +15,7 @@ Expected shape (paper):
 Runs as a two-job campaign (matrix over δ) through the experiment
 engine; the spec's ``series_observers`` restricts the latency series
 to region-A/B observers — the paper's "strong-QC in the blockchain"
-accounting (see EXPERIMENTS.md).
+accounting.
 """
 
 from repro.analysis import format_fig7_table
@@ -24,17 +24,11 @@ from repro.experiments import Campaign, CampaignRunner
 from benchmarks.conftest import asymmetric_spec, series_from_job
 
 
-def test_fig7b_asymmetric_geo_distribution(benchmark):
+def test_fig7b_asymmetric_geo_distribution():
     campaign = Campaign(
         asymmetric_spec(delta=0.100), matrix={"delta": [0.100, 0.200]}
     )
-    report = {}
-
-    def run_campaign():
-        report.update(CampaignRunner(campaign.expand(), workers=1).run())
-        return report
-
-    benchmark.pedantic(run_campaign, rounds=1, iterations=1)
+    report = CampaignRunner(campaign.expand(), workers=1).run()
 
     results = {}
     for job_entry in report["jobs"]:

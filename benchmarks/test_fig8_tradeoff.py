@@ -20,28 +20,24 @@ WAITS = (0.0, 0.05, 0.1, 0.2, 0.4)
 LEVELS = (1.2, 1.4, 1.6, 1.8, 2.0)
 
 
-def test_fig8_regular_vs_strong_tradeoff(benchmark):
+def test_fig8_regular_vs_strong_tradeoff():
     f = 33
     points = {ratio: [] for ratio in LEVELS}
     regulars = []
 
-    def sweep():
-        for wait in WAITS:
-            cluster = run_symmetric(
-                delta=0.100, duration=40.0, qc_extra_wait=wait, seed=23
+    for wait in WAITS:
+        cluster = run_symmetric(
+            delta=0.100, duration=40.0, qc_extra_wait=wait, seed=23
+        )
+        check_commit_safety(cluster.observer_replicas())
+        cutoff = cluster.simulator.now * 0.6
+        regular = regular_latency(cluster)
+        regulars.append((wait, regular))
+        for ratio in LEVELS:
+            strong, _, _ = strong_commit_latency(
+                cluster, level_for_ratio(ratio, f), created_before=cutoff
             )
-            check_commit_safety(cluster.observer_replicas())
-            cutoff = cluster.simulator.now * 0.6
-            regular = regular_latency(cluster)
-            regulars.append((wait, regular))
-            for ratio in LEVELS:
-                strong, _, _ = strong_commit_latency(
-                    cluster, level_for_ratio(ratio, f), created_before=cutoff
-                )
-                points[ratio].append((regular, strong))
-        return points
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+            points[ratio].append((regular, strong))
 
     print()
     print("Figure 8 — strong vs regular commit latency trade-off "

@@ -61,38 +61,34 @@ def strength_stats(cluster, target: int):
     return best, mean, worst, len(latencies)
 
 
-def test_liveness_bounds_theorem_2_and_3(benchmark):
+def test_liveness_bounds_theorem_2_and_3():
     rows = []
 
-    def sweep():
-        for fault_count in range(0, F + 1):
-            cluster = run_with_faults(fault_count, byzantine=False,
-                                      generalized=False)
-            check_commit_safety(
-                [replica for replica in cluster.replicas if not replica.crashed]
-            )
-            target = 2 * F - fault_count
-            rows.append(
-                ("crash", fault_count, target)
-                + strength_stats(cluster, target)
-            )
-        for fault_count in (1, 2):
-            cluster = run_with_faults(fault_count, byzantine=True,
-                                      generalized=True)
-            honest = [
-                replica
-                for replica in cluster.replicas
-                if replica.replica_id < N - fault_count
-            ]
-            check_commit_safety(honest)
-            target = 2 * F - fault_count
-            rows.append(
-                ("byzantine+intervals", fault_count, target)
-                + strength_stats(cluster, target)
-            )
-        return rows
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    for fault_count in range(0, F + 1):
+        cluster = run_with_faults(fault_count, byzantine=False,
+                                  generalized=False)
+        check_commit_safety(
+            [replica for replica in cluster.replicas if not replica.crashed]
+        )
+        target = 2 * F - fault_count
+        rows.append(
+            ("crash", fault_count, target)
+            + strength_stats(cluster, target)
+        )
+    for fault_count in (1, 2):
+        cluster = run_with_faults(fault_count, byzantine=True,
+                                  generalized=True)
+        honest = [
+            replica
+            for replica in cluster.replicas
+            if replica.replica_id < N - fault_count
+        ]
+        check_commit_safety(honest)
+        target = 2 * F - fault_count
+        rows.append(
+            ("byzantine+intervals", fault_count, target)
+            + strength_stats(cluster, target)
+        )
 
     print()
     print(f"Liveness bounds (n={N}, f={F}) — Theorems 2 and 3")

@@ -42,21 +42,17 @@ def messages_per_block(cluster) -> float:
     return cluster.network.messages_sent / max(1, blocks)
 
 
-def test_message_complexity_sft_vs_fbft(benchmark):
+def test_message_complexity_sft_vs_fbft():
     rows = []
 
-    def sweep():
-        for n in SWEEP_N:
-            duration = 10.0 if n <= 25 else 5.0
-            per_block = {}
-            for protocol in ("sft-diembft", "fbft"):
-                cluster = run_uniform(protocol, n, duration)
-                check_commit_safety(cluster.observer_replicas())
-                per_block[protocol] = messages_per_block(cluster)
-            rows.append((n, per_block["sft-diembft"], per_block["fbft"]))
-        return rows
-
-    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    for n in SWEEP_N:
+        duration = 10.0 if n <= 25 else 5.0
+        per_block = {}
+        for protocol in ("sft-diembft", "fbft"):
+            cluster = run_uniform(protocol, n, duration)
+            check_commit_safety(cluster.observer_replicas())
+            per_block[protocol] = messages_per_block(cluster)
+        rows.append((n, per_block["sft-diembft"], per_block["fbft"]))
 
     print()
     print("Messages per committed block — SFT-DiemBFT vs FBFT-adapted")

@@ -33,26 +33,22 @@ def run(protocol: str, n: int = 13):
     return spec.build().run()
 
 
-def test_sft_streamlet_strength_and_costs(benchmark):
+def test_sft_streamlet_strength_and_costs():
     results = {}
 
-    def run_all():
-        for protocol in ("sft-streamlet", "sft-diembft"):
-            cluster = run(protocol)
-            check_commit_safety(cluster.replicas)
-            cutoff = cluster.simulator.now * 0.6
-            series = strong_latency_series(
-                cluster, RATIOS, created_before=cutoff
-            )
-            observer = cluster.replicas[0]
-            blocks = len(observer.commit_tracker.commit_order)
-            results[protocol] = (
-                series,
-                cluster.network.messages_sent / max(1, blocks),
-            )
-        return results
-
-    benchmark.pedantic(run_all, rounds=1, iterations=1)
+    for protocol in ("sft-streamlet", "sft-diembft"):
+        cluster = run(protocol)
+        check_commit_safety(cluster.replicas)
+        cutoff = cluster.simulator.now * 0.6
+        series = strong_latency_series(
+            cluster, RATIOS, created_before=cutoff
+        )
+        observer = cluster.replicas[0]
+        blocks = len(observer.commit_tracker.commit_order)
+        results[protocol] = (
+            series,
+            cluster.network.messages_sent / max(1, blocks),
+        )
 
     print()
     print("SFT-Streamlet vs SFT-DiemBFT (n=13, f=4, uniform 10ms)")

@@ -13,24 +13,20 @@ from repro.runtime.metrics import check_commit_safety, throughput_txps
 from benchmarks.conftest import regular_latency, run_symmetric
 
 
-def test_throughput_parity_sft_vs_diembft(benchmark):
+def test_throughput_parity_sft_vs_diembft():
     results = {}
 
-    def run_pair():
-        for protocol in ("diembft", "sft-diembft"):
-            cluster = run_symmetric(
-                delta=0.100, duration=30.0, protocol=protocol, seed=29
-            )
-            check_commit_safety(cluster.observer_replicas())
-            results[protocol] = (
-                throughput_txps(cluster),
-                regular_latency(cluster),
-                cluster.network.messages_sent,
-                cluster.network.bytes_sent,
-            )
-        return results
-
-    benchmark.pedantic(run_pair, rounds=1, iterations=1)
+    for protocol in ("diembft", "sft-diembft"):
+        cluster = run_symmetric(
+            delta=0.100, duration=30.0, protocol=protocol, seed=29
+        )
+        check_commit_safety(cluster.observer_replicas())
+        results[protocol] = (
+            throughput_txps(cluster),
+            regular_latency(cluster),
+            cluster.network.messages_sent,
+            cluster.network.bytes_sent,
+        )
 
     print()
     print("Throughput parity (symmetric, δ=100ms, n=100, 1000-txn blocks)")

@@ -18,7 +18,7 @@ Quick start::
         print(point.ratio, point.mean_latency)
 
 See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
-harnesses regenerating each figure of the paper.
+tests regenerating each figure of the paper.
 """
 
 from repro.core import (
@@ -56,7 +56,6 @@ from repro.protocols.sft_diembft import SFTDiemBFTReplica
 from repro.protocols.sft_streamlet import SFTStreamletReplica
 from repro.protocols.streamlet import StreamletConfig, StreamletReplica
 from repro.runtime import (
-    ClientWorkload,
     Cluster,
     LatencyReport,
     build_cluster,
@@ -122,7 +121,6 @@ __all__ = [
     # runtime
     "build_cluster",
     "Cluster",
-    "ClientWorkload",
     "LatencyReport",
     "check_commit_safety",
     "regular_commit_latency",

@@ -1,8 +1,8 @@
-"""Paper-style tables for benchmark output.
+"""Paper-style tables for the paper-reproduction tests' output.
 
-Each formatter returns a string the benchmarks print verbatim; the
-rows/series mirror what the paper's figures report so EXPERIMENTS.md
-can place paper and measured values side by side.
+Each formatter returns a string the tests in ``benchmarks/`` print
+verbatim; the rows/series mirror what the paper's figures report, so
+paper and measured values can be read side by side.
 """
 
 from __future__ import annotations

@@ -18,6 +18,10 @@ from dataclasses import dataclass
 from repro.crypto.hashing import HashDigest, hash_fields
 from repro.types.transaction import Transaction
 
+#: Bounded key space keeps set/del/transfer commands colliding enough
+#: to exercise external validity (failed transfers) deterministically.
+_KEY_SPACE = 256
+
 
 @dataclass(frozen=True, slots=True)
 class KVCommand:
@@ -52,6 +56,21 @@ class KVCommand:
                        amount=int(amount))
         except (ValueError, UnicodeDecodeError):
             return None
+
+    @classmethod
+    def sample(cls, rng, sequence: int, payload_bytes: int) -> "KVCommand":
+        """The load generators' traffic mix, drawn from ``rng``: 85 %
+        ``set`` (value padded towards ``payload_bytes``), 10 %
+        ``transfer``, 5 % ``del``."""
+        roll = rng.random()
+        key = f"k{rng.randrange(_KEY_SPACE)}"
+        if roll < 0.85:
+            pad = "x" * max(0, payload_bytes - len(key) - 12)
+            return cls(op="set", key=key, value=f"{sequence}:{pad}")
+        if roll < 0.95:
+            other = f"k{rng.randrange(_KEY_SPACE)}"
+            return cls(op="transfer", key=key, key2=other, amount=1)
+        return cls(op="del", key=key)
 
     def to_transaction(self, client_id: int, sequence: int,
                        submitted_at: float = 0.0) -> Transaction:

@@ -82,7 +82,8 @@ class KeyRegistry:
         :meth:`verify` the way
         :meth:`~repro.types.quorum_cert.QuorumCertificate.validate`
         used to — duplicate voters are skipped, a missing or invalid
-        signature fails the whole certificate, and at least ``quorum``
+        signature, or one made by anyone but the vote's ``voter``,
+        fails the whole certificate, and at least ``quorum``
         distinct voters must remain — but run as a single loop with the
         memo table, key directory, and HMAC comparison hoisted out of
         the per-vote path.  Respects the class-level :attr:`memoize`
@@ -105,7 +106,7 @@ class KeyRegistry:
             if signature is None:
                 return False
             signer = signature.signer
-            if not 0 <= signer < n:
+            if signer != voter or not 0 <= signer < n:
                 return False
             payload = vote.signing_payload()
             if memoize:

@@ -577,8 +577,12 @@ class BaseReplica:
         if block.qc.block_id != block.parent_id:
             return False
         if self.config.verify_signatures:
-            if msg.signature is None or not self.context.registry.verify(
-                msg.signing_payload(), msg.signature
+            if (
+                msg.signature is None
+                or msg.signature.signer != msg.sender
+                or not self.context.registry.verify(
+                    msg.signing_payload(), msg.signature
+                )
             ):
                 return False
             if not block.qc.validate(self.context.registry, self.config.quorum()):
@@ -675,15 +679,20 @@ class BaseReplica:
     def _valid_vote(self, vote) -> bool:
         """Checks shared by every vote entry point; counts failures.
 
-        Beyond voter range and signature: a vote's ``block_round`` and
-        ``height`` are claims its signer makes about ``block_id``, and
-        one Byzantine signer can make false ones — when the block is
-        known they must match it.
+        Beyond voter range and a signature by that voter: a vote's
+        ``block_round`` and ``height`` are claims its signer makes about
+        ``block_id``, and one Byzantine signer can make false ones —
+        when the block is known they must match it.
         """
         valid = 0 <= vote.voter < self.config.n
         if valid and self.config.verify_signatures:
-            valid = vote.signature is not None and self.context.registry.verify(
-                vote.signing_payload(), vote.signature
+            signature = vote.signature
+            valid = (
+                signature is not None
+                and signature.signer == vote.voter
+                and self.context.registry.verify(
+                    vote.signing_payload(), signature
+                )
             )
         if valid:
             block = self.store.maybe_get(vote.block_id)

@@ -233,8 +233,12 @@ class DiemBFTReplica(BaseReplica):
             self._c_invalid_messages.inc()
             return
         if self.config.verify_signatures:
-            if msg.signature is None or not self.context.registry.verify(
-                msg.signing_payload(), msg.signature
+            if (
+                msg.signature is None
+                or msg.signature.signer != msg.sender
+                or not self.context.registry.verify(
+                    msg.signing_payload(), msg.signature
+                )
             ):
                 self._c_invalid_messages.inc()
                 return

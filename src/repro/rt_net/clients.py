@@ -23,8 +23,6 @@ from repro.app.kvstore import KVCommand
 from repro.rt_net.codec import CodecError, FrameDecoder, encode_frame
 from repro.types.messages import ClientReplyMsg, ClientRequestMsg
 
-_KEY_SPACE = 256
-
 
 class _ClientStats:
     __slots__ = ("submitted", "acked", "latencies")
@@ -116,7 +114,7 @@ class ClientFleet:
                 )
             sequence = 0
             while loop.time() < stop_at:
-                command = self._next_command(rng, sequence)
+                command = KVCommand.sample(rng, sequence, self.payload_bytes)
                 transaction = command.to_transaction(
                     client_id=client_id,
                     sequence=sequence,
@@ -185,17 +183,6 @@ class ClientFleet:
                         replies.put_nowait(message)
         except (ConnectionError, asyncio.CancelledError):
             pass
-
-    def _next_command(self, rng: random.Random, sequence: int) -> KVCommand:
-        roll = rng.random()
-        key = f"k{rng.randrange(_KEY_SPACE)}"
-        if roll < 0.85:
-            pad = "x" * max(0, self.payload_bytes - len(key) - 12)
-            return KVCommand(op="set", key=key, value=f"{sequence}:{pad}")
-        if roll < 0.95:
-            other = f"k{rng.randrange(_KEY_SPACE)}"
-            return KVCommand(op="transfer", key=key, key2=other, amount=1)
-        return KVCommand(op="del", key=key)
 
 
 def drive_fleet(endpoints, f: int, duration: float, **kwargs) -> dict:

@@ -1,19 +1,27 @@
-"""Client workload: transactions, mempools, and a load generator.
+"""The simulator's client path: mempools, commit feedback, load generator.
 
 The paper's evaluation keeps leaders saturated ("sufficiently many
 transactions are generated ... so that any leader always has enough
 transactions").  Large benchmarks therefore use synthetic
 :class:`~repro.types.transaction.TxBatch` payloads; the classes here
-provide *real* transaction flow for the examples and the end-to-end
-tests: clients submit :class:`~repro.types.transaction.Transaction`
-objects to replica mempools, leaders drain them into block payloads,
-and commit events acknowledge them.
+provide *real* transaction flow: :class:`KVWorkload` submits
+:class:`~repro.app.kvstore.KVCommand` transactions to per-replica
+:class:`Mempool` queues, leaders drain them into block payloads, and
+:class:`CommitFeedback` acknowledges them.
+
+Everything is deterministic: the command stream comes from its own
+seeded RNG (keyed off the experiment seed, independent of the network
+jitter stream), submissions tick on simulated time, and measurements
+are pure functions of the run — so campaign reports stay byte-identical
+across runs and worker counts with the workload on.
 """
 
 from __future__ import annotations
 
+import random
 from collections import OrderedDict
 
+from repro.app.kvstore import KVCommand
 from repro.crypto.hashing import HashDigest
 from repro.types.transaction import Payload, Transaction
 
@@ -169,50 +177,102 @@ class CommitFeedback:
         self.cluster.simulator.schedule_in(self.interval, self._tick)
 
 
-class ClientWorkload:
-    """Open-loop transaction generator over a cluster.
+class KVWorkload:
+    """Open-loop deterministic KV transaction generator over a cluster.
 
+    The load generator behind the ``workload_rate`` scenario knob.
     Submits ``rate`` transactions per second round-robin across
     replicas' mempools and rewires each replica's ``payload_source`` to
-    drain its mempool.  Commit acknowledgement (end-to-end transaction
-    latency) is measured against the *first* honest replica to commit
-    the transaction's block.
+    drain its own mempool (capped by that replica's
+    ``batch_size``/``max_batch_bytes`` config, honouring its
+    ``pipelined_proposals`` drain discipline).  Committed throughput
+    counts *unique* transactions — the exactly-once count a
+    :class:`~repro.app.kvstore.LedgerExecutor` applies — and
+    re-proposed duplicates are reported separately.
     """
 
-    def __init__(self, cluster, rate: float = 2000.0, payload_bytes: int = 64):
+    def __init__(
+        self,
+        cluster,
+        rate: float,
+        payload_bytes: int = 64,
+        seed: int = 0,
+        feedback_interval: float = 0.05,
+    ) -> None:
+        if rate <= 0:
+            raise ValueError(f"workload rate must be positive, got {rate!r}")
         self.cluster = cluster
         self.rate = rate
         self.payload_bytes = payload_bytes
-        self.mempools: dict[int, Mempool] = {}
+        self.rng = random.Random(f"kv-workload:{seed}")
         self.sequence = 0
-        self._interval = 1.0 / rate if rate > 0 else 0.0
+        self.submitted = 0
+        self._interval = 1.0 / rate
+        self.mempools: dict[int, Mempool] = {}
         for replica in cluster.replicas:
-            mempool = Mempool()
+            config = replica.config
+            per_round = getattr(config, "round_duration", None)
+            if not per_round:
+                per_round = config.round_timeout
+            mempool = Mempool(
+                max_block_transactions=config.batch_size,
+                max_block_bytes=config.max_batch_bytes,
+                pipelined=config.pipelined_proposals,
+                # In-flight entries outlive a full 3-chain commit plus
+                # feedback lag before re-qualifying for proposals.
+                inflight_timeout=8.0 * per_round,
+            )
             self.mempools[replica.replica_id] = mempool
             replica.payload_source = mempool.payload_source
+        self.feedback = CommitFeedback(
+            cluster, self.mempools, interval=feedback_interval
+        )
 
     def start(self) -> None:
-        if self._interval > 0:
-            self.cluster.simulator.schedule_at(0.0, self._tick)
+        simulator = self.cluster.simulator
+        simulator.schedule_at(simulator.now, self._tick)
+        self.feedback.start()
 
     def _tick(self) -> None:
         simulator = self.cluster.simulator
-        transaction = Transaction(
-            client_id=0,
+        command = KVCommand.sample(self.rng, self.sequence, self.payload_bytes)
+        target = self.sequence % len(self.cluster.replicas)
+        transaction = command.to_transaction(
+            client_id=target,
             sequence=self.sequence,
-            payload=b"x" * self.payload_bytes,
             submitted_at=simulator.now,
         )
         self.sequence += 1
-        target = self.sequence % len(self.cluster.replicas)
         replica = self.cluster.replicas[target]
         if not replica.crashed:
             self.mempools[target].submit(transaction)
+            self.submitted += 1
         simulator.schedule_in(self._interval, self._tick)
 
     # ------------------------------------------------------------------
-    # measurement
+    # measurement (pure functions of the committed chain)
     # ------------------------------------------------------------------
+
+    def committed_tx_stats(self, replica) -> tuple[int, int]:
+        """``(unique, duplicates)`` committed through ``replica``'s log.
+
+        ``unique`` counts distinct transaction ids in committed blocks;
+        ``duplicates`` counts the re-proposed extra occurrences that
+        wasted block space — the quantity pipelining suppresses.
+        """
+        seen: set = set()
+        duplicates = 0
+        for event in replica.commit_tracker.commit_order:
+            block = replica.store.maybe_get(event.block_id)
+            if block is None:
+                continue
+            for transaction in block.payload.transactions:
+                txid = transaction.txid()
+                if txid in seen:
+                    duplicates += 1
+                else:
+                    seen.add(txid)
+        return len(seen), duplicates
 
     def end_to_end_latencies(self) -> list:
         """Submit-to-first-commit latency for every acknowledged txn."""

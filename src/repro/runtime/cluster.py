@@ -115,7 +115,7 @@ class Cluster:
                 window.resolve(self.config.n), window.start, window.end
             )
         if self.config.workload_rate > 0:
-            from repro.runtime.workload import KVWorkload
+            from repro.runtime.client import KVWorkload
 
             self.workload = KVWorkload(
                 self,

@@ -7,7 +7,8 @@ conflict (same account, say).  The paper's remedy: "the protocol can
 ask the leader to propose conflicting transactions only after the
 block containing the earlier transaction is already strong committed".
 
-:class:`ConflictAwareMempool` implements that leader-side policy.
+:class:`ConflictAwareMempool` implements that leader-side policy as a
+:class:`~repro.runtime.client.Mempool` with its own payload selection.
 Transactions are submitted with an optional ``conflict_key`` (e.g. the
 sender account) and a ``required_strength``; a transaction is held
 back while any earlier same-key transaction has not yet landed in a
@@ -16,9 +17,9 @@ block strong-committed to its required level.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
+from repro.runtime.client import Mempool
 from repro.types.transaction import Payload, Transaction
 
 
@@ -31,7 +32,7 @@ class _TrackedTransaction:
     satisfied: bool = field(default=False)
 
 
-class ConflictAwareMempool:
+class ConflictAwareMempool(Mempool):
     """Mempool with the Section 5 conflicting-transaction policy.
 
     ``bind(replica)`` connects the pool to one replica: payloads drain
@@ -41,8 +42,7 @@ class ConflictAwareMempool:
     """
 
     def __init__(self, max_block_transactions: int = 1000) -> None:
-        self.max_block_transactions = max_block_transactions
-        self._pending: OrderedDict = OrderedDict()
+        super().__init__(max_block_transactions=max_block_transactions)
         self._tracked: dict = {}
         self._replica = None
         self._commit_cursor = 0
@@ -50,7 +50,7 @@ class ConflictAwareMempool:
 
     def bind(self, replica) -> "ConflictAwareMempool":
         self._replica = replica
-        replica.payload_source = self.make_payload
+        replica.payload_source = self.payload_source
         return self
 
     # ------------------------------------------------------------------
@@ -69,16 +69,12 @@ class ConflictAwareMempool:
         reach before *later* transactions with the same ``conflict_key``
         may be proposed.
         """
-        txid = transaction.txid()
-        self._pending[txid] = transaction
+        txid = super().submit(transaction)
         self._tracked[txid] = _TrackedTransaction(
             transaction=transaction,
             conflict_key=conflict_key,
             required_strength=required_strength,
         )
-
-    def pending_count(self) -> int:
-        return len(self._pending)
 
     # ------------------------------------------------------------------
     # chain feedback
@@ -119,7 +115,7 @@ class ConflictAwareMempool:
     # payload production (the leader-side rule)
     # ------------------------------------------------------------------
 
-    def make_payload(self, now: float, parent_id=None) -> Payload:
+    def payload_source(self, now: float, parent_id=None) -> Payload:
         del now, parent_id
         self._refresh_inclusions()
         chosen = []
@@ -161,7 +157,7 @@ class ConflictAwareMempool:
             if tracked.included_in is not None and not self._is_blocking(tracked)
         ]
         for txid in done:
-            self._pending.pop(txid, None)
+            self.remove(txid)
 
     # ------------------------------------------------------------------
     # introspection

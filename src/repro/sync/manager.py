@@ -189,8 +189,12 @@ class SyncManager:
         if src != msg.sender or not 0 <= msg.sender < self.config.n:
             return
         if self.config.verify_signatures:
-            if msg.signature is None or not self.context.registry.verify(
-                msg.signing_payload(), msg.signature
+            if (
+                msg.signature is None
+                or msg.signature.signer != msg.sender
+                or not self.context.registry.verify(
+                    msg.signing_payload(), msg.signature
+                )
             ):
                 return
         store = self.replica.store
@@ -305,8 +309,10 @@ class SyncManager:
         registry = self.context.registry
         quorum = self.config.quorum()
         if self.config.verify_signatures:
-            if msg.signature is None or not registry.verify(
-                msg.signing_payload(), msg.signature
+            if (
+                msg.signature is None
+                or msg.signature.signer != msg.sender
+                or not registry.verify(msg.signing_payload(), msg.signature)
             ):
                 return False
         blocks = msg.blocks

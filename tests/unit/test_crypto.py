@@ -182,6 +182,21 @@ class TestFusedQCVerification:
         )
         assert not registry.verify_qc_votes(votes[:2] + [forged], quorum=3)
 
+    def test_vote_signed_by_another_key_fails_certificate(self):
+        # One key's valid MAC over a vote claiming another voter.
+        registry = KeyRegistry(4)
+        votes = [_signed_vote(registry, voter) for voter in range(2)]
+        claimed = Vote(
+            block_id=hash_bytes(b"block"), block_round=3, height=3, voter=2
+        )
+        forged = replace(
+            claimed, signature=registry.signing_key(3).sign(
+                claimed.signing_payload()
+            ),
+        )
+        assert registry.verify(forged.signing_payload(), forged.signature)
+        assert not registry.verify_qc_votes(votes + [forged], quorum=3)
+
     def test_missing_signature_fails_certificate(self):
         registry = KeyRegistry(4)
         votes = [_signed_vote(registry, voter) for voter in range(2)]

@@ -1,6 +1,40 @@
 """KV state machine: commands, determinism, external validity."""
 
+import hashlib
+import random
+
+import pytest
+
 from repro.app import KVCommand, KVStateMachine
+
+
+class TestTrafficMix:
+    """``KVCommand.sample`` is the one traffic mix both load generators
+    draw from; the digests pin the first 200 commands of each stream as
+    the simulator workload (``kv-workload:<seed>``) and the TCP client
+    fleet (``rt-client:<seed>:<client>``) produced before they shared
+    it, so every recorded run keeps its exact command sequence."""
+
+    @pytest.mark.parametrize(
+        "stream, digest",
+        [
+            (
+                "kv-workload:1",
+                "72daa77f97d132569d03d590cb790de8177fddaa112702625d54597838c866b8",
+            ),
+            (
+                "rt-client:0:1",
+                "5ab271e177de9bb329e31240961908fac0a75a70806ad37b1f7ebecd397fb2ad",
+            ),
+        ],
+    )
+    def test_first_200_commands_match_pinned_digest(self, stream, digest):
+        rng = random.Random(stream)
+        hasher = hashlib.sha256()
+        for sequence in range(200):
+            command = KVCommand.sample(rng, sequence, payload_bytes=64)
+            hasher.update(command.encode() + b"\n")
+        assert hasher.hexdigest() == digest
 
 
 class TestCommands:
