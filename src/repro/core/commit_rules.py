@@ -99,6 +99,10 @@ class CommitTracker:
         #: attaches; ``endorse`` lifecycle spans are emitted here, the
         #: one place strength raises happen for every protocol family.
         self.tracer = None
+        #: Optional ``callable(block, now)`` observing each block as it
+        #: commits, oldest first — before checkpoint truncation can
+        #: prune it (the simulator's client workload counts here).
+        self.on_commit = None
         if endorsement is not None and rule == "diembft":
             endorsement.add_listener(self._on_endorser_update)
 
@@ -179,6 +183,8 @@ class CommitTracker:
             newly.append(event)
             if blk.round > self.highest_committed_round:
                 self.highest_committed_round = blk.round
+            if self.on_commit is not None:
+                self.on_commit(blk, now)
         return newly
 
     def is_committed(self, block_id: BlockId) -> bool:

@@ -12,8 +12,9 @@ provide *real* transaction flow: :class:`KVWorkload` submits
 Everything is deterministic: the command stream comes from its own
 seeded RNG (keyed off the experiment seed, independent of the network
 jitter stream), submissions tick on simulated time, and measurements
-are pure functions of the run — so campaign reports stay byte-identical
-across runs and worker counts with the workload on.
+are recorded as blocks commit, on the simulated clock — so campaign
+reports stay byte-identical across runs and worker counts with the
+workload on.
 """
 
 from __future__ import annotations
@@ -209,7 +210,10 @@ class KVWorkload:
         self.submitted = 0
         self._interval = 1.0 / rate
         self.mempools: dict[int, Mempool] = {}
+        self._block_txids: dict = {}  # committed block id -> its txids
+        self._first_commit: dict = {}  # txid -> (committed, submitted)
         for replica in cluster.replicas:
+            replica.commit_tracker.on_commit = self.record_commit
             config = replica.config
             per_round = getattr(config, "round_duration", None)
             if not per_round:
@@ -250,8 +254,23 @@ class KVWorkload:
         simulator.schedule_in(self._interval, self._tick)
 
     # ------------------------------------------------------------------
-    # measurement (pure functions of the committed chain)
+    # measurement, recorded as blocks commit
     # ------------------------------------------------------------------
+
+    def record_commit(self, block, now: float) -> None:
+        """``CommitTracker.on_commit`` of every replica instance: notes
+        a block's txids the first time any replica commits it, before
+        checkpoint truncation can prune it from the store."""
+        block_id = block.id()
+        if block_id in self._block_txids:
+            return
+        txids = []
+        for transaction in block.payload.transactions:
+            txid = transaction.txid()
+            txids.append(txid)
+            if txid not in self._first_commit:
+                self._first_commit[txid] = (now, transaction.submitted_at)
+        self._block_txids[block_id] = txids
 
     def committed_tx_stats(self, replica) -> tuple[int, int]:
         """``(unique, duplicates)`` committed through ``replica``'s log.
@@ -263,11 +282,7 @@ class KVWorkload:
         seen: set = set()
         duplicates = 0
         for event in replica.commit_tracker.commit_order:
-            block = replica.store.maybe_get(event.block_id)
-            if block is None:
-                continue
-            for transaction in block.payload.transactions:
-                txid = transaction.txid()
+            for txid in self._block_txids.get(event.block_id, ()):
                 if txid in seen:
                     duplicates += 1
                 else:
@@ -275,19 +290,6 @@ class KVWorkload:
         return len(seen), duplicates
 
     def end_to_end_latencies(self) -> list:
-        """Submit-to-first-commit latency for every acknowledged txn."""
-        first_commit: dict = {}
-        for replica in self.cluster.honest_replicas():
-            for event in replica.commit_tracker.commit_order:
-                block = replica.store.maybe_get(event.block_id)
-                if block is None:
-                    continue
-                for transaction in block.payload.transactions:
-                    txid = transaction.txid()
-                    seen = first_commit.get(txid)
-                    if seen is None or event.committed_at < seen[0]:
-                        first_commit[txid] = (
-                            event.committed_at,
-                            transaction.submitted_at,
-                        )
-        return [commit - submit for commit, submit in first_commit.values()]
+        """Submit-to-first-commit latency (at any replica) for every
+        committed txn."""
+        return [first - submit for first, submit in self._first_commit.values()]

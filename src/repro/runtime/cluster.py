@@ -194,6 +194,8 @@ class Cluster:
         )
         self.replicas[replica_id] = replica
         self.network.register(replica_id, replica)
+        if self.workload is not None:
+            replica.commit_tracker.on_commit = self.workload.record_commit
         if restores:
             state = self.durable.peek(replica_id)
             if state is not None:

@@ -81,6 +81,16 @@ class TestBatchedWorkload:
         ]
         assert max(sizes) == 8
 
+    def test_checkpoint_truncation_hides_no_committed_transaction(self):
+        # Checkpoints prune committed blocks every 4 heights; the
+        # workload counts each block as it commits, so pruning must not
+        # shrink the count.
+        plain = _run(_workload_spec())["metrics"]["txs"]
+        pruned = _run(_workload_spec(checkpoint_interval=4))["metrics"]
+        assert pruned["checkpoint"]["blocks_truncated"] > 0
+        unique = pruned["txs"]["committed_unique"]
+        assert abs(unique - plain["committed_unique"]) < 0.05 * unique
+
     def test_workload_off_reports_zero_txs(self):
         spec = _workload_spec(name="tput-off", workload_rate=0.0, duration=3.0)
         metrics = _run(spec)["metrics"]
