@@ -186,7 +186,8 @@ def wire_size_bytes(message) -> int:
     """Estimate the serialized size of a protocol message.
 
     Dispatch is a single dict lookup on the concrete type instead of
-    an isinstance chain — ``Network.send`` calls this once per message.
+    an isinstance chain — ``Network.send`` calls this once per message,
+    ``Network.multicast`` once for all its copies.
     """
     message_type = type(message)
     sizer = _WIRE_SIZERS.get(message_type)
@@ -306,13 +307,45 @@ class Network:
 
     def send(self, src: int, dst: int, message) -> None:
         """Send one message; delivery is scheduled on the simulator."""
-        now = self.simulator.now
         size = wire_size_bytes(message)
         self.messages_sent += 1
         self.bytes_sent += size
         self.sent_by_type[type(message).__name__] += 1
+        self._schedule_copy(src, dst, message, size)
 
-        depart = now + self._serialization_delay(src, size)
+    def multicast(self, src: int, message, include_self: bool = False) -> None:
+        """Send ``message`` to every replica (optionally including ``src``).
+
+        The message is sized and counted once for all its copies.  With
+        bandwidth modelling on, per-destination copies serialize one
+        after another in a random order — receivers of a 450 KB
+        proposal see measurably staggered arrivals.
+        """
+        destinations = [
+            replica for replica in range(self.topology.n)
+            if include_self or replica != src
+        ]
+        if not destinations:
+            return
+        if self.config.bandwidth_bytes_per_sec > 0:
+            self._rng.shuffle(destinations)
+        size = wire_size_bytes(message)
+        copies = len(destinations)
+        self.messages_sent += copies
+        self.bytes_sent += size * copies
+        self.sent_by_type[type(message).__name__] += copies
+        for dst in destinations:
+            self._schedule_copy(src, dst, message, size)
+
+    # ------------------------------------------------------------------
+    # internals
+    # ------------------------------------------------------------------
+
+    def _schedule_copy(self, src: int, dst: int, message, size: int) -> None:
+        """Schedule the delivery of one already-counted copy."""
+        depart = self.simulator.now
+        if self.config.bandwidth_bytes_per_sec > 0:
+            depart += self._serialization_delay(src, size)
         arrival = depart + self._link_delay(src, dst, depart)
         if self._delivery_rng is not None:
             arrival = self._at_least_once(src, dst, message, arrival)
@@ -344,57 +377,38 @@ class Network:
             )
         return arrival
 
-    def multicast(self, src: int, message, include_self: bool = False) -> None:
-        """Send ``message`` to every replica (optionally including ``src``).
-
-        With bandwidth modelling on, per-destination copies serialize
-        one after another in a random order — receivers of a 450 KB
-        proposal see measurably staggered arrivals.
-        """
-        destinations = [
-            replica for replica in range(self.topology.n)
-            if include_self or replica != src
-        ]
-        if self.config.bandwidth_bytes_per_sec > 0:
-            self._rng.shuffle(destinations)
-        for dst in destinations:
-            self.send(src, dst, message)
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-
     def _serialization_delay(self, src: int, size: int) -> float:
-        """Model the sender's uplink as a FIFO pipe."""
-        bandwidth = self.config.bandwidth_bytes_per_sec
-        if bandwidth <= 0:
-            return 0.0
+        """Model the sender's uplink as a FIFO pipe (bandwidth on only)."""
         now = self.simulator.now
         busy_until = max(self._uplink_busy_until.get(src, now), now)
-        transmit = size / bandwidth
+        transmit = size / self.config.bandwidth_bytes_per_sec
         self._uplink_busy_until[src] = busy_until + transmit
         return (busy_until + transmit) - now
 
     def _link_delay(self, src: int, dst: int, depart: float) -> float:
+        config = self.config
         base = self.topology.delay(src, dst)
-        if self.config.jitter > 0 and src != dst:
-            base += self._rng.uniform(0.0, self.config.jitter)
+        if config.jitter > 0 and src != dst:
+            # Bit-identical to ``uniform(0.0, jitter)``, one call cheaper.
+            base += config.jitter * self._rng.random()
         arrival = depart + base
         # Partitions: hold cross-group traffic until the heal time.
         # Healed partitions (end <= now <= every future depart) can
         # never separate another message — prune them so partition-heavy
         # runs stop paying an O(partitions) scan per message.
-        if self._partitions and self.simulator.now >= self._partitions_min_end:
-            self._prune_partitions(self.simulator.now)
-        for partition in self._partitions:
-            if partition.start <= depart < partition.end and partition.separates(
-                src, dst
-            ):
-                arrival = max(arrival, partition.end + base)
+        if self._partitions:
+            now = self.simulator.now
+            if now >= self._partitions_min_end:
+                self._prune_partitions(now)
+            for partition in self._partitions:
+                if partition.start <= depart < partition.end and partition.separates(
+                    src, dst
+                ):
+                    arrival = max(arrival, partition.end + base)
         # Partial synchrony: before GST, delivery may lag arbitrarily;
         # we model it as pre_gst_delay extra, never before GST itself.
-        if depart < self.config.gst:
-            arrival = max(arrival + self.config.pre_gst_delay, self.config.gst)
+        if depart < config.gst:
+            arrival = max(arrival + config.pre_gst_delay, config.gst)
         return arrival - depart
 
     def _prune_partitions(self, now: float) -> None:
@@ -423,12 +437,6 @@ class Network:
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------
-
-    def reset_counters(self) -> None:
-        self.messages_sent = 0
-        self.messages_delivered = 0
-        self.bytes_sent = 0
-        self.sent_by_type = Counter()
 
     def stats(self) -> dict:
         data = {

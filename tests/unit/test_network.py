@@ -1,5 +1,8 @@
 """Network layer: delays, jitter, GST, partitions, bandwidth, stats."""
 
+import hashlib
+import random
+
 from repro.net.network import Network, NetworkConfig, wire_size_bytes
 from repro.net.simulator import Simulator
 from repro.net.topology import UniformTopology
@@ -230,8 +233,8 @@ class TestWireSizes:
         stats = network.stats()
         assert stats["sent"] == 2
         assert stats["by_type"]["TimeoutMsg"] == 2
-        network.reset_counters()
-        assert network.stats()["sent"] == 0
+        _, fresh, _ = make_network()
+        assert fresh.stats()["sent"] == 0
         del genesis
 
 
@@ -313,8 +316,8 @@ class TestWireSizeDispatch:
         network.send(0, 2, "b")
         stats = network.stats()
         assert stats["by_type"] == {"str": 2}
-        network.reset_counters()
-        assert network.stats()["by_type"] == {}
+        _, fresh, _ = make_network()
+        assert fresh.stats()["by_type"] == {}
 
 
 class TestAtLeastOnceDelivery:
@@ -399,3 +402,138 @@ class TestAtLeastOnceDelivery:
             ]
 
         assert run() == run()
+
+
+class LogRecorder:
+    """Appends ``(dst, src, message, repr(time))`` to a shared log."""
+
+    def __init__(self, simulator, replica_id, log):
+        self.simulator = simulator
+        self.replica_id = replica_id
+        self.log = log
+
+    def deliver(self, src, message):
+        self.log.append(
+            (self.replica_id, src, message, repr(self.simulator.now))
+        )
+
+
+#: One fixed sequence of unicasts and multicasts: ``(time, method, args)``.
+#: Every step mixes include_self on and off, and two steps self-send.
+_SCHEDULE_CALLS = (
+    (0.0, "multicast", (0, "a0")),
+    (0.0, "multicast", (1, "a1", True)),
+    (0.0, "send", (2, 3, "a2")),
+    (0.0, "send", (3, 3, "a3-self")),
+    (0.2, "multicast", (4, "b0", True)),
+    (0.2, "send", (0, 4, "b1")),
+    (0.2, "multicast", (2, "b2")),
+    (0.7, "multicast", (0, "c0")),
+    (0.7, "send", (1, 1, "c1-self")),
+    (0.7, "multicast", (3, "c2", True)),
+)
+
+#: The partition rows' windows: the first heals before the 0.2 s step
+#: (which prunes it), the second is live at 0.2 s and healed by 0.7 s.
+_SCHEDULE_PARTITIONS = (
+    (((0, 1), (2, 3, 4)), 0.0, 0.05),
+    (((0,), (1, 2, 3, 4)), 0.1, 0.6),
+)
+
+#: NetworkConfig kwargs, partitions on/off, and the sha256 prefix of the
+#: ordered delivery log.  Moving any RNG draw or float operation on the
+#: delivery path changes a digest; regenerate only on purpose.
+_SCHEDULE_CASES = {
+    "plain": ({}, False, "70ff81db1b0cf232"),
+    "jitter": ({"jitter": 0.004, "seed": 5}, False, "cc236156303851da"),
+    "bandwidth_shuffle": (
+        {"bandwidth_bytes_per_sec": 4000.0, "jitter": 0.002, "seed": 1},
+        False,
+        "9f83f997f2db96a5",
+    ),
+    "partitions": ({"jitter": 0.002, "seed": 2}, True, "f3153f26f9d8b624"),
+    "pre_gst": (
+        {"gst": 0.3, "pre_gst_delay": 0.1, "jitter": 0.001, "seed": 3},
+        False,
+        "df369cd2d8fc8ec4",
+    ),
+    "at_least_once": (
+        {"duplicate_rate": 0.5, "reorder_window": 0.01, "jitter": 0.002,
+         "seed": 4},
+        False,
+        "b401bc8aa90da451",
+    ),
+    "everything": (
+        {"jitter": 0.003, "seed": 6, "gst": 0.5, "pre_gst_delay": 0.05,
+         "bandwidth_bytes_per_sec": 2500.0, "processing_delay": 0.001,
+         "duplicate_rate": 0.3, "reorder_window": 0.02},
+        True,
+        "3b8d0eb432d375ca",
+    ),
+}
+
+
+def _delivery_log_digest(config_kwargs, with_partitions):
+    simulator = Simulator()
+    network = Network(
+        simulator, UniformTopology(5, delay=0.01), NetworkConfig(**config_kwargs)
+    )
+    log = []
+    for replica_id in range(5):
+        network.register(replica_id, LogRecorder(simulator, replica_id, log))
+    if with_partitions:
+        for groups, start, end in _SCHEDULE_PARTITIONS:
+            network.add_partition(groups, start=start, end=end)
+    for time, method, args in _SCHEDULE_CALLS:
+        simulator.schedule_at(time, getattr(network, method), *args)
+    simulator.run_until(10.0)
+    return hashlib.sha256(repr(log).encode()).hexdigest()[:16]
+
+
+class TestDeliverySchedule:
+    def test_delivery_log_matches_pinned_digest(self):
+        got = {
+            name: _delivery_log_digest(kwargs, with_partitions)
+            for name, (kwargs, with_partitions, _) in _SCHEDULE_CASES.items()
+        }
+        want = {name: case[2] for name, case in _SCHEDULE_CASES.items()}
+        assert got == want
+
+    def test_multicast_stats_equal_the_same_copies_sent_one_by_one(self):
+        genesis, genesis_qc = make_genesis()
+        del genesis
+        timeout = TimeoutMsg(sender=1, round=3, qc_high=genesis_qc)
+        for include_self in (False, True):
+            destinations = [
+                dst for dst in range(4) if include_self or dst != 1
+            ]
+            simulator, multi, _ = make_network(
+                n=4, bandwidth_bytes_per_sec=1000.0
+            )
+            for message in (timeout, "tail"):
+                multi.multicast(1, message, include_self=include_self)
+            simulator.run_until(100.0)
+
+            simulator, uni, _ = make_network(n=4, bandwidth_bytes_per_sec=1000.0)
+            for message in (timeout, "tail"):
+                for dst in destinations:
+                    uni.send(1, dst, message)
+            simulator.run_until(100.0)
+            assert multi.stats() == uni.stats()
+            assert multi.stats()["sent"] == 2 * len(destinations)
+
+    def test_multicast_to_nobody_counts_nothing(self):
+        _, network, _ = make_network(n=1)
+        network.multicast(0, "alone")
+        assert network.stats() == {
+            "sent": 0, "delivered": 0, "bytes": 0, "by_type": {},
+        }
+
+    def test_scaled_random_jitter_is_bitwise_uniform(self):
+        # Every jitter the smoke fuzz profile can draw, round(U[0,
+        # 0.006], 4), which covers every jitter set in scenarios/.
+        for step in range(61):
+            jitter = round(step * 1e-4, 4)
+            scaled, uniform = random.Random(step), random.Random(step)
+            for _ in range(10_000):
+                assert jitter * scaled.random() == uniform.uniform(0.0, jitter)
