@@ -32,6 +32,11 @@ from repro.types.block import Block, BlockId
 from repro.types.chain import BlockStore
 from repro.types.quorum_cert import QuorumCertificate
 
+#: Blocks in a commit chain: both rules need three adjacent certified
+#: blocks at consecutive rounds, so a proposal extending a block
+#: carries the QC that completes the chain of that block's grandparent.
+CHAIN_LENGTH = 3
+
 
 @dataclass(frozen=True, slots=True)
 class CommitEvent:

@@ -301,6 +301,11 @@ class BaseReplica:
     #: durable voting record is load-bearing (the amnesia differential).
     wal_restore = True
 
+    #: Whether an idle leader may hold its round until there is work
+    #: (see :meth:`_propose`).  Off for clock-driven slots, which must
+    #: never be skipped.
+    defers_proposals = False
+
     #: The family's commit rule, by its
     #: :class:`~repro.core.commit_rules.CommitTracker` name.
     commit_rule: str
@@ -334,8 +339,12 @@ class BaseReplica:
         self.commit_tracker = self._make_commit_tracker()
         self.commit_tracker.tracer = self.tracer
         #: ``(now, parent_id) -> Payload`` for a block extending
-        #: ``parent_id``; harnesses rebind it to a mempool.
+        #: ``parent_id``, or ``None`` when nothing is worth proposing
+        #: yet; harnesses rebind it to a mempool.
         self.payload_source = self._default_payload
+        #: The led round :meth:`_propose` is holding for
+        #: :meth:`propose_deferred`, if any.
+        self.deferred_round: int | None = None
         # Vote aggregation (this replica acting as a collector); see
         # _aggregate_vote for why buckets are keyed by more than the id.
         self._collected_votes: dict[tuple, dict[int, object]] = {}
@@ -350,6 +359,7 @@ class BaseReplica:
         # would otherwise reset the round state it advances).
         self._wal_qc_high = None
         self._c_blocks_proposed = self.metrics.counter("blocks_proposed")
+        self._c_proposals_deferred = self.metrics.counter("proposals_deferred")
         self._c_votes_sent = self.metrics.counter("votes_sent")
         self._c_invalid_messages = self.metrics.counter("invalid_messages")
         # Attached last: both managers read the store and commit
@@ -502,17 +512,36 @@ class BaseReplica:
         extends, as ``(parent_qc, tc)`` — or ``None`` to skip the slot."""
         raise NotImplementedError
 
-    def _propose(self, round_number: int, reason: str) -> None:
+    def _propose(
+        self, round_number: int, reason: str, force: bool = False
+    ) -> None:
         """Proposing rule; ``reason`` (``"start"``/``"qc"``/``"tc"``/
-        ``"clock"``) is why the round began — the honest rule ignores it."""
+        ``"clock"``/``"deferred"``) is why the round began — the honest
+        rule ignores it.
+
+        When ``payload_source`` returns ``None`` a family that
+        :attr:`defers_proposals` holds the round for
+        :meth:`propose_deferred`; any other family, or ``force``,
+        proposes the synthetic batch instead.
+        """
         del reason
         basis = self._proposal_basis(round_number)
         if basis is None:
             return
         parent_qc, tc = basis
+        now = self.context.now
+        payload = self.payload_source(now, parent_qc.block_id)
+        if payload is None:
+            if self.defers_proposals and not force:
+                if self.deferred_round != round_number:
+                    self.deferred_round = round_number
+                    self._c_proposals_deferred.inc()
+                return
+            payload = self._default_payload(now, parent_qc.block_id)
+        self.deferred_round = None
         proposal = self._signed_proposal(
             parent_qc, round_number,
-            commit_log=self._proposal_commit_log(), tc=tc,
+            commit_log=self._proposal_commit_log(), tc=tc, payload=payload,
         )
         self._c_blocks_proposed.inc()
         tracer = self.tracer
@@ -527,25 +556,41 @@ class BaseReplica:
             )
         self.context.multicast(proposal, include_self=True)
 
+    def propose_deferred(self, force: bool = False) -> None:
+        """Propose the round :meth:`_propose` deferred, if this replica
+        is still in it (a stale deferral is dropped).  ``force`` proposes
+        even when the payload source still has nothing: the heartbeat
+        that keeps an idle cluster's rounds inside their timeout."""
+        round_number = self.deferred_round
+        if round_number is None:
+            return
+        if self.crashed or round_number != self.current_round:
+            self.deferred_round = None
+            return
+        self._propose(round_number, "deferred", force=force)
+
     def _signed_proposal(
         self, parent_qc: QuorumCertificate, round_number: int,
-        commit_log: tuple = (), tc=None,
+        commit_log: tuple = (), tc=None, payload: Payload | None = None,
     ) -> ProposalMsg:
         """Build and sign a block extending ``parent_qc``'s block.
 
         Also the seam adversarial leaders construct their blocks
         through, which is why ``commit_log`` is an argument: drawing
         the honest §5 log advances a cursor, so it must happen once per
-        slot in :meth:`_propose`, not once per built block.
+        slot in :meth:`_propose`, not once per built block.  Without a
+        ``payload`` the block asks ``payload_source`` for one.
         """
         now = self.context.now
+        if payload is None:
+            payload = self.payload_source(now, parent_qc.block_id)
         block = Block(
             parent_id=parent_qc.block_id,
             qc=parent_qc,
             round=round_number,
             height=parent_qc.height + 1,
             proposer=self.replica_id,
-            payload=self.payload_source(now, parent_qc.block_id),
+            payload=payload,
             created_at=now,
             commit_log=commit_log,
         )

@@ -40,6 +40,9 @@ class DiemBFTReplica(BaseReplica):
     """One DiemBFT replica: pacemaker rounds, round-based voting rule."""
 
     commit_rule = "diembft"
+    #: Pacemaker rounds wait for their proposal (up to the round
+    #: timeout), so an idle leader may hold one.
+    defers_proposals = True
 
     def __init__(self, config: ReplicaConfig, context: ReplicaContext) -> None:
         super().__init__(config, context)

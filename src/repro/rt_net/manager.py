@@ -50,6 +50,11 @@ def unsupported_features(spec: ScenarioSpec) -> list[str]:
         problems.append("simulated network shaping (bandwidth/gst/dup/reorder)")
     if spec.trace_level != "off":
         problems.append("trace_level (cluster-wide span log is in-process)")
+    if spec.checkpoint_interval:
+        problems.append(
+            "checkpoint_interval (the commit poll never replies for a "
+            "block truncation pruned first)"
+        )
     return problems
 
 
@@ -121,6 +126,12 @@ class RuntimeReport:
     def _total(self, key: str) -> int:
         return sum(r.get(key, 0) for r in self.results.values())
 
+    def _metric_total(self, name: str) -> int:
+        """One replica counter (see ``MetricsRegistry``) summed over replicas."""
+        return sum(
+            r.get("metrics", {}).get(name, 0) for r in self.results.values()
+        )
+
     def total_replies(self) -> int:
         return self._total("replies_sent")
 
@@ -151,6 +162,8 @@ class RuntimeReport:
             "carried_per_distinct": (
                 round(carried / distinct, 4) if distinct else None
             ),
+            "blocks_proposed": self._metric_total("blocks_proposed"),
+            "proposals_deferred": self._metric_total("proposals_deferred"),
             "commits": {
                 rid: result.get("commits", 0)
                 for rid, result in sorted(self.results.items())

@@ -22,6 +22,13 @@ the simulator tier:
   ``parent_id`` down to the last commit already applied to the mempool
   carry, read off the replica's own block store.  A transaction on an
   abandoned fork is on no such path and is proposed again by itself;
+* proposes only when there is something to commit: an uncarried
+  transaction, or a transaction block on the parent's chain that this
+  block helps commit (see :meth:`ReplicaHost._payload_source`).
+  Otherwise a DiemBFT-family leader defers its round; the next client
+  request wakes it on the following loop turn, and the commit-poll
+  tick below forces a synthetic batch, so an idle cluster (and idle
+  strengthening) advances one round per tick instead of free-running;
 * polls the commit log, removes committed transactions from the mempool
   and answers each routed transaction's client with a
   ``ClientReplyMsg`` (clients ack at f+1 matching replies);
@@ -40,6 +47,7 @@ import signal
 import sys
 from pathlib import Path
 
+from repro.core.commit_rules import CHAIN_LENGTH
 from repro.crypto.registry import KeyRegistry
 from repro.experiments.spec import spec_from_mapping
 from repro.protocols.base import ReplicaContext
@@ -48,7 +56,8 @@ from repro.runtime.cluster import _PROTOCOL_CLASSES
 from repro.rt_net.transport import TcpTransport, WallClock
 from repro.types.messages import ClientReplyMsg, ClientRequestMsg
 
-#: Commit-log poll cadence for client replies (wall seconds).
+#: Commit-log poll cadence for client replies, and the heartbeat of a
+#: leader deferring an idle round (wall seconds).
 _FEEDBACK_INTERVAL = 0.05
 #: Self-destruct margin past the configured duration, in case the
 #: manager dies without sending SIGTERM.
@@ -104,6 +113,7 @@ class ReplicaHost:
         self.replies_sent = 0
         self.txs_carried = 0
         self.txs_distinct = 0
+        self._wake_pending = False
         self._stopping = False
 
     # ------------------------------------------------------------------
@@ -118,39 +128,62 @@ class ReplicaHost:
             return
         txid = self.mempool.submit(message.transaction)
         self._routes[txid] = client_id
+        if self.replica.deferred_round is not None and not self._wake_pending:
+            # Next loop turn, so the rest of this read batch lands first
+            # and rides in the same block.
+            self._wake_pending = True
+            self.loop.call_soon(self._wake)
 
-    def _carried_txids(self, parent_id) -> set:
-        """Txids a block extending ``parent_id`` would repeat: those in
-        its ancestors above the last commit applied to the mempool.
+    def _wake(self) -> None:
+        self._wake_pending = False
+        self.replica.propose_deferred()
 
-        Stopping at the first *committed* ancestor instead would miss
-        commits the next poll has yet to apply, whose transactions are
-        still pending here.
+    def _scan(self, parent_id) -> tuple[set, bool]:
+        """One walk down from ``parent_id``: the txids a block extending
+        it would repeat, and whether that block is needed to commit a
+        transaction already on the chain.
+
+        Carried are the transactions above the last commit applied to
+        the mempool.  Stopping at the first *committed* ancestor instead
+        would miss commits the next poll has yet to apply, whose
+        transactions are still pending here.
+
+        Needed means a transaction block above this replica's last
+        commit, or among the parent's ``CHAIN_LENGTH`` nearest blocks:
+        the new proposal carries the QC that commits that one at every
+        other replica.
         """
         carried: set = set()
         store = self.replica.store
         if parent_id not in store:
-            return carried
-        # Nothing at or below the last applied commit is still pending.
-        applied = self._commit_cursor
+            return carried, False
         commit_order = self.replica.commit_tracker.commit_order
-        floor = commit_order[applied - 1].height if applied else 0
-        for block in store.iter_ancestors(parent_id):
-            if block.height <= floor:
+        applied = self._commit_cursor
+        applied_floor = commit_order[applied - 1].height if applied else 0
+        commit_floor = commit_order[-1].height if commit_order else 0
+        needed = False
+        for depth, block in enumerate(store.iter_ancestors(parent_id)):
+            near = depth < CHAIN_LENGTH
+            if block.height <= applied_floor and not near:
                 break
-            carried.update(
-                transaction.txid() for transaction in block.payload.transactions
-            )
-        return carried
+            transactions = block.payload.transactions
+            if not transactions:
+                continue
+            needed = needed or near or block.height > commit_floor
+            # Nothing at or below the last applied commit is still pending.
+            if block.height > applied_floor:
+                carried.update(transaction.txid() for transaction in transactions)
+        return carried, needed
 
     def _payload_source(self, now: float, parent_id):
+        """Uncarried transactions; else the synthetic batch if the chain
+        still needs this block to commit one; else ``None`` (defer)."""
+        carried, needed = self._scan(parent_id)
         if self.mempool.pending_count():
-            payload = self.mempool.make_payload(
-                now, self._carried_txids(parent_id)
-            )
+            payload = self.mempool.make_payload(now, carried)
             if payload.transactions:
                 return payload
-        return self._default_payload(now, parent_id)
+        return self._default_payload(now, parent_id) if needed else None
 
     # ------------------------------------------------------------------
     # commit feedback
@@ -189,6 +222,7 @@ class ReplicaHost:
                 self.replies_sent += 1
         self._commit_cursor = cursor
         if not self._stopping:
+            self.replica.propose_deferred(force=True)
             self.loop.call_later(_FEEDBACK_INTERVAL, self._poll_commits)
 
     # ------------------------------------------------------------------

@@ -107,19 +107,12 @@ class TcpTransport:
             return
         if dst == self.replica_id:
             self.loop.call_soon(self._dispatch_peer, src, message)
-            return
-        queue = self._queues.get(dst)
-        if queue is None:
-            if dst not in self.peers:
-                return  # unknown destination: drop, like the simulator
-            queue = asyncio.Queue()
-            self._queues[dst] = queue
-            self._sender_tasks[dst] = self.loop.create_task(
-                self._sender(dst, queue)
-            )
-        queue.put_nowait(encode_frame(message))
+        elif dst in self.peers:  # else drop, like the simulator
+            self._enqueue(dst, encode_frame(message))
 
     def multicast(self, src: int, message, include_self: bool = False) -> None:
+        if self._detached:
+            return
         body = None
         for dst in self.peers:
             if dst == self.replica_id:
@@ -128,14 +121,18 @@ class TcpTransport:
                 continue
             if body is None:
                 body = encode_frame(message)
-            queue = self._queues.get(dst)
-            if queue is None:
-                queue = asyncio.Queue()
-                self._queues[dst] = queue
-                self._sender_tasks[dst] = self.loop.create_task(
-                    self._sender(dst, queue)
-                )
-            queue.put_nowait(body)
+            self._enqueue(dst, body)
+
+    def _enqueue(self, dst: int, body: bytes) -> None:
+        """Queue one frame for ``dst``'s sender task (started on first use)."""
+        queue = self._queues.get(dst)
+        if queue is None:
+            queue = asyncio.Queue()
+            self._queues[dst] = queue
+            self._sender_tasks[dst] = self.loop.create_task(
+                self._sender(dst, queue)
+            )
+        queue.put_nowait(body)
 
     def unregister(self, replica_id: int) -> None:
         """Crash fault: stop receiving (senders drain and die with us)."""

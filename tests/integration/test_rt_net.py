@@ -116,34 +116,92 @@ class TestTcpTransport:
         received, message = asyncio.run(scenario())
         assert received == [(0, message)]
 
+    def test_detached_transport_sends_nothing(self):
+        """After ``unregister(self)`` neither send nor multicast leaves."""
+
+        async def scenario():
+            host = "127.0.0.1"
+            ports = _free_ports(2, host)
+            peers = {rid: (host, port) for rid, port in enumerate(ports)}
+            received = []
+            transports = [
+                TcpTransport(
+                    rid, peers,
+                    on_message=lambda src, msg: received.append((src, msg)),
+                )
+                for rid in (0, 1)
+            ]
+            for transport in transports:
+                await transport.start()
+            try:
+                before = ClientReplyMsg(sender=0, height=1, round=1)
+                transports[0].multicast(0, before)
+                deadline = asyncio.get_event_loop().time() + 5.0
+                while not received and asyncio.get_event_loop().time() < deadline:
+                    await asyncio.sleep(0.01)
+                transports[0].unregister(0)
+                after = ClientReplyMsg(sender=0, height=2, round=2)
+                transports[0].multicast(0, after, include_self=True)
+                transports[0].send(0, 1, after)
+                await asyncio.sleep(0.2)
+            finally:
+                for transport in transports:
+                    await transport.stop()
+            return received, before
+
+        received, before = asyncio.run(scenario())
+        assert received == [(0, before)]
+
 
 class TestRuntimeManager:
     def test_rejects_faulty_specs(self):
-        faulty = load_scenario(SCENARIO).with_overrides(**{"faults.crash": 1})
-        assert unsupported_features(faulty)
-        with pytest.raises(ValueError):
-            RuntimeManager(faulty)
+        # Checkpoints too: the commit poll would never reply for a block
+        # truncation pruned before the poll reached it.
+        spec = load_scenario(SCENARIO)
+        for overrides in ({"faults.crash": 1}, {"checkpoint_interval": 8}):
+            faulty = spec.with_overrides(**overrides)
+            assert unsupported_features(faulty)
+            with pytest.raises(ValueError):
+                RuntimeManager(faulty)
 
 
 class TestProposeOnce:
-    """The host's payload source against a hand-built block tree
-    (no sockets: the transport is constructed but never started)."""
+    """The host's payload source and proposal rule against a hand-built
+    block tree (no sockets: the transport is constructed but never
+    started).  The host is replica 1, which leads round 1."""
 
-    @pytest.fixture
-    def host(self, tmp_path):
-        spec = load_scenario(SCENARIO)
-        host = ReplicaHost(
+    @staticmethod
+    def _make_host(tmp_path, **overrides):
+        spec = load_scenario(SCENARIO).with_overrides(**overrides)
+        return ReplicaHost(
             {
                 "spec": spec_to_mapping(spec),
                 "epoch": 0.0,
                 "ports": {rid: 1 + rid for rid in range(spec.n)},
                 "result_path": str(tmp_path / "result.json"),
             },
-            replica_id=0,
+            replica_id=1,
         )
+
+    @pytest.fixture
+    def host(self, tmp_path):
+        host = self._make_host(tmp_path)
         yield host
         host.loop.close()
         asyncio.set_event_loop(None)
+
+    @staticmethod
+    def _record_multicasts(host):
+        """Everything the host's replica multicasts from now on."""
+        messages = []
+        host.transport.multicast = (
+            lambda src, message, include_self=False: messages.append(message)
+        )
+        return messages
+
+    @pytest.fixture
+    def sent(self, host):
+        return self._record_multicasts(host)
 
     @staticmethod
     def _extend(host, parent, round_number, *transactions):
@@ -157,10 +215,33 @@ class TestProposeOnce:
         return block
 
     @staticmethod
+    def _commit(host, *blocks):
+        host.replica.commit_tracker.commit_order.extend(
+            CommitEvent(
+                block_id=block.id(), round=block.round, height=block.height,
+                committed_at=0.0, created_at=0.0,
+            )
+            for block in blocks
+        )
+
+    @staticmethod
     def _request(host, transaction):
         host._on_client_message(
             9, ClientRequestMsg(sender=9, transaction=transaction)
         )
+
+    @staticmethod
+    def _enter_round_one(host):
+        """Genesis' QC starts round 1, which the host leads."""
+        host.replica.pacemaker.advance_on_qc(0)
+
+    @staticmethod
+    def _counter(host, name):
+        return host.replica.metrics.get(name).value
+
+    @staticmethod
+    def _synthetic(payload):
+        return payload.transactions == () and payload.batch is not None
 
     def test_skips_exactly_the_unapplied_ancestors(self, host):
         late, unapplied, parent_tx, sibling_tx, fresh = (
@@ -173,12 +254,7 @@ class TestProposeOnce:
         committed = self._extend(host, applied, 2, unapplied)
         parent = self._extend(host, committed, 3, parent_tx)
         self._extend(host, committed, 4, sibling_tx)
-        commit_order = host.replica.commit_tracker.commit_order
-        for block in (applied, committed):
-            commit_order.append(CommitEvent(
-                block_id=block.id(), round=block.round, height=block.height,
-                committed_at=0.0, created_at=0.0,
-            ))
+        self._commit(host, applied, committed)
         # The poll has applied the first commit only; `late`'s request
         # frame arrives after that, the rest were pending all along.
         host._commit_cursor = 1
@@ -199,11 +275,75 @@ class TestProposeOnce:
         assert host._payload_source(0.0, parent.id()).transactions == (
             late, sibling_tx, fresh,
         )
-        assert host._carried_txids(parent.id()) == {parent_tx.txid()}
+        carried, _needed = host._scan(parent.id())
+        assert carried == {parent_tx.txid()}
 
-    def test_idle_mempool_proposes_the_synthetic_batch(self, host):
-        payload = host._payload_source(0.0, host.replica.genesis.id())
-        assert payload.transactions == () and payload.batch is not None
+    def test_idle_host_defers_and_multicasts_nothing(self, host, sent):
+        assert host._payload_source(0.0, host.replica.genesis.id()) is None
+        self._enter_round_one(host)
+        assert sent == []
+        assert host.replica.deferred_round == 1
+        assert self._counter(host, "proposals_deferred") == 1
+        assert self._counter(host, "blocks_proposed") == 0
+
+    def test_request_wakes_one_proposal_with_the_whole_batch(self, host, sent):
+        self._enter_round_one(host)
+        batch = tuple(
+            Transaction(client_id=1, sequence=sequence) for sequence in range(3)
+        )
+        for transaction in batch:
+            self._request(host, transaction)
+        assert sent == []  # not inside the read that delivered them
+        host.loop.run_until_complete(asyncio.sleep(0))
+        assert len(sent) == 1
+        assert sent[0].round == 1
+        assert sent[0].block.payload.transactions == batch
+        assert host.replica.deferred_round is None
+
+    def test_transaction_three_deep_proposes_four_deep_defers(self, host):
+        genesis = host.replica.genesis
+        transaction = Transaction(client_id=1, sequence=0)
+        head = self._extend(host, genesis, 1, transaction)
+        middle = self._extend(host, head, 2)
+        tip = self._extend(host, middle, 3)
+        beyond = self._extend(host, tip, 4)
+        # The QC for `tip` completed head's 3-chain here; the proposal
+        # extending `tip` carries it to everyone else.
+        self._commit(host, head)
+        assert self._synthetic(host._payload_source(0.0, tip.id()))
+        assert host._payload_source(0.0, beyond.id()) is None
+
+    def test_uncommitted_transaction_behind_a_tc_gap_proposes(self, host):
+        transaction = Transaction(client_id=1, sequence=0)
+        block = self._extend(host, host.replica.genesis, 1, transaction)
+        for round_number in (3, 5, 6):  # no three consecutive rounds
+            block = self._extend(host, block, round_number)
+        assert self._synthetic(host._payload_source(0.0, block.id()))
+
+    def test_poll_tick_forces_the_synthetic_batch(self, host, sent):
+        self._enter_round_one(host)
+        host._poll_commits()
+        assert len(sent) == 1 and self._synthetic(sent[0].block.payload)
+        assert host.replica.deferred_round is None
+        assert self._counter(host, "blocks_proposed") == 1
+
+    def test_stale_deferral_is_dropped(self, host, sent):
+        self._enter_round_one(host)
+        host.replica.pacemaker.advance_on_qc(1)  # round 2: replica 2 leads
+        host.replica.propose_deferred(force=True)
+        assert sent == []
+        assert host.replica.deferred_round is None
+
+    def test_streamlet_never_defers(self, tmp_path):
+        host = self._make_host(tmp_path, protocol="sft-streamlet")
+        sent = self._record_multicasts(host)
+        try:
+            host.replica._enter_round(1)
+        finally:
+            host.loop.close()
+            asyncio.set_event_loop(None)
+        assert len(sent) == 1 and self._synthetic(sent[0].block.payload)
+        assert self._counter(host, "proposals_deferred") == 0
 
     def test_unknown_parent_excludes_nothing(self, host):
         transaction = Transaction(client_id=1, sequence=0)
@@ -239,6 +379,11 @@ class TestDifferential:
     def test_every_tcp_replica_committed(self, result):
         assert result.report.min_commits() >= 1
         assert result.report.chains_agree()
+
+    def test_idle_leaders_defer(self, result):
+        summary = result.report.summary()
+        assert summary["proposals_deferred"] > 0
+        assert summary["blocks_proposed"] > 0
 
 
 class TestClientFleet:
