@@ -165,7 +165,7 @@ def make_marker_liar(replica_class):
                 marker=0,
                 intervals=(),
             )
-            return self._sign_vote(lied)
+            return self._signed(lied)
 
     MarkerLiar.__name__ = f"MarkerLiar{replica_class.__name__}"
     return MarkerLiar

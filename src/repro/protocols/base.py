@@ -36,6 +36,17 @@ Everything else a family overrides is a hook with a default here
 ``restore_from_wal``, ``_on_truncated``), resolved by the MRO — the
 shared path never asks which family it is serving.
 
+**Authentication is one gate.** Every signed message a replica counts —
+proposals, votes (alone, in QCs, on timeouts, in FBFT extra-vote
+bundles), timeouts, and block-sync / checkpoint / snapshot traffic —
+passes :meth:`BaseReplica._authentic`: the transport ``src`` (when
+bound) is the claimed author, the author is a replica id, and the
+signature is that author's.  Callers count failures on their own
+counters.  ``src`` is bound for point-to-point traffic and left unbound
+for votes carried inside another message; the one family attribute,
+``relays_consensus`` (Streamlet's echo), unbinds it for proposals and
+votes as well.
+
 :class:`SFTMixin` is the paper's contribution as the same kind of
 layer: strong-votes, endorsement tracking and the strengthened commit
 rule over *any* such family (Figures 4 and 11), parametrised only by
@@ -306,6 +317,12 @@ class BaseReplica:
     #: never be skipped.
     defers_proposals = False
 
+    #: Whether proposals and votes may reach this replica through a
+    #: relay (Streamlet's echo), so their transport ``src`` is not
+    #: their author.  Off, :meth:`_authentic` binds ``src`` to the
+    #: claimed sender / voter as well.
+    relays_consensus = False
+
     #: The family's commit rule, by its
     #: :class:`~repro.core.commit_rules.CommitTracker` name.
     commit_rule: str
@@ -396,12 +413,7 @@ class BaseReplica:
             height=block.height,
             voter=self.replica_id,
         )
-        return self._sign_vote(vote)
-
-    def _sign_vote(self, vote):
-        signature = self.context.signing_key.sign(vote.signing_payload())
-        # Frozen dataclasses: rebuild with the signature attached.
-        return replace(vote, signature=signature)
+        return self._signed(vote)
 
     def _after_vote(self, block: Block) -> None:
         """Hook: called after this replica votes for ``block``."""
@@ -503,6 +515,33 @@ class BaseReplica:
         """Hook for family-specific message types."""
         del src, message
 
+    def _authentic(self, msg, claimed: int, src: int | None = None) -> bool:
+        """The one authentication gate: ``msg`` speaks for ``claimed``.
+
+        ``src`` (when given, the transport source) must be ``claimed``;
+        ``claimed`` must be a replica id; and with signature checking on,
+        ``msg`` must carry a valid signature made by ``claimed``'s key.
+        Callers count failures on their own counters.
+        """
+        if src is not None and src != claimed:
+            return False
+        if not 0 <= claimed < self.config.n:
+            return False
+        if not self.config.verify_signatures:
+            return True
+        signature = msg.signature
+        return (
+            signature is not None
+            and signature.signer == claimed
+            and self.context.registry.verify(msg.signing_payload(), signature)
+        )
+
+    def _signed(self, msg):
+        """``msg`` (a frozen dataclass) rebuilt with this replica's
+        signature over its signing payload attached."""
+        signature = self.context.signing_key.sign(msg.signing_payload())
+        return replace(msg, signature=signature)
+
     # ------------------------------------------------------------------
     # proposing
     # ------------------------------------------------------------------
@@ -594,11 +633,11 @@ class BaseReplica:
             created_at=now,
             commit_log=commit_log,
         )
-        proposal = ProposalMsg(
-            sender=self.replica_id, round=round_number, block=block, tc=tc
+        return self._signed(
+            ProposalMsg(
+                sender=self.replica_id, round=round_number, block=block, tc=tc
+            )
         )
-        signature = self.context.signing_key.sign(proposal.signing_payload())
-        return replace(proposal, signature=signature)
 
     # ------------------------------------------------------------------
     # proposals in: validation, orphan buffering, insertion
@@ -611,7 +650,6 @@ class BaseReplica:
         self._accept_proposal(msg)
 
     def _validate_proposal(self, src: int, msg: ProposalMsg) -> bool:
-        del src  # relays (Streamlet's echo) legitimately differ from sender
         block = msg.block
         if block.is_genesis() or block.qc is None:
             return False
@@ -621,18 +659,13 @@ class BaseReplica:
             return False
         if block.qc.block_id != block.parent_id:
             return False
-        if self.config.verify_signatures:
-            if (
-                msg.signature is None
-                or msg.signature.signer != msg.sender
-                or not self.context.registry.verify(
-                    msg.signing_payload(), msg.signature
-                )
-            ):
-                return False
-            if not block.qc.validate(self.context.registry, self.config.quorum()):
-                return False
-        return True
+        if self.relays_consensus:
+            src = None
+        if not self._authentic(msg, msg.sender, src):
+            return False
+        return not self.config.verify_signatures or block.qc.validate(
+            self.context.registry, self.config.quorum()
+        )
 
     def _accept_proposal(self, msg: ProposalMsg) -> None:
         """Store a validated proposal's block (hook: families prepend
@@ -714,31 +747,23 @@ class BaseReplica:
         return self.config.leader_of(round_number + 1) == self.replica_id
 
     def _on_vote(self, src: int, msg: VoteMsg) -> None:
-        del src  # relays legitimately differ; the signature authenticates
         vote = msg.vote
-        if not self._valid_vote(vote):
+        if not self._valid_vote(vote, None if self.relays_consensus else src):
             return
         if self._collects_votes(vote.block_round):
             self._aggregate_vote(vote)
 
-    def _valid_vote(self, vote) -> bool:
+    def _valid_vote(self, vote, src: int | None = None) -> bool:
         """Checks shared by every vote entry point; counts failures.
 
-        Beyond voter range and a signature by that voter: a vote's
-        ``block_round`` and ``height`` are claims its signer makes about
-        ``block_id``, and one Byzantine signer can make false ones —
-        when the block is known they must match it.
+        Beyond :meth:`_authentic` for the voter (``src`` is bound only
+        for a vote that arrived as itself, never for one carried inside
+        another message): a vote's ``block_round`` and ``height`` are
+        claims its signer makes about ``block_id``, and one Byzantine
+        signer can make false ones — when the block is known they must
+        match it.
         """
-        valid = 0 <= vote.voter < self.config.n
-        if valid and self.config.verify_signatures:
-            signature = vote.signature
-            valid = (
-                signature is not None
-                and signature.signer == vote.voter
-                and self.context.registry.verify(
-                    vote.signing_payload(), signature
-                )
-            )
+        valid = self._authentic(vote, vote.voter, src)
         if valid:
             block = self.store.maybe_get(vote.block_id)
             valid = block is None or (
@@ -1001,7 +1026,7 @@ class SFTMixin:
             marker=self.voting_history.marker_for(block),
             intervals=intervals,
         )
-        return self._sign_vote(vote)
+        return self._signed(vote)
 
     def _after_vote(self, block: Block) -> None:
         self.voting_history.record_vote(block)

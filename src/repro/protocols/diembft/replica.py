@@ -27,8 +27,6 @@ overrides late vote handling.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.protocols.base import BaseReplica, ReplicaConfig, ReplicaContext
 from repro.protocols.pacemaker import Pacemaker, PacemakerConfig
 from repro.types.block import Block
@@ -132,14 +130,14 @@ class DiemBFTReplica(BaseReplica):
             # crashed) round-(r+1) leader rides on the timeout, letting
             # every peer aggregate the round-r QC locally.
             vote = self._last_vote
-        timeout = TimeoutMsg(
-            sender=self.replica_id,
-            round=round_number,
-            qc_high=self.qc_high,
-            vote=vote,
+        timeout = self._signed(
+            TimeoutMsg(
+                sender=self.replica_id,
+                round=round_number,
+                qc_high=self.qc_high,
+                vote=vote,
+            )
         )
-        signature = self.context.signing_key.sign(timeout.signing_payload())
-        timeout = replace(timeout, signature=signature)
         self._c_timeouts_sent.inc()
         if self.wal is not None:
             self.wal.record_timeout(round_number)
@@ -148,11 +146,8 @@ class DiemBFTReplica(BaseReplica):
         self.context.multicast(timeout, include_self=True)
 
     # ------------------------------------------------------------------
-    # proposals: point-to-point, so the transport source must be the sender
+    # proposals: admission (stale rounds, carried TCs)
     # ------------------------------------------------------------------
-
-    def _validate_proposal(self, src: int, msg: ProposalMsg) -> bool:
-        return src == msg.sender and super()._validate_proposal(src, msg)
 
     def _accept_proposal(self, msg: ProposalMsg) -> None:
         if (
@@ -198,12 +193,6 @@ class DiemBFTReplica(BaseReplica):
     def _send_vote(self, msg: VoteMsg) -> None:
         self.context.send(self.config.leader_of(msg.vote.block_round + 1), msg)
 
-    def _on_vote(self, src: int, msg: VoteMsg) -> None:
-        if src != msg.vote.voter:
-            self._c_invalid_messages.inc()
-            return
-        super()._on_vote(src, msg)
-
     # ------------------------------------------------------------------
     # QC processing (locking rule + synchronization rule)
     # ------------------------------------------------------------------
@@ -232,19 +221,16 @@ class DiemBFTReplica(BaseReplica):
             self._on_timeout_msg(src, message)
 
     def _on_timeout_msg(self, src: int, msg: TimeoutMsg) -> None:
-        if src != msg.sender:
+        # qc_high is certified and may advance the round below, so it
+        # is checked like any other QC before it is used.
+        if not self._authentic(msg, msg.sender, src) or (
+            self.config.verify_signatures
+            and not msg.qc_high.validate(
+                self.context.registry, self.config.quorum()
+            )
+        ):
             self._c_invalid_messages.inc()
             return
-        if self.config.verify_signatures:
-            if (
-                msg.signature is None
-                or msg.signature.signer != msg.sender
-                or not self.context.registry.verify(
-                    msg.signing_payload(), msg.signature
-                )
-            ):
-                self._c_invalid_messages.inc()
-                return
         if (
             self.config.drop_stale_messages
             and msg.round < self.pacemaker.current_round

@@ -41,6 +41,9 @@ class StreamletReplica(BaseReplica):
     """One Streamlet replica: clock rounds, longest-chain voting rule."""
 
     commit_rule = "streamlet"
+    #: The echo layer delivers proposals and votes under the relayer's
+    #: ``src``; their signatures authenticate them.
+    relays_consensus = True
 
     def __init__(self, config: StreamletConfig, context: ReplicaContext) -> None:
         super().__init__(config, context)

@@ -30,16 +30,20 @@ replicas that replayed the full log.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from repro.app.kvstore import LedgerExecutor
 from repro.core.commit_rules import CommitEvent
 from repro.crypto.hashing import hash_fields
+from repro.sync.fetch import PeerFetcher
 from repro.types.messages import (
     CheckpointMsg,
     SnapshotRequestMsg,
     SnapshotResponseMsg,
 )
+
+#: The snapshot fetch's key: there is at most one in flight.
+_SNAPSHOT = None
 
 
 def state_digest(height, block_id, state_items, applied_txids):
@@ -76,17 +80,6 @@ class _StableCheckpoint:
     signers: tuple  # ((replica_id, Signature), ...), sorted by id
 
 
-@dataclass(slots=True)
-class _SnapshotFetch:
-    """The one in-flight snapshot transfer (peer rotation + retry)."""
-
-    min_height: int
-    nonce: int
-    peer: int
-    attempts: int = 1
-    timer: object = field(default=None, repr=False)
-
-
 class CheckpointManager:
     """Signs, collects, and applies checkpoints for one replica.
 
@@ -113,9 +106,6 @@ class CheckpointManager:
         self._snapshots: dict[int, _Snapshot] = {}
         self.stable: _StableCheckpoint | None = None
         self._stable_truncated = False
-        self._fetch: _SnapshotFetch | None = None
-        self._next_nonce = 0
-        self._max_attempts = 3 * max(1, self.config.n - 1)
         # Statistics (deterministic; surfaced in campaign metrics):
         # counters in the owning replica's registry.
         metrics = replica.metrics
@@ -130,6 +120,11 @@ class CheckpointManager:
             "checkpoint.invalid_snapshots"
         )
         self._c_peer_rotations = metrics.counter("checkpoint.peer_rotations")
+        # Snapshots are bulky; give peers a few sync-retry budgets.
+        self._fetcher = PeerFetcher(
+            replica, self._send_request, 4.0 * self.config.sync_retry,
+            self._checkpoint_block_stored, self._c_peer_rotations,
+        )
 
     # ------------------------------------------------------------------
     # driving: execute committed blocks, sign interval boundaries
@@ -168,14 +163,14 @@ class CheckpointManager:
         )
         self._snapshots[event.height] = snapshot
         self._signed_height = event.height
-        message = CheckpointMsg(
-            sender=self.replica.replica_id,
-            height=snapshot.height,
-            block_id=snapshot.block_id,
-            digest=snapshot.digest,
+        message = self.replica._signed(
+            CheckpointMsg(
+                sender=self.replica.replica_id,
+                height=snapshot.height,
+                block_id=snapshot.block_id,
+                digest=snapshot.digest,
+            )
         )
-        signature = self.context.signing_key.sign(message.signing_payload())
-        message = replace(message, signature=signature)
         self._c_checkpoints_signed.inc()
         tracer = self.replica.tracer
         if tracer is not None:
@@ -193,23 +188,14 @@ class CheckpointManager:
     # ------------------------------------------------------------------
 
     def on_checkpoint(self, src: int, msg: CheckpointMsg) -> None:
-        if src != msg.sender or not 0 <= msg.sender < self.config.n:
-            return
         if msg.block_id is None or msg.digest is None:
             return
         if msg.height <= 0 or msg.height % self.interval != 0:
             return
         if self.stable is not None and msg.height <= self.stable.height:
             return
-        if self.config.verify_signatures:
-            if (
-                msg.signature is None
-                or msg.signature.signer != msg.sender
-                or not self.context.registry.verify(
-                    msg.signing_payload(), msg.signature
-                )
-            ):
-                return
+        if not self.replica._authentic(msg, msg.sender, src):
+            return
         key = (msg.height, msg.block_id, msg.digest)
         signers = self._pending.setdefault(key, {})
         if msg.sender in signers:
@@ -309,85 +295,45 @@ class CheckpointManager:
         Within one interval of the stable height the ordinary block-sync
         path closes the gap faster than a full state transfer would.
         """
-        if self.stable is None or self._fetch is not None:
+        if self.stable is None or self._fetcher.inflight:
             return
-        if self.replica.store.maybe_get(self.stable.block_id) is not None:
+        if self._checkpoint_block_stored():
             return
         if self.stable.height - self._local_height() <= self.interval:
             return
-        if self.config.n < 2:
-            return
-        self._next_nonce += 1
-        self._fetch = _SnapshotFetch(
-            min_height=self.stable.height,
-            nonce=self._next_nonce,
-            peer=(self.replica.replica_id + 1) % self.config.n,
-        )
-        self._send_request(self._fetch)
+        self._fetcher.start(_SNAPSHOT, goal=self.stable.height)
 
-    def _send_request(self, fetch: _SnapshotFetch) -> None:
-        request = SnapshotRequestMsg(
-            sender=self.replica.replica_id,
-            min_height=fetch.min_height,
-            nonce=fetch.nonce,
+    def _checkpoint_block_stored(self, fetch=None) -> bool:
+        """Resolved out of band: block-sync delivered the block."""
+        del fetch
+        return self.replica.store.maybe_get(self.stable.block_id) is not None
+
+    def _send_request(self, fetch) -> None:
+        request = self.replica._signed(
+            SnapshotRequestMsg(
+                sender=self.replica.replica_id,
+                min_height=fetch.goal,
+                nonce=fetch.nonce,
+            )
         )
-        signature = self.context.signing_key.sign(request.signing_payload())
-        request = replace(request, signature=signature)
         tracer = self.replica.tracer
         if tracer is not None:
             tracer.emit(
                 self.context.now,
                 "snapshot_request",
-                height=fetch.min_height,
+                height=fetch.goal,
                 detail=f"peer={fetch.peer}",
                 count=fetch.attempts,
             )
         self.context.send(fetch.peer, request)
-        # Snapshots are bulky; give peers a few sync-retry budgets.
-        fetch.timer = self.context.set_timer(
-            4.0 * self.config.sync_retry, self._retry, fetch.nonce
-        )
-
-    def _retry(self, nonce: int) -> None:
-        if self.replica.crashed:
-            return
-        fetch = self._fetch
-        if fetch is None or fetch.nonce != nonce:
-            return
-        if self.replica.store.maybe_get(self.stable.block_id) is not None:
-            self._fetch = None  # resolved out of band (block-sync won)
-            return
-        self._rotate(fetch)
-
-    def _rotate(self, fetch: _SnapshotFetch) -> None:
-        if fetch.attempts >= self._max_attempts:
-            self._fetch = None
-            return
-        fetch.peer = (fetch.peer + 1) % self.config.n
-        if fetch.peer == self.replica.replica_id:
-            fetch.peer = (fetch.peer + 1) % self.config.n
-        fetch.attempts += 1
-        self._c_peer_rotations.inc()
-        self._next_nonce += 1
-        fetch.nonce = self._next_nonce
-        self._send_request(fetch)
 
     # ------------------------------------------------------------------
     # snapshot transfer: serving
     # ------------------------------------------------------------------
 
     def serve_snapshot(self, src: int, msg: SnapshotRequestMsg) -> None:
-        if src != msg.sender or not 0 <= msg.sender < self.config.n:
+        if not self.replica._authentic(msg, msg.sender, src):
             return
-        if self.config.verify_signatures:
-            if (
-                msg.signature is None
-                or msg.signature.signer != msg.sender
-                or not self.context.registry.verify(
-                    msg.signing_payload(), msg.signature
-                )
-            ):
-                return
         stable = self.stable
         snapshot = (
             self._snapshots.get(stable.height) if stable is not None else None
@@ -435,45 +381,38 @@ class CheckpointManager:
                     block=stable.block_id.short(),
                     detail=f"peer={src}",
                 )
-        signature = self.context.signing_key.sign(response.signing_payload())
-        self.context.send(src, replace(response, signature=signature))
+        self.context.send(src, self.replica._signed(response))
 
     # ------------------------------------------------------------------
     # snapshot transfer: installing
     # ------------------------------------------------------------------
 
     def on_snapshot_response(self, src: int, msg: SnapshotResponseMsg) -> None:
-        fetch = self._fetch
-        if fetch is None or src != msg.sender:
-            return
-        if fetch.nonce != msg.nonce or fetch.peer != src:
+        fetch = self._fetcher.match(src, msg)
+        if fetch is None:
             return
         if not msg.cert_signers:
             # Honest miss from this peer; try the next one.
-            self._cancel_timer(fetch)
-            self._rotate(fetch)
+            self._fetcher.rotate(fetch)
             return
         if msg.cert_height <= self._local_height():
             # Ordinary block-sync raced the transfer and this replica is
             # already at (or past) the offered checkpoint — the fetch is
             # satisfied, not the response invalid.
-            self._cancel_timer(fetch)
-            self._fetch = None
+            self._fetcher.done(fetch)
             return
         if not self._validate_snapshot(msg, fetch):
             self._c_invalid_snapshots.inc()
-            self._cancel_timer(fetch)
-            self._rotate(fetch)
+            self._fetcher.rotate(fetch)
             return
-        self._cancel_timer(fetch)
-        self._fetch = None
+        self._fetcher.done(fetch)
         self._install_snapshot(msg)
 
     def _validate_snapshot(self, msg: SnapshotResponseMsg, fetch) -> bool:
         """Whole-response validation before any mutation."""
         if msg.block is None or msg.cert_block_id is None:
             return False
-        if msg.cert_height < fetch.min_height:
+        if msg.cert_height < fetch.goal:
             return False
         if msg.block.id() != msg.cert_block_id:
             return False
@@ -489,14 +428,10 @@ class CheckpointManager:
         )
         if digest != msg.cert_digest:
             return False
+        # fetch.peer is the transport source: match() paired them.
+        if not self.replica._authentic(msg, msg.sender, fetch.peer):
+            return False
         if self.config.verify_signatures:
-            registry = self.context.registry
-            if (
-                msg.signature is None
-                or msg.signature.signer != msg.sender
-                or not registry.verify(msg.signing_payload(), msg.signature)
-            ):
-                return False
             # The checkpoint payload is deliberately sender-free, so
             # every signer in the certificate signed identical bytes.
             probe = CheckpointMsg(
@@ -510,7 +445,7 @@ class CheckpointManager:
                 if signature is None or signature.signer != replica_id:
                     return False
                 signatures.append(signature)
-            if not registry.verify_quorum(
+            if not self.context.registry.verify_quorum(
                 probe.signing_payload(), signatures, self.config.quorum()
             ):
                 return False
@@ -596,11 +531,6 @@ class CheckpointManager:
                 msg.block.round + self.config.sync_round_lag + 1,
                 msg.block.round,
             )
-
-    def _cancel_timer(self, fetch: _SnapshotFetch) -> None:
-        if fetch.timer is not None:
-            self.context.cancel_timer(fetch.timer)
-            fetch.timer = None
 
     # ------------------------------------------------------------------
     # introspection

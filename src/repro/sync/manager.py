@@ -34,24 +34,11 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-
+from repro.sync.fetch import PeerFetcher
 from repro.types.messages import SyncRequestMsg, SyncResponseMsg
 
 #: Sentinel key for the tip (round-lag) fetch in the in-flight table.
 _TIP = None
-
-
-@dataclass(slots=True)
-class _Fetch:
-    """One in-flight fetch: a target block (or the tip) being chased."""
-
-    target: object  # BlockId or _TIP
-    nonce: int
-    peer: int
-    attempts: int = 1
-    goal_round: int = 0  # tip fetches: resolved once certified past this
-    timer: object = field(default=None, repr=False)
 
 
 class SyncManager:
@@ -67,11 +54,6 @@ class SyncManager:
         self.replica = replica
         self.config = replica.config
         self.context = replica.context
-        self._fetches: dict = {}
-        self._next_nonce = 0
-        # Give up on a target after every peer has been tried a few
-        # times; a fresh staleness signal restarts the fetch.
-        self._max_attempts = 3 * max(1, self.config.n - 1)
         # Statistics (deterministic; surfaced in campaign metrics):
         # counters in the owning replica's registry.
         metrics = replica.metrics
@@ -81,6 +63,12 @@ class SyncManager:
         self._c_invalid_responses = metrics.counter("sync.invalid_responses")
         self._c_blocks_synced = metrics.counter("sync.blocks_synced")
         self._c_peer_rotations = metrics.counter("sync.peer_rotations")
+        # A target the budget gave up on is restarted by the next
+        # staleness signal.
+        self._fetcher = PeerFetcher(
+            replica, self._send_request, self.config.sync_retry,
+            self._resolved, self._c_peer_rotations,
+        )
 
     # ------------------------------------------------------------------
     # staleness detection (called by the owning replica)
@@ -88,55 +76,34 @@ class SyncManager:
 
     def note_missing(self, block_id) -> None:
         """A proposal or QC referenced ``block_id`` and we don't have it."""
-        if block_id in self.replica.store or block_id in self._fetches:
+        if block_id in self.replica.store or block_id in self._fetcher.inflight:
             return
-        self._start_fetch(block_id)
+        self._fetcher.start(block_id)
 
     def note_round_lag(self, round_number: int, certified_round: int) -> None:
         """The round advanced past the local certified tip by too much."""
         if round_number - certified_round <= self.config.sync_round_lag:
             return
-        if _TIP in self._fetches:
+        if _TIP in self._fetcher.inflight:
             return
-        self._start_fetch(
-            _TIP, goal_round=round_number - self.config.sync_round_lag
+        self._fetcher.start(
+            _TIP, goal=round_number - self.config.sync_round_lag
         )
 
     # ------------------------------------------------------------------
-    # fetching with retry + peer rotation
+    # fetching: the request and its resolution (PeerFetcher retries
+    # and rotates)
     # ------------------------------------------------------------------
 
-    def _first_peer(self) -> int:
-        return (self.replica.replica_id + 1) % self.config.n
-
-    def _next_peer(self, peer: int) -> int:
-        peer = (peer + 1) % self.config.n
-        if peer == self.replica.replica_id:
-            peer = (peer + 1) % self.config.n
-        return peer
-
-    def _start_fetch(self, target, goal_round: int = 0) -> None:
-        if self.config.n < 2:
-            return
-        self._next_nonce += 1
-        fetch = _Fetch(
-            target=target,
-            nonce=self._next_nonce,
-            peer=self._first_peer(),
-            goal_round=goal_round,
+    def _send_request(self, fetch) -> None:
+        request = self.replica._signed(
+            SyncRequestMsg(
+                sender=self.replica.replica_id,
+                target=fetch.target,
+                max_blocks=self.config.sync_max_blocks,
+                nonce=fetch.nonce,
+            )
         )
-        self._fetches[target] = fetch
-        self._send_request(fetch)
-
-    def _send_request(self, fetch: _Fetch) -> None:
-        request = SyncRequestMsg(
-            sender=self.replica.replica_id,
-            target=fetch.target,
-            max_blocks=self.config.sync_max_blocks,
-            nonce=fetch.nonce,
-        )
-        signature = self.context.signing_key.sign(request.signing_payload())
-        request = replace(request, signature=signature)
         self._c_requests_sent.inc()
         tracer = self.replica.tracer
         if tracer is not None:
@@ -147,37 +114,11 @@ class SyncManager:
                 count=fetch.attempts,
             )
         self.context.send(fetch.peer, request)
-        fetch.timer = self.context.set_timer(
-            self.config.sync_retry, self._retry, fetch.target, fetch.nonce
-        )
 
-    def _retry(self, target, nonce: int) -> None:
-        """Retry timer: the peer never answered (or answered uselessly)."""
-        if self.replica.crashed:
-            return
-        fetch = self._fetches.get(target)
-        if fetch is None or fetch.nonce != nonce:
-            return  # resolved or superseded in the meantime
-        if self._resolved(fetch):
-            del self._fetches[target]
-            return
-        self._rotate(fetch)
-
-    def _rotate(self, fetch: _Fetch) -> None:
-        if fetch.attempts >= self._max_attempts:
-            del self._fetches[fetch.target]
-            return
-        fetch.peer = self._next_peer(fetch.peer)
-        fetch.attempts += 1
-        self._c_peer_rotations.inc()
-        self._next_nonce += 1
-        fetch.nonce = self._next_nonce
-        self._send_request(fetch)
-
-    def _resolved(self, fetch: _Fetch) -> bool:
+    def _resolved(self, fetch) -> bool:
         if fetch.target is _TIP:
             certified = self.replica.store.highest_certified_block().round
-            return certified >= fetch.goal_round
+            return certified >= fetch.goal
         return fetch.target in self.replica.store
 
     # ------------------------------------------------------------------
@@ -186,17 +127,8 @@ class SyncManager:
 
     def serve(self, src: int, msg: SyncRequestMsg) -> None:
         """Answer a peer's request with a certified ancestor chain."""
-        if src != msg.sender or not 0 <= msg.sender < self.config.n:
+        if not self.replica._authentic(msg, msg.sender, src):
             return
-        if self.config.verify_signatures:
-            if (
-                msg.signature is None
-                or msg.signature.signer != msg.sender
-                or not self.context.registry.verify(
-                    msg.signing_payload(), msg.signature
-                )
-            ):
-                return
         store = self.replica.store
         if msg.target is None:
             start = store.highest_certified_block()
@@ -215,14 +147,14 @@ class SyncManager:
             blocks.append(cursor)
             cursor = store.maybe_get(cursor.parent_id)
         tip_qc = store.qc_for(blocks[0].id()) if blocks else None
-        response = SyncResponseMsg(
-            sender=self.replica.replica_id,
-            nonce=msg.nonce,
-            blocks=tuple(blocks),
-            tip_qc=tip_qc,
+        response = self.replica._signed(
+            SyncResponseMsg(
+                sender=self.replica.replica_id,
+                nonce=msg.nonce,
+                blocks=tuple(blocks),
+                tip_qc=tip_qc,
+            )
         )
-        signature = self.context.signing_key.sign(response.signing_payload())
-        response = replace(response, signature=signature)
         self._c_responses_served.inc()
         tracer = self.replica.tracer
         if tracer is not None:
@@ -244,18 +176,16 @@ class SyncManager:
         responses are dropped whole (no store mutation) and the fetch
         rotates to the next peer immediately.
         """
-        fetch = self._match(src, msg)
+        fetch = self._fetcher.match(src, msg)
         if fetch is None:
             return [], None
-        if not self._validate(msg):
+        if not self._validate(src, msg):
             self._c_invalid_responses.inc()
-            self._cancel_timer(fetch)
-            self._rotate(fetch)
+            self._fetcher.rotate(fetch)
             return [], None
         if not msg.blocks:
             # Honest miss: this peer doesn't have the target either.
-            self._cancel_timer(fetch)
-            self._rotate(fetch)
+            self._fetcher.rotate(fetch)
             return [], None
 
         store = self.replica.store
@@ -276,18 +206,17 @@ class SyncManager:
                 detail=f"peer={src}", count=len(inserted),
             )
 
-        self._cancel_timer(fetch)
         if fetch.target is _TIP and not self._resolved(fetch):
             # The tip fetch keeps rotating until the certified round
             # actually caught up.
-            self._rotate(fetch)
+            self._fetcher.rotate(fetch)
         else:
             # A valid chain response completes a block fetch: the
             # target is now stored or orphan-buffered, and any deeper
             # gap is chased below.  (A useless-but-valid chain from a
             # Byzantine peer just ends the fetch; the next staleness
             # signal restarts it.)
-            self._fetches.pop(fetch.target, None)
+            self._fetcher.done(fetch)
         # Iterated deepening: chase a still-unknown parent of the
         # oldest block we just learned about.
         oldest = msg.blocks[-1]
@@ -295,26 +224,12 @@ class SyncManager:
             self.note_missing(oldest.parent_id)
         return inserted, tip_qc
 
-    def _match(self, src: int, msg: SyncResponseMsg):
-        """Pair a response with its in-flight fetch (peer + nonce)."""
-        if src != msg.sender:
-            return None
-        for fetch in self._fetches.values():
-            if fetch.nonce == msg.nonce and fetch.peer == src:
-                return fetch
-        return None
-
-    def _validate(self, msg: SyncResponseMsg) -> bool:
+    def _validate(self, src: int, msg: SyncResponseMsg) -> bool:
         """Whole-response validation before any insertion."""
+        if not self.replica._authentic(msg, msg.sender, src):
+            return False
         registry = self.context.registry
         quorum = self.config.quorum()
-        if self.config.verify_signatures:
-            if (
-                msg.signature is None
-                or msg.signature.signer != msg.sender
-                or not registry.verify(msg.signing_payload(), msg.signature)
-            ):
-                return False
         blocks = msg.blocks
         for index, block in enumerate(blocks):
             if block.is_genesis() or block.qc is None:
@@ -340,17 +255,12 @@ class SyncManager:
                 return False
         return True
 
-    def _cancel_timer(self, fetch: _Fetch) -> None:
-        if fetch.timer is not None:
-            self.context.cancel_timer(fetch.timer)
-            fetch.timer = None
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
     def inflight(self) -> int:
-        return len(self._fetches)
+        return len(self._fetcher.inflight)
 
     def stats(self) -> dict:
         return {

@@ -11,6 +11,7 @@ simulator backend and break the TCP tier, so this test greps for new
 reaches and names the offending lines.
 """
 
+import ast
 import re
 from pathlib import Path
 
@@ -49,4 +50,66 @@ def test_no_backend_reaches_in_protocol_code():
         "use the ReplicaContext Transport/Clock surface "
         "(ctx.send/multicast/set_timer/cancel_timer/now) instead:\n"
         + "\n".join(violations)
+    )
+
+
+# ----------------------------------------------------------------------
+# One authentication gate
+# ----------------------------------------------------------------------
+
+#: A signature check or a signer comparison.  Outside the gate either
+#: one is a second, hand-spelled copy of the authentication rule.
+SIGNATURE_CHECK = re.compile(
+    r"registry\.verify\(|\.signer\s*[!=]=|[!=]=\s*[\w.]*\.signer\b"
+)
+
+#: (file, function) → what may appear there: the gate itself, and the
+#: snapshot certificate's per-signer loop feeding ``verify_quorum``.
+GATE_SITES = {
+    ("protocols/base.py", "_authentic"): SIGNATURE_CHECK,
+    ("sync/checkpoint.py", "_validate_snapshot"): re.compile(
+        r"signature\.signer != replica_id"
+    ),
+}
+
+
+def _enclosing_functions(tree):
+    """Line number → name of the innermost function containing it."""
+    owner = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for number in range(node.lineno, node.end_lineno + 1):
+                if number not in owner or owner[number][0] < node.lineno:
+                    owner[number] = (node.lineno, node.name)
+    return {number: name for number, (_, name) in owner.items()}
+
+
+def _signature_checks_outside_the_gate():
+    found = []
+    for package in SEALED_PACKAGES:
+        for path in sorted((SRC / package).rglob("*.py")):
+            text = path.read_text()
+            owner = _enclosing_functions(ast.parse(text))
+            relative = path.relative_to(SRC).as_posix()
+            for number, line in enumerate(text.splitlines(), start=1):
+                if not SIGNATURE_CHECK.search(line):
+                    continue
+                allowed = GATE_SITES.get((relative, owner.get(number)))
+                if allowed is not None and allowed.search(line):
+                    continue
+                found.append(f"src/repro/{relative}:{number}: {line.strip()}")
+    return found
+
+
+def test_the_gate_is_where_the_lint_looks():
+    for relative, function in GATE_SITES:
+        text = (SRC / relative).read_text()
+        assert f"def {function}(" in text, f"{relative}::{function} moved?"
+
+
+def test_signatures_are_checked_only_at_the_gate():
+    violations = _signature_checks_outside_the_gate()
+    assert not violations, (
+        "signature checked outside BaseReplica._authentic; call the gate "
+        "instead of spelling the rule again:\n" + "\n".join(violations)
     )

@@ -12,7 +12,8 @@ from dataclasses import replace
 
 from repro.crypto.hashing import hash_fields
 from repro.experiments.spec import ScenarioSpec
-from repro.sync.checkpoint import _SnapshotFetch, state_digest
+from repro.sync.checkpoint import state_digest
+from repro.sync.fetch import Fetch
 from repro.types.messages import (
     CheckpointMsg,
     SnapshotRequestMsg,
@@ -325,8 +326,9 @@ class TestSnapshotValidation:
         return manager
 
     def _fetch(self, response):
-        return _SnapshotFetch(
-            min_height=response.cert_height, nonce=7, peer=response.sender
+        return Fetch(
+            target=None, nonce=7, peer=response.sender,
+            goal=response.cert_height,
         )
 
     def test_valid_response_accepted(self, cluster, monkeypatch):

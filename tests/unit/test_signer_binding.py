@@ -10,15 +10,25 @@ key, on an isolated replica at ``n = 4`` (quorum 3) with signature
 checking on.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
+
+import pytest
 
 from repro.protocols.base import ReplicaConfig
 from repro.protocols.diembft import DiemBFTReplica
+from repro.protocols.fbft import FBFTDiemBFTReplica
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
+from repro.protocols.sft_streamlet import SFTStreamletReplica
 from repro.protocols.streamlet import StreamletConfig, StreamletReplica
+from repro.sync.checkpoint import state_digest
 from repro.types.block import Block
 from repro.types.messages import (
+    CheckpointMsg,
+    ExtraVotesMsg,
     ProposalMsg,
+    QCMsg,
+    SnapshotRequestMsg,
+    SnapshotResponseMsg,
     SyncRequestMsg,
     SyncResponseMsg,
     TimeoutMsg,
@@ -148,3 +158,332 @@ class TestSyncRequest:
         assert not [m for _, m in sent if isinstance(m, SyncResponseMsg)]
         replica.deliver(1, signed(registry, msg, 1))
         assert [m.nonce for _, m in sent if isinstance(m, SyncResponseMsg)] == [7]
+
+
+class TestTimeoutQcHigh:
+    def test_vote_less_qc_high_is_rejected(self):
+        """A validly signed timeout carrying a certificate with no votes
+        used to certify the block and move the round 1 → 2 with no
+        message counted invalid."""
+        replica, registry, _, _ = diembft_replica()
+        replica.start()
+        genesis_qc = replica.store.qc_for(replica.genesis.id())
+        block = Block(
+            parent_id=replica.genesis.id(), qc=genesis_qc, round=1,
+            height=1, proposer=1,
+        )
+        replica.store.add_block(block)
+        hollow = QuorumCertificate(block_id=block.id(), round=1, height=1)
+        msg = TimeoutMsg(sender=1, round=replica.current_round, qc_high=hollow)
+        replica.deliver(1, signed(registry, msg, 1))
+        assert invalid_messages(replica) == 1
+        assert not replica.store.is_certified(block.id())
+        assert replica.current_round == 1
+
+
+# ----------------------------------------------------------------------
+# One gate, every entry point: family × entry point table
+# ----------------------------------------------------------------------
+
+CLAIMED = 1  # the replica every tabled message claims to come from
+WRONG_SRC = 2  # a transport source other than the claimed one
+INTERVAL = 4  # checkpoint interval of the tabled replicas
+SNAPSHOT_HEIGHT = 2 * INTERVAL  # far enough ahead to fetch a snapshot
+
+FAMILIES = {
+    "diembft": DiemBFTReplica,
+    "sft-diembft": SFTDiemBFTReplica,
+    "fbft": FBFTDiemBFTReplica,
+    "streamlet": StreamletReplica,
+    "sft-streamlet": SFTStreamletReplica,
+}
+ALL = tuple(FAMILIES)
+PACEMAKER = ("diembft", "sft-diembft", "fbft")
+RELAYING = ("streamlet", "sft-streamlet")
+
+
+def table_replica(family):
+    """Replica 0 of ``n = 4``, checkpointing on, started."""
+    if family in RELAYING:
+        config = StreamletConfig(
+            n=4, f=1, round_duration=1000.0, checkpoint_interval=INTERVAL
+        )
+    else:
+        config = ReplicaConfig(
+            n=4, f=1, round_timeout=1000.0, checkpoint_interval=INTERVAL
+        )
+    replica, registry, _, sent = make_isolated_replica(FAMILIES[family], config)
+    replica.start()
+    return replica, registry, sent
+
+
+def genesis_child(replica, round_number, height, proposer=0):
+    genesis = replica.genesis
+    return Block(
+        parent_id=genesis.id(), qc=replica.store.qc_for(genesis.id()),
+        round=round_number, height=height, proposer=proposer,
+    )
+
+
+def collected_block(replica, registry, sent):
+    """A stored, uncertified block whose votes replica 0 collects (it
+    leads round 4, so it is every family's round-3 collector)."""
+    del registry, sent
+    block = genesis_child(replica, 3, 1, proposer=3)
+    replica.store.add_block(block)
+    return block
+
+
+def bucketed(replica, voter):
+    return any(voter in bucket for bucket in replica._collected_votes.values())
+
+
+def nothing(replica, registry, sent):
+    del replica, registry, sent
+
+
+def leader_block(replica, registry, sent):
+    """A round-1 block by its leader, ``CLAIMED``."""
+    del registry, sent
+    return genesis_child(replica, 1, 1, proposer=CLAIMED)
+
+
+def deliver_proposal(replica, registry, block, key, src):
+    msg = ProposalMsg(sender=CLAIMED, round=1, block=block)
+    replica.deliver(src, signed(registry, msg, key))
+
+
+def deliver_vote(replica, registry, block, key, src):
+    vote = vote_for(registry, block, CLAIMED, key)
+    replica.deliver(src, VoteMsg(sender=CLAIMED, vote=vote))
+
+
+def deliver_qc(replica, registry, block, key, src):
+    votes = tuple(
+        vote_for(registry, block, voter, key if voter == CLAIMED else voter)
+        for voter in (0, 1, 2)
+    )
+    qc = QuorumCertificate(
+        block_id=block.id(), round=block.round, height=block.height,
+        votes=votes,
+    )
+    replica.deliver(src, QCMsg(sender=CLAIMED, qc=qc))
+
+
+def deliver_timeout(replica, registry, state, key, src):
+    genesis_qc = replica.store.qc_for(replica.genesis.id())
+    msg = TimeoutMsg(sender=CLAIMED, round=1, qc_high=genesis_qc)
+    replica.deliver(src, signed(registry, msg, key))
+
+
+def deliver_recovered_vote(replica, registry, block, key, src):
+    """The vote rides on an authentic timeout from ``src``: the binding
+    under test is the vote's voter to that timeout's sender."""
+    genesis_qc = replica.store.qc_for(replica.genesis.id())
+    vote = vote_for(registry, block, CLAIMED, key)
+    timeout = TimeoutMsg(sender=src, round=1, qc_high=genesis_qc, vote=vote)
+    replica.deliver(src, signed(registry, timeout, src))
+
+
+def deliver_extra_votes(replica, registry, block, key, src):
+    vote = vote_for(registry, block, CLAIMED, key)
+    replica.deliver(src, ExtraVotesMsg(sender=CLAIMED, round=3, votes=(vote,)))
+
+
+def deliver_sync_request(replica, registry, state, key, src):
+    msg = SyncRequestMsg(sender=CLAIMED, target=None, nonce=7)
+    replica.deliver(src, signed(registry, msg, key))
+
+
+def fetching_block(replica, registry, sent):
+    """Replica 0 asks its first peer (``CLAIMED``) for a missing block."""
+    block = leader_block(replica, registry, sent)
+    replica.sync.note_missing(block.id())
+    (dst, request), = [
+        (dst, msg) for dst, msg in sent if isinstance(msg, SyncRequestMsg)
+    ]
+    assert dst == CLAIMED
+    return block, request.nonce
+
+
+def deliver_sync_response(replica, registry, state, key, src):
+    block, nonce = state
+    msg = SyncResponseMsg(sender=CLAIMED, nonce=nonce, blocks=(block,))
+    replica.deliver(src, signed(registry, msg, key))
+
+
+def deliver_checkpoint(replica, registry, state, key, src):
+    genesis_id = replica.genesis.id()
+    msg = CheckpointMsg(
+        sender=CLAIMED, height=INTERVAL, block_id=genesis_id,
+        digest=state_digest(INTERVAL, genesis_id, (), ()),
+    )
+    replica.deliver(src, signed(registry, msg, key))
+
+
+def deliver_snapshot_request(replica, registry, state, key, src):
+    msg = SnapshotRequestMsg(sender=CLAIMED, min_height=INTERVAL, nonce=5)
+    replica.deliver(src, signed(registry, msg, key))
+
+
+def fetching_snapshot(replica, registry, sent):
+    """2f + 1 checkpoint digests two intervals ahead: replica 0 asks
+    its first peer (``CLAIMED``) for the snapshot."""
+    block = genesis_child(replica, SNAPSHOT_HEIGHT, SNAPSHOT_HEIGHT)
+    digest = state_digest(SNAPSHOT_HEIGHT, block.id(), (), ())
+    for signer in (1, 2, 3):
+        msg = CheckpointMsg(
+            sender=signer, height=SNAPSHOT_HEIGHT, block_id=block.id(),
+            digest=digest,
+        )
+        replica.deliver(signer, signed(registry, msg, signer))
+    (dst, request), = [
+        (dst, msg) for dst, msg in sent if isinstance(msg, SnapshotRequestMsg)
+    ]
+    assert dst == CLAIMED
+    return block, digest, replica.checkpoint.stable.signers, request.nonce
+
+
+def deliver_snapshot_response(replica, registry, state, key, src):
+    block, digest, signers, nonce = state
+    msg = SnapshotResponseMsg(
+        sender=CLAIMED, nonce=nonce, cert_height=SNAPSHOT_HEIGHT,
+        cert_block_id=block.id(), cert_digest=digest, cert_signers=signers,
+        block=block,
+    )
+    replica.deliver(src, signed(registry, msg, key))
+
+
+def sent_a(message_type):
+    def accepted(replica, state, sent):
+        return any(isinstance(msg, message_type) for _, msg in sent)
+    return accepted
+
+
+@dataclass(frozen=True)
+class Entry:
+    """One entry point: how to reach it and what acceptance looks like."""
+
+    name: str
+    families: tuple
+    prepare: object  # (replica, registry, sent) -> state
+    deliver: object  # (replica, registry, state, key, src) -> None
+    accepted: object  # (replica, state, sent) -> bool
+    counter: str | None  # counts rejections; None: dropped silently
+    bound_in: tuple  # families where src must be the claimed sender
+    counts_src: bool = True  # a src mismatch moves the counter too
+
+
+ENTRIES = (
+    Entry(
+        "proposal", ALL, leader_block, deliver_proposal,
+        lambda replica, block, sent: block.id() in replica.store,
+        "invalid_messages", PACEMAKER,
+    ),
+    Entry(
+        "vote", ALL, collected_block, deliver_vote,
+        lambda replica, state, sent: bucketed(replica, CLAIMED),
+        "invalid_messages", PACEMAKER,
+    ),
+    Entry(
+        "qc-votes", ALL, collected_block, deliver_qc,
+        lambda replica, block, sent: replica.store.is_certified(block.id()),
+        "invalid_messages", (),
+    ),
+    Entry(
+        "timeout", PACEMAKER, nothing, deliver_timeout,
+        lambda replica, state, sent: CLAIMED
+        in replica.pacemaker._timeout_votes.get(1, {}),
+        "invalid_messages", PACEMAKER,
+    ),
+    Entry(
+        "timeout-recovered-vote", PACEMAKER, collected_block,
+        deliver_recovered_vote,
+        lambda replica, state, sent: bucketed(replica, CLAIMED),
+        "invalid_messages", PACEMAKER,
+    ),
+    Entry(
+        "extra-votes", ("fbft",), collected_block, deliver_extra_votes,
+        lambda replica, block, sent: replica.direct_votes.count(block.id())
+        == 1,
+        "invalid_messages", (),
+    ),
+    Entry(
+        "sync-request", ALL, nothing, deliver_sync_request,
+        sent_a(SyncResponseMsg), None, ALL,
+    ),
+    Entry(
+        "sync-response", ALL, fetching_block, deliver_sync_response,
+        lambda replica, state, sent: state[0].id() in replica.store,
+        "sync.invalid_responses", ALL, counts_src=False,
+    ),
+    Entry(
+        "checkpoint", ALL, nothing, deliver_checkpoint,
+        lambda replica, state, sent: any(
+            CLAIMED in signers
+            for signers in replica.checkpoint._pending.values()
+        ),
+        None, ALL,
+    ),
+    Entry(
+        "snapshot-request", ALL, nothing, deliver_snapshot_request,
+        sent_a(SnapshotResponseMsg), None, ALL,
+    ),
+    Entry(
+        "snapshot-response", ALL, fetching_snapshot,
+        deliver_snapshot_response,
+        lambda replica, state, sent: replica.metrics.get(
+            "checkpoint.snapshots_installed"
+        ).value == 1,
+        "checkpoint.invalid_snapshots", ALL, counts_src=False,
+    ),
+)
+
+CASES = [(entry, family) for entry in ENTRIES for family in entry.families]
+
+
+def counter_value(replica, name):
+    return replica.metrics.get(name).value
+
+
+@pytest.mark.parametrize(
+    "entry,family", CASES,
+    ids=[f"{entry.name}-{family}" for entry, family in CASES],
+)
+class TestOneGate:
+    """Every entry point through the gate: a correct signature passes,
+    another key's fails, and ``src`` is bound exactly where it is."""
+
+    def run(self, entry, family, key, src):
+        """Deliver once; returns ``(accepted, counter moved, invalid
+        messages moved)``."""
+        replica, registry, sent = table_replica(family)
+        state = entry.prepare(replica, registry, sent)
+        counter = entry.counter or "invalid_messages"
+        before = counter_value(replica, counter)
+        invalid_before = invalid_messages(replica)
+        entry.deliver(replica, registry, state, key, src)
+        return (
+            entry.accepted(replica, state, sent),
+            counter_value(replica, counter) - before,
+            invalid_messages(replica) - invalid_before,
+        )
+
+    def test_correct_signature_is_accepted(self, entry, family):
+        assert self.run(entry, family, CLAIMED, CLAIMED) == (True, 0, 0)
+
+    def test_another_keys_signature_is_rejected(self, entry, family):
+        accepted, moved, invalid = self.run(entry, family, FORGER, CLAIMED)
+        assert not accepted
+        assert moved == (1 if entry.counter else 0)
+        assert invalid == (1 if entry.counter == "invalid_messages" else 0)
+
+    def test_wrong_src_is_rejected_only_where_bound(self, entry, family):
+        accepted, moved, invalid = self.run(entry, family, CLAIMED, WRONG_SRC)
+        if family not in entry.bound_in:
+            assert (accepted, moved, invalid) == (True, 0, 0)
+            return
+        counted = entry.counter is not None and entry.counts_src
+        assert not accepted
+        assert moved == (1 if counted else 0)
+        assert invalid == (1 if entry.counter == "invalid_messages" else 0)
