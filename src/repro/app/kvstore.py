@@ -1,8 +1,8 @@
 """A deterministic key-value state machine over the committed log.
 
 :class:`KVStateMachine` applies ``SET``/``DEL``/``TRANSFER`` commands
-encoded in transaction payloads; :class:`LedgerExecutor` drains a
-replica's commit log into a state machine incrementally.  Determinism
+encoded in transaction payloads; :class:`LedgerExecutor` applies a
+replica's blocks to a state machine as they commit.  Determinism
 is the whole point: after any prefix of the log, every honest replica
 must hold exactly the same state (verified via :meth:`state_hash`),
 which is the linearizability check the SMR definition demands.
@@ -157,50 +157,29 @@ class KVStateMachine:
 
 
 class LedgerExecutor:
-    """Incrementally executes one replica's committed log.
+    """Executes committed blocks into a state machine as they commit.
 
-    Call :meth:`sync` after (or during) a run; it applies the payload
-    transactions of newly committed blocks in commit order.  The
-    executor never re-applies a block, so repeated syncs are cheap.
+    :meth:`apply_block` is a commit listener: subscribe it with
+    ``replica.commit_tracker.add_commit_listener(executor.apply_block)``
+    before the run and it sees every committed block once, in commit
+    order.
     """
 
-    def __init__(self, replica, state_machine: KVStateMachine | None = None):
-        self.replica = replica
+    def __init__(self, state_machine: KVStateMachine | None = None):
         self.state = state_machine or KVStateMachine()
-        self._cursor = 0
         self._applied_txids: set = set()
         self.blocks_executed = 0
         self.duplicates_skipped = 0
 
-    def sync(self) -> int:
-        """Apply newly committed blocks; returns how many were applied.
+    def apply_block(self, block, now: float | None = None) -> None:
+        """Apply one committed block's transactions.
 
         A transaction may legitimately appear in several blocks (a
         leader re-proposes anything not yet committed), so execution
         deduplicates by transaction id — the standard SMR exactly-once
         rule.
         """
-        applied = 0
-        while self.sync_next() is not None:
-            applied += 1
-        return applied
-
-    def sync_next(self):
-        """Apply exactly one pending commit event; None when caught up.
-
-        Returns the :class:`~repro.core.commit_rules.CommitEvent` just
-        consumed (whether or not its block was still in the store) so a
-        caller — e.g. the checkpoint manager — can observe the executed
-        state at an exact commit height before applying the next one.
-        """
-        commit_order = self.replica.commit_tracker.commit_order
-        if self._cursor >= len(commit_order):
-            return None
-        event = commit_order[self._cursor]
-        self._cursor += 1
-        block = self.replica.store.maybe_get(event.block_id)
-        if block is None:
-            return event
+        del now
         for transaction in block.payload.transactions:
             txid = transaction.txid()
             if txid in self._applied_txids:
@@ -209,37 +188,28 @@ class LedgerExecutor:
             self._applied_txids.add(txid)
             self.state.apply_transaction(transaction)
         self.blocks_executed += 1
-        return event
 
     def install_snapshot(
         self,
         state_items,
         applied_txids,
-        cursor: int,
         applied_count: int = 0,
         rejected_count: int = 0,
     ) -> None:
         """Replace the executor's world with a validated checkpoint.
 
-        ``cursor`` is the commit-log position already reflected in the
-        snapshot (execution resumes from there); ``applied_txids`` is
-        the dedup set at the checkpoint boundary — without it a
-        transaction committed both below and above the checkpoint would
-        be applied twice on the joiner and its state would diverge.
+        ``applied_txids`` is the dedup set at the checkpoint boundary —
+        without it a transaction committed both below and above the
+        checkpoint would be applied twice on the joiner and its state
+        would diverge.
         """
         self.state = KVStateMachine()
         self.state.install(state_items)
         self.state.applied = applied_count
         self.state.rejected = rejected_count
         self._applied_txids = set(applied_txids)
-        self._cursor = cursor
         self.blocks_executed = 0
         self.duplicates_skipped = 0
-
-    @property
-    def cursor(self) -> int:
-        """Commit-log position the executor has applied through."""
-        return self._cursor
 
     def applied_txids(self) -> tuple:
         """The dedup set as a sorted tuple (digest/wire form)."""

@@ -104,12 +104,18 @@ class CommitTracker:
         #: attaches; ``endorse`` lifecycle spans are emitted here, the
         #: one place strength raises happen for every protocol family.
         self.tracer = None
-        #: Optional ``callable(block, now)`` observing each block as it
-        #: commits, oldest first — before checkpoint truncation can
-        #: prune it (the simulator's client workload counts here).
-        self.on_commit = None
+        #: Transactions in the blocks committed here, counted at commit.
+        self.committed_txs = 0
+        self._commit_listeners: list = []
         if endorsement is not None and rule == "diembft":
             endorsement.add_listener(self._on_endorser_update)
+
+    def add_commit_listener(self, listener) -> None:
+        """Register ``listener(block, now)``, called as each block
+        commits, oldest first, before checkpoint truncation can prune
+        it.  Listeners observe only; they run in registration order.
+        Heights a snapshot install skips fire no listener."""
+        self._commit_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # regular commits
@@ -188,8 +194,9 @@ class CommitTracker:
             newly.append(event)
             if blk.round > self.highest_committed_round:
                 self.highest_committed_round = blk.round
-            if self.on_commit is not None:
-                self.on_commit(blk, now)
+            self.committed_txs += blk.payload.tx_count()
+            for listener in self._commit_listeners:
+                listener(blk, now)
         return newly
 
     def is_committed(self, block_id: BlockId) -> bool:

@@ -180,8 +180,8 @@ class ReplicaConfig:
       bytes per proposed block;
     * ``pipelined_proposals`` — mempool drain discipline.  Off is
       stop-and-wait re-proposal: a leader's payload repeats the
-      unacknowledged front of its queue until commit feedback drains
-      it.  On marks drained transactions in flight so consecutive
+      uncommitted front of its queue until this replica commits it.
+      On marks drained transactions in flight so consecutive
       proposals ship fresh batches — a leader proposes round ``r+1``'s
       transactions without waiting for round ``r``'s commit;
     * ``linear_votes`` — Linear-PBFT-style vote collection: votes go
@@ -959,14 +959,6 @@ class BaseReplica:
 
     def committed_blocks(self) -> list:
         return list(self.commit_tracker.commit_order)
-
-    def committed_tx_count(self) -> int:
-        total = 0
-        for event in self.commit_tracker.commit_order:
-            block = self.store.maybe_get(event.block_id)
-            if block is not None:
-                total += block.payload.tx_count()
-        return total
 
 
 class SFTMixin:

@@ -1,6 +1,6 @@
 """Experiment runtime: cluster construction, workload, and metrics."""
 
-from repro.runtime.client import CommitFeedback, Mempool
+from repro.runtime.client import Mempool
 from repro.runtime.cluster import Cluster
 from repro.runtime.config import build_cluster
 from repro.runtime.conflict_policy import ConflictAwareMempool
@@ -18,7 +18,6 @@ __all__ = [
     "build_cluster",
     "Cluster",
     "Mempool",
-    "CommitFeedback",
     "ConflictAwareMempool",
     "TraceLog",
     "LatencyReport",

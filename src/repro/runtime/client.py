@@ -1,4 +1,4 @@
-"""The simulator's client path: mempools, commit feedback, load generator.
+"""The simulator's client path: mempools and the load generator.
 
 The paper's evaluation keeps leaders saturated ("sufficiently many
 transactions are generated ... so that any leader always has enough
@@ -7,7 +7,7 @@ transactions").  Large benchmarks therefore use synthetic
 provide *real* transaction flow: :class:`KVWorkload` submits
 :class:`~repro.app.kvstore.KVCommand` transactions to per-replica
 :class:`Mempool` queues, leaders drain them into block payloads, and
-:class:`CommitFeedback` acknowledges them.
+each replica's commit stream removes them as its blocks commit.
 
 Everything is deterministic: the command stream comes from its own
 seeded RNG (keyed off the experiment seed, independent of the network
@@ -30,8 +30,10 @@ from repro.types.transaction import Payload, Transaction
 class Mempool:
     """FIFO pool of pending client transactions for one replica.
 
-    Entries leave the pool only on commit (:meth:`remove_committed`),
-    never on proposal: a leader whose round fails must not lose them.
+    Entries leave the pool only on commit (:meth:`drop_committed`, a
+    listener on the owning replica's commit stream, or
+    :meth:`remove_committed`), never on proposal: a leader whose round
+    fails must not lose them.
     :meth:`make_payload` therefore *copies* from the queue, capped by
     ``max_block_transactions`` and, when non-zero, ``max_block_bytes``
     (a payload always takes at least one transaction so a jumbo entry
@@ -47,7 +49,7 @@ class Mempool:
       is eligible again without a timer.
     * ``pipelined`` — for harnesses that submit each transaction to one
       mempool and do not consult the chain.  Off is stop-and-wait: each
-      payload copies the unacknowledged front of the queue.  On marks
+      payload copies the uncommitted front of the queue.  On marks
       copied transactions *in flight* for ``inflight_timeout`` seconds
       and skips them in later payloads, so consecutive proposals carry
       fresh batches; a proposal that went nowhere (failed round,
@@ -102,6 +104,11 @@ class Mempool:
             self.remove(transaction.txid()) for transaction in transactions
         )
 
+    def drop_committed(self, block, now: float) -> None:
+        """Commit listener: ``block``'s transactions leave the pool."""
+        del now
+        self.remove_committed(block.payload.transactions)
+
     def payload_source(self, now: float, parent_id=None) -> Payload:
         """``BaseReplica.payload_source`` for the simulator harnesses,
         which rely on ``pipelined`` (or accept re-proposal) rather than
@@ -142,49 +149,13 @@ class Mempool:
         )
 
 
-class CommitFeedback:
-    """Drains committed transactions out of replica mempools.
-
-    Polls each replica's commit log on a simulated-time interval and
-    calls :meth:`Mempool.remove_committed` so leaders stop re-proposing
-    transactions that already made it into the chain.
-    """
-
-    def __init__(self, cluster, mempools: dict, interval: float = 0.05):
-        self.cluster = cluster
-        self.mempools = mempools
-        self.interval = interval
-        self._cursors = {replica.replica_id: 0 for replica in cluster.replicas}
-
-    def start(self) -> None:
-        self.cluster.simulator.schedule_at(self.interval, self._tick)
-
-    def _tick(self) -> None:
-        for replica in self.cluster.replicas:
-            if replica.crashed:
-                continue
-            mempool = self.mempools.get(replica.replica_id)
-            if mempool is None:
-                continue
-            commit_order = replica.commit_tracker.commit_order
-            cursor = self._cursors[replica.replica_id]
-            while cursor < len(commit_order):
-                event = commit_order[cursor]
-                cursor += 1
-                block = replica.store.maybe_get(event.block_id)
-                if block is not None and block.payload.transactions:
-                    mempool.remove_committed(block.payload.transactions)
-            self._cursors[replica.replica_id] = cursor
-        self.cluster.simulator.schedule_in(self.interval, self._tick)
-
-
 class KVWorkload:
     """Open-loop deterministic KV transaction generator over a cluster.
 
     The load generator behind the ``workload_rate`` scenario knob.
     Submits ``rate`` transactions per second round-robin across
-    replicas' mempools and rewires each replica's ``payload_source`` to
-    drain its own mempool (capped by that replica's
+    replicas' mempools, and :meth:`attach` has each replica propose
+    from its own (capped by that replica's
     ``batch_size``/``max_batch_bytes`` config, honouring its
     ``pipelined_proposals`` drain discipline).  Committed throughput
     counts *unique* transactions — the exactly-once count a
@@ -198,7 +169,6 @@ class KVWorkload:
         rate: float,
         payload_bytes: int = 64,
         seed: int = 0,
-        feedback_interval: float = 0.05,
     ) -> None:
         if rate <= 0:
             raise ValueError(f"workload rate must be positive, got {rate!r}")
@@ -213,29 +183,33 @@ class KVWorkload:
         self._block_txids: dict = {}  # committed block id -> its txids
         self._first_commit: dict = {}  # txid -> (committed, submitted)
         for replica in cluster.replicas:
-            replica.commit_tracker.on_commit = self.record_commit
             config = replica.config
             per_round = getattr(config, "round_duration", None)
             if not per_round:
                 per_round = config.round_timeout
-            mempool = Mempool(
+            self.mempools[replica.replica_id] = Mempool(
                 max_block_transactions=config.batch_size,
                 max_block_bytes=config.max_batch_bytes,
                 pipelined=config.pipelined_proposals,
-                # In-flight entries outlive a full 3-chain commit plus
-                # feedback lag before re-qualifying for proposals.
+                # In-flight entries outlive a full 3-chain commit
+                # before re-qualifying for proposals.
                 inflight_timeout=8.0 * per_round,
             )
-            self.mempools[replica.replica_id] = mempool
-            replica.payload_source = mempool.payload_source
-        self.feedback = CommitFeedback(
-            cluster, self.mempools, interval=feedback_interval
-        )
+            self.attach(replica)
+
+    def attach(self, replica) -> None:
+        """Wire ``replica`` (at build, or reborn after a restart) to its
+        mempool: it proposes from the mempool, and each block it commits
+        is recorded here and removed from the mempool."""
+        mempool = self.mempools[replica.replica_id]
+        tracker = replica.commit_tracker
+        tracker.add_commit_listener(self.record_commit)
+        tracker.add_commit_listener(mempool.drop_committed)
+        replica.payload_source = mempool.payload_source
 
     def start(self) -> None:
         simulator = self.cluster.simulator
         simulator.schedule_at(simulator.now, self._tick)
-        self.feedback.start()
 
     def _tick(self) -> None:
         simulator = self.cluster.simulator
@@ -258,9 +232,8 @@ class KVWorkload:
     # ------------------------------------------------------------------
 
     def record_commit(self, block, now: float) -> None:
-        """``CommitTracker.on_commit`` of every replica instance: notes
-        a block's txids the first time any replica commits it, before
-        checkpoint truncation can prune it from the store."""
+        """Commit listener of every replica instance: notes a block's
+        txids the first time any replica commits it."""
         block_id = block.id()
         if block_id in self._block_txids:
             return

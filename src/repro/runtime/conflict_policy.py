@@ -36,21 +36,20 @@ class ConflictAwareMempool(Mempool):
     """Mempool with the Section 5 conflicting-transaction policy.
 
     ``bind(replica)`` connects the pool to one replica: payloads drain
-    from the pool, and strength queries go to the replica's commit
-    tracker.  The pool scans newly committed blocks to learn where its
-    transactions landed.
+    from the pool, strength queries go to the replica's commit tracker,
+    and its commit stream tells the pool where its transactions landed.
     """
 
     def __init__(self, max_block_transactions: int = 1000) -> None:
         super().__init__(max_block_transactions=max_block_transactions)
         self._tracked: dict = {}
         self._replica = None
-        self._commit_cursor = 0
         self.deferred_count = 0
 
     def bind(self, replica) -> "ConflictAwareMempool":
         self._replica = replica
         replica.payload_source = self.payload_source
+        replica.commit_tracker.add_commit_listener(self._note_inclusions)
         return self
 
     # ------------------------------------------------------------------
@@ -77,25 +76,17 @@ class ConflictAwareMempool(Mempool):
         )
 
     # ------------------------------------------------------------------
-    # chain feedback
+    # commit stream
     # ------------------------------------------------------------------
 
-    def _refresh_inclusions(self) -> None:
-        """Scan newly committed blocks for our transactions."""
-        if self._replica is None:
-            return
-        commit_order = self._replica.commit_tracker.commit_order
-        store = self._replica.store
-        while self._commit_cursor < len(commit_order):
-            event = commit_order[self._commit_cursor]
-            self._commit_cursor += 1
-            block = store.maybe_get(event.block_id)
-            if block is None:
-                continue
-            for transaction in block.payload.transactions:
-                tracked = self._tracked.get(transaction.txid())
-                if tracked is not None and tracked.included_in is None:
-                    tracked.included_in = event.block_id
+    def _note_inclusions(self, block, now: float) -> None:
+        """Commit listener: record which of our transactions ``block``
+        carries."""
+        del now
+        for transaction in block.payload.transactions:
+            tracked = self._tracked.get(transaction.txid())
+            if tracked is not None and tracked.included_in is None:
+                tracked.included_in = block.id()
 
     def _is_blocking(self, tracked: _TrackedTransaction) -> bool:
         """Does this earlier transaction still hold back its key?"""
@@ -117,7 +108,6 @@ class ConflictAwareMempool(Mempool):
 
     def payload_source(self, now: float, parent_id=None) -> Payload:
         del now, parent_id
-        self._refresh_inclusions()
         chosen = []
         blocked_keys = set()
         for txid, transaction in self._pending.items():
@@ -168,7 +158,6 @@ class ConflictAwareMempool(Mempool):
         tracked = self._tracked.get(transaction.txid())
         if tracked is None:
             return "unknown"
-        self._refresh_inclusions()
         if tracked.included_in is None:
             return "pending"
         if self._is_blocking(tracked):

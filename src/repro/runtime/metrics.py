@@ -31,14 +31,15 @@ class LatencyReport:
         return self.samples / self.eligible
 
 
-def _eligible_blocks(replica, created_before):
+def _eligible_commits(replica, created_before):
+    """Non-genesis commit events, read off the events themselves so
+    blocks checkpoint truncation pruned still count."""
     for event in replica.commit_tracker.commit_order:
-        block = replica.store.maybe_get(event.block_id)
-        if block is None or block.is_genesis():
+        if event.height == 0:
             continue
-        if created_before is not None and block.created_at > created_before:
+        if created_before is not None and event.created_at > created_before:
             continue
-        yield event, block
+        yield event
 
 
 def regular_commit_latency(cluster, created_before: float | None = None):
@@ -48,7 +49,7 @@ def regular_commit_latency(cluster, created_before: float | None = None):
     for replica in cluster.observer_replicas():
         if replica.crashed:
             continue
-        for event, _block in _eligible_blocks(replica, created_before):
+        for event in _eligible_commits(replica, created_before):
             total += event.latency()
             count += 1
     return (total / count if count else None), count
@@ -69,9 +70,9 @@ def strong_commit_latency(
         if replica.crashed:
             continue
         tracker = replica.commit_tracker
-        for _event, block in _eligible_blocks(replica, created_before):
+        for event in _eligible_commits(replica, created_before):
             eligible += 1
-            timeline = tracker.timeline_of(block.id())
+            timeline = tracker.timeline_of(event.block_id)
             if timeline is None:
                 continue
             latency = timeline.latency_to(level)
@@ -139,7 +140,7 @@ def commit_latency_percentiles(
     for replica in cluster.observer_replicas():
         if replica.crashed:
             continue
-        for event, _block in _eligible_blocks(replica, created_before):
+        for event in _eligible_commits(replica, created_before):
             samples.append(event.latency())
     return {quantile: percentile(samples, quantile) for quantile in quantiles}
 
@@ -152,7 +153,7 @@ def throughput_txps(cluster, duration: float | None = None) -> float:
     observers = [r for r in cluster.observer_replicas() if not r.crashed]
     if not observers:
         return 0.0
-    total = sum(replica.committed_tx_count() for replica in observers)
+    total = sum(replica.commit_tracker.committed_txs for replica in observers)
     return total / len(observers) / horizon
 
 

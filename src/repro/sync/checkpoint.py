@@ -7,10 +7,11 @@ the full history forever, and a replica thousands of rounds behind must
 replay everything from genesis.  The PBFT checkpoint subprotocol
 (Castro–Liskov §4.3) closes both, adapted here to chained BFT:
 
-* every ``checkpoint_interval`` commits, each replica runs its own
-  :class:`~repro.app.kvstore.LedgerExecutor` up to exactly that commit
-  height and multicasts a signed :class:`CheckpointMsg` carrying a
-  digest over ``(height, block, kvstore state, applied txids)``;
+* every ``checkpoint_interval`` commits, each replica images the state
+  its :class:`~repro.app.kvstore.LedgerExecutor` (run on the commit
+  stream) holds at exactly that commit height and multicasts a signed
+  :class:`CheckpointMsg` carrying a digest over ``(height, block,
+  kvstore state, applied txids)``;
 * ``2f + 1`` matching digests from distinct signers form a **stable
   checkpoint certificate** — proof the state is durable at ``f``
   Byzantine faults — letting every replica truncate blocks below the
@@ -83,9 +84,10 @@ class _StableCheckpoint:
 class CheckpointManager:
     """Signs, collects, and applies checkpoints for one replica.
 
-    Owned by one replica (attached when ``checkpoint_interval > 0``);
-    driven by :meth:`poll` after every delivery, so it observes commits
-    regardless of which protocol family produced them.
+    Owned by one replica (attached when ``checkpoint_interval > 0``).
+    Its executor runs on the replica's commit stream, which also takes
+    each interval's state image; :meth:`poll`, after every delivery,
+    multicasts the digests due and truncates.
     """
 
     def __init__(self, replica) -> None:
@@ -93,8 +95,11 @@ class CheckpointManager:
         self.config = replica.config
         self.context = replica.context
         self.interval = replica.config.checkpoint_interval
-        self.executor = LedgerExecutor(replica)
+        self.executor = LedgerExecutor()
+        replica.commit_tracker.add_commit_listener(self._on_commit)
         self._signed_height = 0
+        #: Images taken at commit whose digests :meth:`poll` sends.
+        self._due: list[_Snapshot] = []
         #: (height, block_id, digest) → {signer: signature}
         self._pending: dict = {}
         #: Bounded like the orphan pool: a Byzantine peer can mint
@@ -130,25 +135,17 @@ class CheckpointManager:
     # driving: execute committed blocks, sign interval boundaries
     # ------------------------------------------------------------------
 
-    def poll(self, now: float) -> None:
-        """Advance the executor and emit any due checkpoint digests."""
-        if self.replica.crashed:
+    def _on_commit(self, block, now: float) -> None:
+        """Commit listener: execute ``block``; at an interval height,
+        take the state image there for :meth:`poll` to sign."""
+        del now
+        self.executor.apply_block(block)
+        height = block.height
+        if height % self.interval or height <= self._signed_height:
             return
-        while True:
-            event = self.executor.sync_next()
-            if event is None:
-                break
-            if (
-                event.height % self.interval == 0
-                and event.height > self._signed_height
-            ):
-                self._emit_checkpoint(event)
-        self._try_truncate()
-
-    def _emit_checkpoint(self, event: CommitEvent) -> None:
         snapshot = _Snapshot(
-            height=event.height,
-            block_id=event.block_id,
+            height=height,
+            block_id=block.id(),
             digest=None,
             state=self.executor.state.items(),
             applied_txids=self.executor.applied_txids(),
@@ -156,13 +153,22 @@ class CheckpointManager:
             rejected_count=self.executor.state.rejected,
         )
         snapshot.digest = state_digest(
-            snapshot.height,
-            snapshot.block_id,
-            snapshot.state,
-            snapshot.applied_txids,
+            height, snapshot.block_id, snapshot.state, snapshot.applied_txids
         )
-        self._snapshots[event.height] = snapshot
-        self._signed_height = event.height
+        self._snapshots[height] = snapshot
+        self._signed_height = height
+        self._due.append(snapshot)
+
+    def poll(self, now: float) -> None:
+        """Emit the checkpoint digests taken since the last delivery."""
+        if self.replica.crashed:
+            return
+        due, self._due = self._due, []
+        for snapshot in due:
+            self._emit_checkpoint(snapshot)
+        self._try_truncate()
+
+    def _emit_checkpoint(self, snapshot: _Snapshot) -> None:
         message = self.replica._signed(
             CheckpointMsg(
                 sender=self.replica.replica_id,
@@ -456,7 +462,14 @@ class CheckpointManager:
         return True
 
     def _install_snapshot(self, msg: SnapshotResponseMsg) -> None:
-        """Adopt the checkpoint wholesale: store root, tracker, executor."""
+        """Adopt the checkpoint wholesale: store root, tracker, executor.
+
+        The jump to the checkpoint height fires no commit listener, for
+        the checkpoint block or the range it skips: the executor takes
+        the transferred state and dedup set instead, and transactions
+        of that range still pending in this replica's mempool stay
+        there and are proposed again.
+        """
         replica = self.replica
         now = self.context.now
         pruned, flushed = replica.store.adopt_root(msg.block)
@@ -480,7 +493,6 @@ class CheckpointManager:
         self.executor.install_snapshot(
             msg.state,
             msg.applied_txids,
-            cursor=len(tracker.commit_order),
             applied_count=msg.applied_count,
             rejected_count=msg.rejected_count,
         )

@@ -74,13 +74,12 @@ class TestSnapshotJoin:
         cluster = run_spec(join_spec())
         # The joiner's snapshot jump removes the partition-era gap from
         # its commit log, so commit *counts* are not comparable across
-        # replicas — committed heights are.  Drain every executor, then
-        # require identical kvstore hashes wherever two replicas ended
-        # on the same committed tip height.
+        # replicas — committed heights are.  Each executor ran on its
+        # replica's commit stream; require identical kvstore hashes
+        # wherever two replicas ended on the same committed tip height.
         tips = {}
         for replica in cluster.replicas:
-            replica.checkpoint.executor.sync()
-            tip = replica.commit_tracker.commit_order[-1].height
+            tip =replica.commit_tracker.commit_order[-1].height
             tips.setdefault(tip, set()).add(
                 replica.checkpoint.executor.state_hash().value
             )

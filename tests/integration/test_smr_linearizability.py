@@ -3,7 +3,7 @@ same state — the linearizable-log contract of Section 2."""
 
 import random
 
-from repro.app import KVCommand, LedgerExecutor
+from repro.app import KVCommand, KVStateMachine, LedgerExecutor
 from repro.runtime.client import Mempool
 from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
@@ -11,17 +11,24 @@ from tests.conftest import small_experiment
 
 def run_kv_workload(duration=8.0, command_count=300, seed=5, crash=None,
                     protocol="sft-diembft"):
-    """Drive a cluster with a randomized KV workload via mempools."""
+    """Drive a cluster with a randomized KV workload via mempools.
+
+    Returns the cluster and one :class:`LedgerExecutor` per replica,
+    subscribed to its commit stream before the run.
+    """
     config = small_experiment(protocol=protocol, duration=duration, seed=seed)
     cluster = build_cluster(config, crash_schedule=crash).build()
     mempools = {}
+    executors = {}
     for replica in cluster.replicas:
         mempool = Mempool(max_block_transactions=20)
         replica.payload_source = mempool.payload_source
         mempools[replica.replica_id] = mempool
-    from repro.runtime.client import CommitFeedback
-
-    CommitFeedback(cluster, mempools).start()
+        executor = LedgerExecutor()
+        tracker = replica.commit_tracker
+        tracker.add_commit_listener(mempool.drop_committed)
+        tracker.add_commit_listener(executor.apply_block)
+        executors[replica.replica_id] = executor
 
     rng = random.Random(seed)
     accounts = [f"acct{i}" for i in range(5)]
@@ -54,100 +61,76 @@ def run_kv_workload(duration=8.0, command_count=300, seed=5, crash=None,
             mempool.submit(txn)
 
     cluster.run(duration)
-    return cluster
+    return cluster, executors
+
+
+def reexecute(replica, length):
+    """The reference: replay the first ``length`` commits from the store."""
+    machine = KVStateMachine()
+    seen = set()
+    for event in replica.commit_tracker.commit_order[:length]:
+        block = replica.store.maybe_get(event.block_id)
+        for transaction in block.payload.transactions:
+            txid = transaction.txid()
+            if txid in seen:
+                continue
+            seen.add(txid)
+            machine.apply_transaction(transaction)
+    return machine
 
 
 class TestLinearizability:
     def test_all_replicas_compute_identical_state(self):
-        cluster = run_kv_workload()
-        executors = [
-            LedgerExecutor(replica)
-            for replica in cluster.replicas
-            if not replica.crashed
-        ]
-        for executor in executors:
-            assert executor.sync() > 10
+        cluster, executors = run_kv_workload()
+        live = [r for r in cluster.replicas if not r.crashed]
+        for replica in live:
+            assert executors[replica.replica_id].blocks_executed > 10
         # Replicas may be at different log lengths; compare the state
         # over the shared committed prefix by re-executing it.
-        shortest = min(
-            len(executor.replica.commit_tracker.commit_order)
-            for executor in executors
-        )
-        hashes = set()
-        for executor in executors:
-            from repro.app import KVStateMachine
-
-            machine = KVStateMachine()
-            seen = set()
-            replica = executor.replica
-            for event in replica.commit_tracker.commit_order[:shortest]:
-                block = replica.store.maybe_get(event.block_id)
-                for transaction in block.payload.transactions:
-                    txid = transaction.txid()
-                    if txid in seen:
-                        continue
-                    seen.add(txid)
-                    machine.apply_transaction(transaction)
-            hashes.add(machine.state_hash())
+        shortest = min(len(r.commit_tracker.commit_order) for r in live)
+        hashes = {reexecute(r, shortest).state_hash() for r in live}
         assert len(hashes) == 1
 
+    def test_executor_matches_reexecution(self):
+        cluster, executors = run_kv_workload()
+        for replica in cluster.replicas:
+            length = len(replica.commit_tracker.commit_order)
+            assert executors[replica.replica_id].state_hash() == (
+                reexecute(replica, length).state_hash()
+            )
+
     def test_conservation_of_balance(self):
-        cluster = run_kv_workload()
-        replica = cluster.replicas[0]
-        executor = LedgerExecutor(replica)
-        executor.sync()
+        _cluster, executors = run_kv_workload()
+        executor = executors[0]
         total = sum(
             int(executor.state.get(f"acct{i}") or 0) for i in range(5)
         )
         assert total == 500  # transfers conserve the account sum
 
     def test_state_agreement_survives_crashes(self):
-        cluster = run_kv_workload(
+        cluster, _executors = run_kv_workload(
             duration=12.0, crash=((6, 2.0),), seed=9
         )
-        executors = [
-            LedgerExecutor(replica)
-            for replica in cluster.replicas
-            if not replica.crashed
-        ]
-        hashes = set()
-        shortest = min(
-            len(replica.commit_tracker.commit_order)
-            for replica in cluster.replicas
-            if not replica.crashed
-        )
+        live = [r for r in cluster.replicas if not r.crashed]
+        shortest = min(len(r.commit_tracker.commit_order) for r in live)
         assert shortest > 10
-        for executor in executors:
-            from repro.app import KVStateMachine
-
-            machine = KVStateMachine()
-            seen = set()
-            replica = executor.replica
-            for event in replica.commit_tracker.commit_order[:shortest]:
-                block = replica.store.maybe_get(event.block_id)
-                for transaction in block.payload.transactions:
-                    txid = transaction.txid()
-                    if txid in seen:
-                        continue
-                    seen.add(txid)
-                    machine.apply_transaction(transaction)
-            hashes.add(machine.state_hash())
+        hashes = {reexecute(r, shortest).state_hash() for r in live}
         assert len(hashes) == 1
 
-    def test_incremental_sync_is_idempotent(self):
-        cluster = run_kv_workload(duration=4.0)
-        executor = LedgerExecutor(cluster.replicas[0])
-        first = executor.sync()
-        assert first > 0
-        assert executor.sync() == 0
-        digest = executor.state_hash()
-        executor.sync()
-        assert executor.state_hash() == digest
+    def test_executor_applies_each_commit_event_once(self):
+        cluster, executors = run_kv_workload(duration=4.0)
+        tracker = cluster.replicas[0].commit_tracker
+        events = [
+            event
+            for event in tracker.commit_order
+            if event.height not in tracker.snapshot_heights
+        ]
+        assert events
+        assert executors[0].blocks_executed == len(events)
 
     def test_streamlet_reaches_same_state_shape(self):
-        cluster = run_kv_workload(duration=6.0, protocol="sft-streamlet")
-        executors = [LedgerExecutor(r) for r in cluster.replicas]
-        for executor in executors:
-            executor.sync()
-        shortest = min(e.blocks_executed for e in executors)
+        _cluster, executors = run_kv_workload(
+            duration=6.0, protocol="sft-streamlet"
+        )
+        shortest = min(e.blocks_executed for e in executors.values())
         assert shortest > 5

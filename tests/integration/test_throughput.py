@@ -1,7 +1,7 @@
 """Throughput pipeline end-to-end: batching, pipelining, linear votes.
 
 Covers the full transaction path (KV workload → mempools → batched
-proposals → commit feedback), the pipelined drain discipline's
+proposals → removal at commit), the pipelined drain discipline's
 duplicate suppression, the O(n²) → O(n) vote-traffic change under
 linear vote collection, determinism across worker counts with every
 new flag on, and — the other direction — that with every flag off the
@@ -109,11 +109,14 @@ class TestBatchedWorkload:
 
 class TestPipelinedProposals:
     def test_pipelining_suppresses_duplicate_proposals(self):
-        # Stop-and-wait re-proposes the same front until commit
-        # feedback clears it, wasting block space on duplicates;
-        # the pipelined drain keeps consecutive proposals disjoint.
+        # Stop-and-wait re-proposes the same front until it commits.
+        # A crashed replica breaks 3-chains, so a leader's block is
+        # often still uncommitted at its next turn and the re-shipped
+        # copy commits twice, wasting block space; the pipelined drain
+        # keeps consecutive proposals disjoint.
         base = _workload_spec(
-            name="tput-pipe", workload_rate=1000.0, batch_size=32
+            name="tput-pipe", workload_rate=1000.0, batch_size=32,
+            faults=FaultMix(crash=1),
         )
         reproposal = _run(base)["metrics"]["txs"]
         pipelined = _run(base.with_overrides(pipelined_proposals=True))[

@@ -113,3 +113,61 @@ def test_signatures_are_checked_only_at_the_gate():
         "signature checked outside BaseReplica._authentic; call the gate "
         "instead of spelling the rule again:\n" + "\n".join(violations)
     )
+
+
+# ----------------------------------------------------------------------
+# One commit stream
+# ----------------------------------------------------------------------
+
+#: A post-hoc walk of the commit log through the block store.  It
+#: misses every block checkpoint truncation pruned before the walk;
+#: consumers of committed blocks subscribe with
+#: ``CommitTracker.add_commit_listener`` instead.
+POST_HOC_WALK = re.compile(r"maybe_get\(event\.block_id\)")
+
+#: Files that may still walk, and why.
+POST_HOC_WALK_SITES = {
+    # Parent linkage of the commit log; tolerates a pruned block.
+    "analysis/invariants.py",
+    # Its docstring documents the mempool-wait loss under truncation.
+    "obs/phases.py",
+    # The TCP host's commit poll, until it subscribes to the stream.
+    "rt_net/replica_proc.py",
+}
+
+
+def _post_hoc_walks(root=SRC):
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        relative = path.relative_to(root).as_posix()
+        if relative in POST_HOC_WALK_SITES:
+            continue
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            if POST_HOC_WALK.search(line):
+                found.append(f"src/repro/{relative}:{number}: {line.strip()}")
+    return found
+
+
+def test_post_hoc_walk_sites_exist():
+    for relative in POST_HOC_WALK_SITES:
+        text = (SRC / relative).read_text()
+        assert POST_HOC_WALK.search(text), f"{relative} no longer walks"
+
+
+def test_the_walk_lint_names_a_new_walk(tmp_path):
+    (tmp_path / "consumer.py").write_text(
+        "for event in tracker.commit_order:\n"
+        "    block = store.maybe_get(event.block_id)\n"
+    )
+    assert _post_hoc_walks(tmp_path) == [
+        "src/repro/consumer.py:2: block = store.maybe_get(event.block_id)"
+    ]
+
+
+def test_committed_blocks_are_consumed_from_the_stream():
+    violations = _post_hoc_walks()
+    assert not violations, (
+        "commit log re-walked through the block store, which misses "
+        "blocks checkpoint truncation pruned; subscribe with "
+        "CommitTracker.add_commit_listener instead:\n" + "\n".join(violations)
+    )
