@@ -50,11 +50,6 @@ def unsupported_features(spec: ScenarioSpec) -> list[str]:
         problems.append("simulated network shaping (bandwidth/gst/dup/reorder)")
     if spec.trace_level != "off":
         problems.append("trace_level (cluster-wide span log is in-process)")
-    if spec.checkpoint_interval:
-        problems.append(
-            "checkpoint_interval (the commit poll never replies for a "
-            "block truncation pruned first)"
-        )
     return problems
 
 
@@ -141,8 +136,8 @@ class RuntimeReport:
 
     def txs_distinct(self) -> int:
         """Of those, the ones committed for the first time (still
-        pending when the replica applied the commit); the rest were
-        re-proposed duplicates."""
+        pending when their block committed); the rest were re-proposed
+        duplicates."""
         return self._total("txs_distinct")
 
     def summary(self) -> dict:
@@ -164,6 +159,9 @@ class RuntimeReport:
             ),
             "blocks_proposed": self._metric_total("blocks_proposed"),
             "proposals_deferred": self._metric_total("proposals_deferred"),
+            "blocks_truncated": self._metric_total(
+                "checkpoint.blocks_truncated"
+            ),
             "commits": {
                 rid: result.get("commits", 0)
                 for rid, result in sorted(self.results.items())

@@ -19,24 +19,30 @@ the simulator tier:
   leader holds every pending transaction;
 * as the replica's ``payload_source``, proposes each of them once: a
   block extending ``parent_id`` skips whatever the blocks from
-  ``parent_id`` down to the last commit already applied to the mempool
-  carry, read off the replica's own block store.  A transaction on an
-  abandoned fork is on no such path and is proposed again by itself;
+  ``parent_id`` down to the last commit carry, read off the replica's
+  own block store.  A transaction on an abandoned fork is on no such
+  path and is proposed again by itself;
 * proposes only when there is something to commit: an uncarried
   transaction, or a transaction block on the parent's chain that this
   block helps commit (see :meth:`ReplicaHost._payload_source`).
   Otherwise a DiemBFT-family leader defers its round; the next client
-  request wakes it on the following loop turn, and the commit-poll
-  tick below forces a synthetic batch, so an idle cluster (and idle
-  strengthening) advances one round per tick instead of free-running;
-* polls the commit log, removes committed transactions from the mempool
-  and answers each routed transaction's client with a
-  ``ClientReplyMsg`` (clients ack at f+1 matching replies);
+  request wakes it on the following loop turn, and a 50 ms heartbeat
+  forces a synthetic batch, so an idle cluster (and idle
+  strengthening) advances one round per beat instead of free-running;
+* subscribes to the replica's commit stream: as each block commits it
+  removes the block's transactions from the mempool and answers each
+  routed transaction's client with a ``ClientReplyMsg`` at once
+  (clients ack at f+1 matching replies), before checkpoint truncation
+  can prune the block.  A snapshot install fires no commit listener,
+  so this replica neither records nor answers the range it skips:
+  those clients are acked by the replicas that committed the blocks,
+  and the range's transactions still pending here stay in the mempool
+  and are proposed again;
 * on SIGTERM (the manager's stop signal) snapshots the committed chain,
   metrics and the ``txs_carried`` / ``txs_distinct`` pair into a result
   JSON and exits cleanly.  ``txs_carried`` counts transactions in
   committed blocks, ``txs_distinct`` those that were still pending when
-  their commit was applied; the difference is re-proposed duplicates.
+  their block committed; the difference is re-proposed duplicates.
 """
 
 from __future__ import annotations
@@ -56,9 +62,8 @@ from repro.runtime.cluster import _PROTOCOL_CLASSES
 from repro.rt_net.transport import TcpTransport, WallClock
 from repro.types.messages import ClientReplyMsg, ClientRequestMsg
 
-#: Commit-log poll cadence for client replies, and the heartbeat of a
-#: leader deferring an idle round (wall seconds).
-_FEEDBACK_INTERVAL = 0.05
+#: Heartbeat of a leader deferring an idle round (wall seconds).
+_HEARTBEAT_INTERVAL = 0.05
 #: Self-destruct margin past the configured duration, in case the
 #: manager dies without sending SIGTERM.
 _ORPHAN_GRACE = 60.0
@@ -108,13 +113,13 @@ class ReplicaHost:
         self.replica.payload_source = self._payload_source
         #: txid -> client id, for routing commit acknowledgements.
         self._routes: dict = {}
-        self._commit_cursor = 0
         self.committed: list = []
         self.replies_sent = 0
         self.txs_carried = 0
         self.txs_distinct = 0
         self._wake_pending = False
         self._stopping = False
+        self.replica.commit_tracker.add_commit_listener(self._on_commit)
 
     # ------------------------------------------------------------------
     # message plumbing
@@ -143,10 +148,8 @@ class ReplicaHost:
         it would repeat, and whether that block is needed to commit a
         transaction already on the chain.
 
-        Carried are the transactions above the last commit applied to
-        the mempool.  Stopping at the first *committed* ancestor instead
-        would miss commits the next poll has yet to apply, whose
-        transactions are still pending here.
+        Carried are the transactions above the last commit: every
+        commit has already removed its transactions from the mempool.
 
         Needed means a transaction block above this replica's last
         commit, or among the parent's ``CHAIN_LENGTH`` nearest blocks:
@@ -158,20 +161,18 @@ class ReplicaHost:
         if parent_id not in store:
             return carried, False
         commit_order = self.replica.commit_tracker.commit_order
-        applied = self._commit_cursor
-        applied_floor = commit_order[applied - 1].height if applied else 0
-        commit_floor = commit_order[-1].height if commit_order else 0
+        floor = commit_order[-1].height if commit_order else 0
         needed = False
         for depth, block in enumerate(store.iter_ancestors(parent_id)):
             near = depth < CHAIN_LENGTH
-            if block.height <= applied_floor and not near:
+            above = block.height > floor
+            if not (above or near):
                 break
             transactions = block.payload.transactions
             if not transactions:
                 continue
-            needed = needed or near or block.height > commit_floor
-            # Nothing at or below the last applied commit is still pending.
-            if block.height > applied_floor:
+            needed = True
+            if above:
                 carried.update(transaction.txid() for transaction in transactions)
         return carried, needed
 
@@ -186,44 +187,40 @@ class ReplicaHost:
         return self._default_payload(now, parent_id) if needed else None
 
     # ------------------------------------------------------------------
-    # commit feedback
+    # commit stream
     # ------------------------------------------------------------------
 
-    def _poll_commits(self) -> None:
-        replica = self.replica
-        commit_order = replica.commit_tracker.commit_order
-        cursor = self._commit_cursor
-        while cursor < len(commit_order):
-            event = commit_order[cursor]
-            cursor += 1
-            self.committed.append(
-                (event.height, event.round, event.block_id.hex())
-            )
-            block = replica.store.maybe_get(event.block_id)
-            if block is None or not block.payload.transactions:
+    def _on_commit(self, block, now: float) -> None:
+        """Commit listener: record ``block``, drop its transactions from
+        the mempool and answer each routed client straight away."""
+        block_id = block.id()
+        self.committed.append((block.height, block.round, block_id.hex()))
+        transactions = block.payload.transactions
+        self.txs_carried += len(transactions)
+        for transaction in transactions:
+            txid = transaction.txid()
+            self.txs_distinct += self.mempool.remove(txid)
+            client_id = self._routes.pop(txid, None)
+            if client_id is None:
                 continue
-            self.txs_carried += len(block.payload.transactions)
-            for transaction in block.payload.transactions:
-                txid = transaction.txid()
-                self.txs_distinct += self.mempool.remove(txid)
-                client_id = self._routes.pop(txid, None)
-                if client_id is None:
-                    continue
-                self.transport.send_to_client(
-                    client_id,
-                    ClientReplyMsg(
-                        sender=self.replica_id,
-                        txid=txid,
-                        block_id=event.block_id,
-                        height=event.height,
-                        round=event.round,
-                    ),
-                )
-                self.replies_sent += 1
-        self._commit_cursor = cursor
-        if not self._stopping:
-            self.replica.propose_deferred(force=True)
-            self.loop.call_later(_FEEDBACK_INTERVAL, self._poll_commits)
+            self.transport.send_to_client(
+                client_id,
+                ClientReplyMsg(
+                    sender=self.replica_id,
+                    txid=txid,
+                    block_id=block_id,
+                    height=block.height,
+                    round=block.round,
+                ),
+            )
+            self.replies_sent += 1
+
+    def _heartbeat(self) -> None:
+        """Force a deferred idle round, then re-arm."""
+        if self._stopping:
+            return
+        self.replica.propose_deferred(force=True)
+        self.loop.call_later(_HEARTBEAT_INTERVAL, self._heartbeat)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -254,7 +251,6 @@ class ReplicaHost:
                     await asyncio.sleep(0.05)
 
     def _write_result(self) -> None:
-        self._poll_commits_final()
         result = {
             "replica_id": self.replica_id,
             "protocol": self.spec.protocol,
@@ -276,14 +272,10 @@ class ReplicaHost:
         tmp.write_text(json.dumps(result, indent=2, sort_keys=True))
         tmp.replace(self.result_path)
 
-    def _poll_commits_final(self) -> None:
-        """Drain any commits that landed since the last poll tick."""
-        self._stopping = True
-        self._poll_commits()
-
     def _shutdown(self) -> None:
         if self._stopping:
             return
+        self._stopping = True
         try:
             self._write_result()
         finally:
@@ -299,7 +291,7 @@ class ReplicaHost:
         await self._wait_for_peers()
         print(f"[replica {self.replica_id}] cluster up, starting", flush=True)
         self.replica.start()
-        self.loop.call_later(_FEEDBACK_INTERVAL, self._poll_commits)
+        self.loop.call_later(_HEARTBEAT_INTERVAL, self._heartbeat)
         # Orphan backstop: if the manager never signals us, stop anyway.
         self.loop.call_later(self.duration + _ORPHAN_GRACE, self._shutdown)
 

@@ -14,7 +14,6 @@ import asyncio
 
 import pytest
 
-from repro.core.commit_rules import CommitEvent
 from repro.experiments.spec import load_scenario, spec_to_mapping
 from repro.rt_net.clients import ClientFleet
 from repro.rt_net.differential import common_prefix_len, run_differential
@@ -27,6 +26,7 @@ from repro.rt_net.replica_proc import ReplicaHost
 from repro.rt_net.transport import TcpTransport, WallClock
 from repro.types.block import Block
 from repro.types.messages import ClientReplyMsg, ClientRequestMsg
+from repro.types.quorum_cert import QuorumCertificate
 from repro.types.transaction import Payload, Transaction
 
 SCENARIO = "scenarios/rt_smoke.toml"
@@ -155,14 +155,10 @@ class TestTcpTransport:
 
 class TestRuntimeManager:
     def test_rejects_faulty_specs(self):
-        # Checkpoints too: the commit poll would never reply for a block
-        # truncation pruned before the poll reached it.
-        spec = load_scenario(SCENARIO)
-        for overrides in ({"faults.crash": 1}, {"checkpoint_interval": 8}):
-            faulty = spec.with_overrides(**overrides)
-            assert unsupported_features(faulty)
-            with pytest.raises(ValueError):
-                RuntimeManager(faulty)
+        faulty = load_scenario(SCENARIO).with_overrides(**{"faults.crash": 1})
+        assert unsupported_features(faulty)
+        with pytest.raises(ValueError):
+            RuntimeManager(faulty)
 
 
 class TestProposeOnce:
@@ -215,14 +211,9 @@ class TestProposeOnce:
         return block
 
     @staticmethod
-    def _commit(host, *blocks):
-        host.replica.commit_tracker.commit_order.extend(
-            CommitEvent(
-                block_id=block.id(), round=block.round, height=block.height,
-                committed_at=0.0, created_at=0.0,
-            )
-            for block in blocks
-        )
+    def _commit(host, block):
+        """Commit ``block`` and its ancestors, firing the host's listener."""
+        host.replica.commit_tracker._commit_through(block, 0.0)
 
     @staticmethod
     def _request(host, transaction):
@@ -243,40 +234,71 @@ class TestProposeOnce:
     def _synthetic(payload):
         return payload.transactions == () and payload.batch is not None
 
-    def test_skips_exactly_the_unapplied_ancestors(self, host):
-        late, unapplied, parent_tx, sibling_tx, fresh = (
+    def test_skips_exactly_the_uncommitted_ancestors(self, host):
+        late, pending, parent_tx, sibling_tx, fresh = (
             Transaction(client_id=1, sequence=sequence)
             for sequence in range(5)
         )
-        # genesis - applied - committed - parent   <- the proposal extends this
-        #                             \_ sibling  (abandoned)
-        applied = self._extend(host, host.replica.genesis, 1, late)
-        committed = self._extend(host, applied, 2, unapplied)
-        parent = self._extend(host, committed, 3, parent_tx)
-        self._extend(host, committed, 4, sibling_tx)
-        self._commit(host, applied, committed)
-        # The poll has applied the first commit only; `late`'s request
-        # frame arrives after that, the rest were pending all along.
-        host._commit_cursor = 1
-        for transaction in (late, unapplied, parent_tx, sibling_tx, fresh):
+        # genesis - first - second - parent   <- the proposal extends this
+        #                        \_ sibling  (abandoned)
+        first = self._extend(host, host.replica.genesis, 1, late)
+        second = self._extend(host, first, 2, pending)
+        parent = self._extend(host, second, 3, parent_tx)
+        self._extend(host, second, 4, sibling_tx)
+        self._commit(host, first)
+        # `late`'s request frame arrives after its block committed; the
+        # rest were pending all along.
+        for transaction in (late, pending, parent_tx, sibling_tx, fresh):
             self._request(host, transaction)
 
         payload = host._payload_source(0.0, parent.id())
-        # Not walked below the applied floor, not excluded on the
-        # abandoned sibling; excluded on the path, committed or not.
+        # Not walked below the last commit, not excluded on the
+        # abandoned sibling; excluded on the uncommitted path.
         assert payload.transactions == (late, sibling_tx, fresh)
 
-        # Once the second commit is applied its transaction is gone
-        # from the mempool rather than excluded, and the counts show
-        # one carried transaction that was pending.
-        host._poll_commits_final()
-        assert host._commit_cursor == 2
-        assert (host.txs_carried, host.txs_distinct) == (1, 1)
+        # Once `second` commits its transaction is gone from the mempool
+        # rather than excluded; `late` was not pending at its commit, so
+        # the counts show two carried and one distinct.
+        self._commit(host, second)
+        assert (host.txs_carried, host.txs_distinct) == (2, 1)
         assert host._payload_source(0.0, parent.id()).transactions == (
             late, sibling_tx, fresh,
         )
         carried, _needed = host._scan(parent.id())
         assert carried == {parent_tx.txid()}
+
+    def test_reply_leaves_before_truncation_prunes_the_block(self, host):
+        transaction = Transaction(client_id=1, sequence=0)
+        self._request(host, transaction)
+        replies = []
+        host.transport.send_to_client = (
+            lambda client_id, message: replies.append((client_id, message))
+        )
+        # A certified 3-chain at consecutive rounds commits its head.
+        store = host.replica.store
+        block, chain = host.replica.genesis, []
+        for round_number in (1, 2, 3):
+            block = self._extend(
+                host, block, round_number,
+                *((transaction,) if round_number == 1 else ()),
+            )
+            qc = QuorumCertificate(
+                block_id=block.id(), round=block.round, height=block.height,
+            )
+            store.record_qc(qc)
+            chain.append(block)
+        head, _middle, tip = chain
+        host.replica.commit_tracker.on_new_qc(qc, 0.0)
+        # A stable checkpoint at the tip prunes the head at once, before
+        # any timer of the host's has run.
+        store.truncate_below(tip.id())
+        assert head.id() not in store
+        assert replies == [(9, ClientReplyMsg(
+            sender=1, txid=transaction.txid(), block_id=head.id(),
+            height=head.height, round=head.round,
+        ))]
+        assert host.mempool.pending_count() == 0
+        assert host.committed[-1] == (1, 1, head.id().hex())
 
     def test_idle_host_defers_and_multicasts_nothing(self, host, sent):
         assert host._payload_source(0.0, host.replica.genesis.id()) is None
@@ -320,9 +342,9 @@ class TestProposeOnce:
             block = self._extend(host, block, round_number)
         assert self._synthetic(host._payload_source(0.0, block.id()))
 
-    def test_poll_tick_forces_the_synthetic_batch(self, host, sent):
+    def test_heartbeat_forces_the_synthetic_batch(self, host, sent):
         self._enter_round_one(host)
-        host._poll_commits()
+        host._heartbeat()
         assert len(sent) == 1 and self._synthetic(sent[0].block.payload)
         assert host.replica.deferred_round is None
         assert self._counter(host, "blocks_proposed") == 1
@@ -387,8 +409,8 @@ class TestDifferential:
 
 
 class TestClientFleet:
-    def test_requests_acknowledged_at_f_plus_1(self, tmp_path):
-        spec = load_scenario(SCENARIO)
+    @staticmethod
+    def _drive(spec, tmp_path, num_clients, duration):
         manager = RuntimeManager(spec, workdir=tmp_path)
         try:
             manager.start()
@@ -396,19 +418,39 @@ class TestClientFleet:
             fleet = ClientFleet(
                 manager.endpoints(),
                 f=spec.resolved_f(),
-                num_clients=2,
+                num_clients=num_clients,
                 seed=manager.seed,
             )
-            asyncio.run(fleet.run(2.0))
+            asyncio.run(fleet.run(duration))
             report = manager.stop()
         finally:
             manager.cleanup()
+        return fleet, report
+
+    def test_requests_acknowledged_at_f_plus_1(self, tmp_path):
+        fleet, report = self._drive(
+            load_scenario(SCENARIO), tmp_path, num_clients=2, duration=2.0
+        )
         assert fleet.total_submitted() > 0
         assert fleet.total_acked() > 0
         assert report.total_replies() >= fleet.total_acked()
         assert report.chains_agree()
         # Each request is proposed once.  The slack is CI's: a request
-        # frame that reaches a replica after it applied that
-        # transaction's commit is carried once more.
+        # frame that reaches a replica after that transaction's block
+        # committed there is carried once more.
+        assert report.txs_distinct() > 0
+        assert report.txs_carried() <= 1.05 * report.txs_distinct()
+
+    def test_checkpoint_truncation_loses_no_reply(self, tmp_path):
+        # Truncation prunes committed blocks as the run goes; replies
+        # leave at commit, so none is lost and none is proposed again.
+        spec = load_scenario(SCENARIO).with_overrides(checkpoint_interval=8)
+        fleet, report = self._drive(spec, tmp_path, num_clients=4, duration=3.0)
+        assert fleet.total_submitted() > 0
+        assert fleet.total_acked() == fleet.total_submitted()
+        assert report.chains_agree()
+        assert len(report.results) == spec.n
+        for result in report.results.values():
+            assert result["metrics"]["checkpoint.blocks_truncated"] > 0
         assert report.txs_distinct() > 0
         assert report.txs_carried() <= 1.05 * report.txs_distinct()

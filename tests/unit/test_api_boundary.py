@@ -131,8 +131,6 @@ POST_HOC_WALK_SITES = {
     "analysis/invariants.py",
     # Its docstring documents the mempool-wait loss under truncation.
     "obs/phases.py",
-    # The TCP host's commit poll, until it subscribes to the stream.
-    "rt_net/replica_proc.py",
 }
 
 
