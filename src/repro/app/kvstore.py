@@ -174,8 +174,8 @@ class LedgerExecutor:
     def apply_block(self, block, now: float | None = None) -> None:
         """Apply one committed block's transactions.
 
-        A transaction may legitimately appear in several blocks (a
-        leader re-proposes anything not yet committed), so execution
+        A transaction may legitimately appear in several blocks (one
+        on an abandoned fork is proposed again), so execution
         deduplicates by transaction id — the standard SMR exactly-once
         rule.
         """

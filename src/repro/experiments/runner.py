@@ -45,7 +45,7 @@ def _workload_metrics(cluster, reference) -> dict:
     ``committed_unique`` follows the executor's exactly-once rule
     (distinct txids in the reference observer's committed chain);
     ``duplicates`` counts re-proposed occurrences that wasted block
-    space — the overhead pipelining suppresses.
+    space.
     """
     workload = getattr(cluster, "workload", None)
     if workload is None:

@@ -290,7 +290,10 @@ class ScenarioSpec:
     # discipline): a real-transaction KV workload at ``workload_rate``
     # txs/sec feeding per-replica mempools, leaders batching up to
     # ``batch_size`` transactions / ``max_batch_bytes`` bytes per
-    # block, optional pipelined drains, and linear vote collection.
+    # block, and linear vote collection.  ``pipelined_proposals``
+    # changes nothing that commits in any measured run (leaders already
+    # skip what their parent's chain carries); it stays because the
+    # frozen benchmark names it.
     workload_rate: float = 0.0
     workload_payload_bytes: int = 64
     batch_size: int = 256

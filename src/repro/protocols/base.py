@@ -178,12 +178,11 @@ class ReplicaConfig:
       real-transaction workload is attached: at most ``batch_size``
       transactions and (when non-zero) ``max_batch_bytes`` payload
       bytes per proposed block;
-    * ``pipelined_proposals`` — mempool drain discipline.  Off is
-      stop-and-wait re-proposal: a leader's payload repeats the
-      uncommitted front of its queue until this replica commits it.
-      On marks drained transactions in flight so consecutive
-      proposals ship fresh batches — a leader proposes round ``r+1``'s
-      transactions without waiting for round ``r``'s commit;
+    * ``pipelined_proposals`` — changes nothing that commits in any
+      measured run: on either tier a leader already skips what its
+      parent's uncommitted chain carries (:func:`~repro.runtime.client.attach`).  On, it also
+      holds back a transaction whose block fell off the chain for
+      ``8 × round``.  Kept because the frozen benchmark names it;
     * ``linear_votes`` — Linear-PBFT-style vote collection: votes go
       point-to-point to the round collector, which multicasts the
       aggregated QC (:class:`~repro.types.messages.QCMsg`), making the

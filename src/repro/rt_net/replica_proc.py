@@ -10,39 +10,33 @@ builds exactly the replica the simulator tier would build for the same
 adapters.  The protocol code cannot tell the difference; that is the
 point of the Transport/Clock seam.
 
-The host around the replica does what the in-process harness does in
-the simulator tier:
+The host wires the replica to its
+:class:`~repro.runtime.client.Mempool` through the simulator tier's
+:func:`~repro.runtime.client.attach`:
 
-* submits client transactions (``ClientRequestMsg`` frames from the
-  client fleet) into a per-replica :class:`~repro.runtime.client.Mempool`.
-  Clients broadcast every request to all ``n`` replicas, so every
-  leader holds every pending transaction;
-* as the replica's ``payload_source``, proposes each of them once: a
-  block extending ``parent_id`` skips whatever the blocks from
-  ``parent_id`` down to the last commit carry, read off the replica's
-  own block store.  A transaction on an abandoned fork is on no such
-  path and is proposed again by itself;
-* proposes only when there is something to commit: an uncarried
-  transaction, or a transaction block on the parent's chain that this
-  block helps commit (see :meth:`ReplicaHost._payload_source`).
+* client transactions (``ClientRequestMsg`` frames from the client
+  fleet) go into the mempool.  Clients broadcast every request to all
+  ``n`` replicas, so every leader holds every pending transaction;
+* a block extending ``parent_id`` proposes each of them once, skipping
+  what the chain from ``parent_id`` down to the last commit carries
+  (:func:`~repro.runtime.client.chain_walk`); a transaction on an
+  abandoned fork is on no such path and is proposed again;
+* with nothing uncarried, a block is proposed only if the chain needs
+  it to commit a transaction (:meth:`ReplicaHost._payload_source`).
   Otherwise a DiemBFT-family leader defers its round; the next client
   request wakes it on the following loop turn, and a 50 ms heartbeat
   forces a synthetic batch, so an idle cluster (and idle
   strengthening) advances one round per beat instead of free-running;
-* subscribes to the replica's commit stream: as each block commits it
-  removes the block's transactions from the mempool and answers each
-  routed transaction's client with a ``ClientReplyMsg`` at once
+* as each block commits, its transactions leave the mempool and each
+  routed transaction's client gets a ``ClientReplyMsg`` at once
   (clients ack at f+1 matching replies), before checkpoint truncation
-  can prune the block.  A snapshot install fires no commit listener,
-  so this replica neither records nor answers the range it skips:
-  those clients are acked by the replicas that committed the blocks,
-  and the range's transactions still pending here stay in the mempool
-  and are proposed again;
-* on SIGTERM (the manager's stop signal) snapshots the committed chain,
-  metrics and the ``txs_carried`` / ``txs_distinct`` pair into a result
-  JSON and exits cleanly.  ``txs_carried`` counts transactions in
-  committed blocks, ``txs_distinct`` those that were still pending when
-  their block committed; the difference is re-proposed duplicates.
+  can prune the block.  A snapshot install fires no commit listener:
+  the replicas that committed the skipped range ack its clients, and
+  its transactions still pending here are proposed again;
+* on SIGTERM (the manager's stop signal) the host writes the committed
+  chain, metrics and ``txs_carried`` (transactions in committed blocks)
+  / ``txs_distinct`` (those still pending when their block committed;
+  the difference is re-proposed duplicates) to a result JSON and exits.
 """
 
 from __future__ import annotations
@@ -53,11 +47,10 @@ import signal
 import sys
 from pathlib import Path
 
-from repro.core.commit_rules import CHAIN_LENGTH
 from repro.crypto.registry import KeyRegistry
 from repro.experiments.spec import spec_from_mapping
 from repro.protocols.base import ReplicaContext
-from repro.runtime.client import Mempool
+from repro.runtime.client import Mempool, attach, chain_walk
 from repro.runtime.cluster import _PROTOCOL_CLASSES
 from repro.rt_net.transport import TcpTransport, WallClock
 from repro.types.messages import ClientReplyMsg, ClientRequestMsg
@@ -100,17 +93,12 @@ class ReplicaHost:
             self.spec.replica_config(replica_id), context
         )
 
-        replica_config = self.replica.config
-        self.mempool = Mempool(
-            max_block_transactions=replica_config.batch_size,
-            max_block_bytes=replica_config.max_batch_bytes,
-        )
         #: The replica's built-in synthetic-batch source, kept as the
         #: fallback so an idle mempool proposes exactly the payloads the
         #: simulator tier proposes (same digest fields) — that is what
         #: makes the sim-vs-TCP differential compare literal block ids.
         self._default_payload = self.replica.payload_source
-        self.replica.payload_source = self._payload_source
+        self.mempool = Mempool.for_replica(self.replica.config)
         #: txid -> client id, for routing commit acknowledgements.
         self._routes: dict = {}
         self.committed: list = []
@@ -119,7 +107,7 @@ class ReplicaHost:
         self.txs_distinct = 0
         self._wake_pending = False
         self._stopping = False
-        self.replica.commit_tracker.add_commit_listener(self._on_commit)
+        attach(self.replica, self.mempool, self._on_commit, self._payload_source)
 
     # ------------------------------------------------------------------
     # message plumbing
@@ -143,63 +131,29 @@ class ReplicaHost:
         self._wake_pending = False
         self.replica.propose_deferred()
 
-    def _scan(self, parent_id) -> tuple[set, bool]:
-        """One walk down from ``parent_id``: the txids a block extending
-        it would repeat, and whether that block is needed to commit a
-        transaction already on the chain.
-
-        Carried are the transactions above the last commit: every
-        commit has already removed its transactions from the mempool.
-
-        Needed means a transaction block above this replica's last
-        commit, or among the parent's ``CHAIN_LENGTH`` nearest blocks:
-        the new proposal carries the QC that commits that one at every
-        other replica.
-        """
-        carried: set = set()
-        store = self.replica.store
-        if parent_id not in store:
-            return carried, False
-        commit_order = self.replica.commit_tracker.commit_order
-        floor = commit_order[-1].height if commit_order else 0
-        needed = False
-        for depth, block in enumerate(store.iter_ancestors(parent_id)):
-            near = depth < CHAIN_LENGTH
-            above = block.height > floor
-            if not (above or near):
-                break
-            transactions = block.payload.transactions
-            if not transactions:
-                continue
-            needed = True
-            if above:
-                carried.update(transaction.txid() for transaction in transactions)
-        return carried, needed
-
     def _payload_source(self, now: float, parent_id):
         """Uncarried transactions; else the synthetic batch if the chain
         still needs this block to commit one; else ``None`` (defer)."""
-        carried, needed = self._scan(parent_id)
-        if self.mempool.pending_count():
-            payload = self.mempool.make_payload(now, carried)
-            if payload.transactions:
-                return payload
+        carried, needed = chain_walk(self.replica, parent_id)
+        payload = self.mempool.make_payload(now, carried)
+        if payload.transactions:
+            return payload
         return self._default_payload(now, parent_id) if needed else None
 
     # ------------------------------------------------------------------
     # commit stream
     # ------------------------------------------------------------------
 
-    def _on_commit(self, block, now: float) -> None:
-        """Commit listener: record ``block``, drop its transactions from
-        the mempool and answer each routed client straight away."""
+    def _on_commit(self, block, now: float, removed: int) -> None:
+        """Commit sink: record ``block`` and answer each routed client
+        straight away."""
         block_id = block.id()
         self.committed.append((block.height, block.round, block_id.hex()))
         transactions = block.payload.transactions
         self.txs_carried += len(transactions)
+        self.txs_distinct += removed
         for transaction in transactions:
             txid = transaction.txid()
-            self.txs_distinct += self.mempool.remove(txid)
             client_id = self._routes.pop(txid, None)
             if client_id is None:
                 continue

@@ -1,4 +1,5 @@
-"""The simulator's client path: mempools and the load generator.
+"""The client path: mempools, their wiring to a replica on either tier,
+and the simulator's load generator.
 
 The paper's evaluation keeps leaders saturated ("sufficiently many
 transactions are generated ... so that any leader always has enough
@@ -23,6 +24,7 @@ import random
 from collections import OrderedDict
 
 from repro.app.kvstore import KVCommand
+from repro.core.commit_rules import CHAIN_LENGTH
 from repro.crypto.hashing import HashDigest
 from repro.types.transaction import Payload, Transaction
 
@@ -30,32 +32,22 @@ from repro.types.transaction import Payload, Transaction
 class Mempool:
     """FIFO pool of pending client transactions for one replica.
 
-    Entries leave the pool only on commit (:meth:`drop_committed`, a
-    listener on the owning replica's commit stream, or
-    :meth:`remove_committed`), never on proposal: a leader whose round
-    fails must not lose them.
+    Entries leave the pool only on commit (:meth:`remove_committed`,
+    called by the commit listener :func:`attach` registers), never on
+    proposal: a leader whose round fails must not lose them.
     :meth:`make_payload` therefore *copies* from the queue, capped by
     ``max_block_transactions`` and, when non-zero, ``max_block_bytes``
     (a payload always takes at least one transaction so a jumbo entry
-    cannot wedge the queue).  Two things keep a copy from re-shipping
-    what is already on its way to commit:
+    cannot wedge the queue), skipping ``exclude``: the txids the
+    proposal's uncommitted ancestors already carry (:func:`chain_walk`).
+    Each transaction is thus proposed once; if that chain is abandoned
+    the set no longer names it, so it is eligible again without a timer.
+    Skipped entries keep their queue position.
 
-    * ``exclude`` — the txids the caller knows the proposal's
-      uncommitted ancestors already carry.  The TCP tier, where clients
-      broadcast every request to all replicas and so every leader holds
-      every transaction, passes the set read off its block store
-      (``ReplicaHost._payload_source``): each request is proposed once,
-      and if that chain is abandoned the set no longer names it, so it
-      is eligible again without a timer.
-    * ``pipelined`` — for harnesses that submit each transaction to one
-      mempool and do not consult the chain.  Off is stop-and-wait: each
-      payload copies the uncommitted front of the queue.  On marks
-      copied transactions *in flight* for ``inflight_timeout`` seconds
-      and skips them in later payloads, so consecutive proposals carry
-      fresh batches; a proposal that went nowhere (failed round,
-      crashed leader) becomes eligible again when the timeout lapses.
-
-    Skipped entries keep their queue position either way.
+    ``pipelined`` also skips copied transactions for
+    ``inflight_timeout`` seconds: behind the chain walk, that only holds
+    back one whose block fell off the chain.  It stays because the
+    frozen benchmark names it.
     """
 
     def __init__(
@@ -72,6 +64,19 @@ class Mempool:
         self._pending: OrderedDict = OrderedDict()
         self._in_flight: dict = {}  # txid -> eligibility deadline
         self.submitted = 0
+        self.replica = None  # whose chain payload_source walks; see attach
+
+    @classmethod
+    def for_replica(cls, config) -> "Mempool":
+        """The pool a replica with ``config`` proposes from, on either
+        tier: its batch caps and its drain discipline."""
+        per_round = getattr(config, "round_duration", None) or config.round_timeout
+        return cls(
+            max_block_transactions=config.batch_size,
+            max_block_bytes=config.max_batch_bytes,
+            pipelined=config.pipelined_proposals,
+            inflight_timeout=8.0 * per_round,  # outlives a 3-chain commit
+        )
 
     def submit(self, transaction: Transaction) -> HashDigest:
         """Queue ``transaction`` and return the txid it is filed under.
@@ -88,11 +93,6 @@ class Mempool:
     def pending_count(self) -> int:
         return len(self._pending)
 
-    def remove(self, txid: HashDigest) -> bool:
-        """Drop one committed transaction; False if it was not pending."""
-        self._in_flight.pop(txid, None)
-        return self._pending.pop(txid, None) is not None
-
     def remove_committed(self, transactions) -> int:
         """Drop transactions that made it into a committed block.
 
@@ -100,9 +100,12 @@ class Mempool:
         duplicates of something already removed (or never submitted
         here).
         """
-        return sum(
-            self.remove(transaction.txid()) for transaction in transactions
-        )
+        removed = 0
+        for transaction in transactions:
+            txid = transaction.txid()
+            self._in_flight.pop(txid, None)
+            removed += self._pending.pop(txid, None) is not None
+        return removed
 
     def drop_committed(self, block, now: float) -> None:
         """Commit listener: ``block``'s transactions leave the pool."""
@@ -110,11 +113,15 @@ class Mempool:
         self.remove_committed(block.payload.transactions)
 
     def payload_source(self, now: float, parent_id=None) -> Payload:
-        """``BaseReplica.payload_source`` for the simulator harnesses,
-        which rely on ``pipelined`` (or accept re-proposal) rather than
-        on what the chain under ``parent_id`` already carries."""
-        del parent_id
-        return self.make_payload(now)
+        """The simulator tier's ``BaseReplica.payload_source``: what
+        the uncommitted chain under ``parent_id`` does not carry yet,
+        else the empty payload — the simulator has no heartbeat to force
+        a deferred round, so it never defers.  Before :func:`attach`
+        binds a replica no chain is known."""
+        if self.replica is None:
+            return self.make_payload(now)
+        carried, _needed = chain_walk(self.replica, parent_id)
+        return self.make_payload(now, carried)
 
     def make_payload(self, now: float, exclude=()) -> Payload:
         """Copy up to a block's worth of transactions into a payload,
@@ -149,18 +156,68 @@ class Mempool:
         )
 
 
+def chain_walk(replica, parent_id) -> tuple[set, bool]:
+    """One walk down from ``parent_id`` in ``replica``'s store:
+    ``(carried, needed)`` for a block extending it.
+
+    Carried are the txids above the last commit (every commit has
+    already removed its transactions from the mempool).  Needed means a
+    transaction block above the last commit, or among the parent's
+    ``CHAIN_LENGTH`` nearest blocks: the new proposal carries the QC
+    that commits that one at every other replica.
+    """
+    carried: set = set()
+    store = replica.store
+    if parent_id not in store:
+        return carried, False
+    commit_order = replica.commit_tracker.commit_order
+    floor = commit_order[-1].height if commit_order else 0
+    needed = False
+    for depth, block in enumerate(store.iter_ancestors(parent_id)):
+        near = depth < CHAIN_LENGTH
+        above = block.height > floor
+        if not (above or near):
+            break
+        transactions = block.payload.transactions
+        if not transactions:
+            continue
+        needed = True
+        if above:
+            carried.update(transaction.txid() for transaction in transactions)
+    return carried, needed
+
+
+def attach(replica, mempool: Mempool, sink, source=None) -> None:
+    """Wire ``replica`` (at build, or reborn after a restart) to
+    ``mempool`` on either tier.
+
+    The replica proposes through ``source``, by default
+    :meth:`Mempool.payload_source`; a tier that defers idle rounds
+    passes its own, built on :func:`chain_walk` too.  One commit
+    listener drops each committed block's transactions from the mempool
+    and calls ``sink(block, now, removed)`` with how many were pending.
+    """
+    mempool.replica = replica
+    replica.payload_source = source or mempool.payload_source
+
+    def on_commit(block, now: float) -> None:
+        sink(block, now, mempool.remove_committed(block.payload.transactions))
+
+    replica.commit_tracker.add_commit_listener(on_commit)
+
+
 class KVWorkload:
     """Open-loop deterministic KV transaction generator over a cluster.
 
     The load generator behind the ``workload_rate`` scenario knob.
     Submits ``rate`` transactions per second round-robin across
     replicas' mempools, and :meth:`attach` has each replica propose
-    from its own (capped by that replica's
-    ``batch_size``/``max_batch_bytes`` config, honouring its
-    ``pipelined_proposals`` drain discipline).  Committed throughput
-    counts *unique* transactions — the exactly-once count a
-    :class:`~repro.app.kvstore.LedgerExecutor` applies — and
-    re-proposed duplicates are reported separately.
+    from its own, skipping what its parent's uncommitted chain already
+    carries.  Committed throughput counts *unique* transactions — the
+    exactly-once count a :class:`~repro.app.kvstore.LedgerExecutor`
+    applies — and duplicates (a transaction proposed again by a leader
+    that cannot see its first copy's block, such as a replica reborn
+    with an empty store) are reported separately.
     """
 
     def __init__(
@@ -183,29 +240,15 @@ class KVWorkload:
         self._block_txids: dict = {}  # committed block id -> its txids
         self._first_commit: dict = {}  # txid -> (committed, submitted)
         for replica in cluster.replicas:
-            config = replica.config
-            per_round = getattr(config, "round_duration", None)
-            if not per_round:
-                per_round = config.round_timeout
-            self.mempools[replica.replica_id] = Mempool(
-                max_block_transactions=config.batch_size,
-                max_block_bytes=config.max_batch_bytes,
-                pipelined=config.pipelined_proposals,
-                # In-flight entries outlive a full 3-chain commit
-                # before re-qualifying for proposals.
-                inflight_timeout=8.0 * per_round,
+            self.mempools[replica.replica_id] = Mempool.for_replica(
+                replica.config
             )
             self.attach(replica)
 
     def attach(self, replica) -> None:
-        """Wire ``replica`` (at build, or reborn after a restart) to its
-        mempool: it proposes from the mempool, and each block it commits
-        is recorded here and removed from the mempool."""
-        mempool = self.mempools[replica.replica_id]
-        tracker = replica.commit_tracker
-        tracker.add_commit_listener(self.record_commit)
-        tracker.add_commit_listener(mempool.drop_committed)
-        replica.payload_source = mempool.payload_source
+        """:func:`attach` ``replica`` to its mempool, recording here
+        each block it commits."""
+        attach(replica, self.mempools[replica.replica_id], self.record_commit)
 
     def start(self) -> None:
         simulator = self.cluster.simulator
@@ -231,9 +274,10 @@ class KVWorkload:
     # measurement, recorded as blocks commit
     # ------------------------------------------------------------------
 
-    def record_commit(self, block, now: float) -> None:
-        """Commit listener of every replica instance: notes a block's
-        txids the first time any replica commits it."""
+    def record_commit(self, block, now: float, removed: int) -> None:
+        """Commit sink of every replica instance: notes a block's txids
+        the first time any replica commits it."""
+        del removed
         block_id = block.id()
         if block_id in self._block_txids:
             return
@@ -250,7 +294,7 @@ class KVWorkload:
 
         ``unique`` counts distinct transaction ids in committed blocks;
         ``duplicates`` counts the re-proposed extra occurrences that
-        wasted block space — the quantity pipelining suppresses.
+        wasted block space.
         """
         seen: set = set()
         duplicates = 0

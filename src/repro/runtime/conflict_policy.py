@@ -147,7 +147,7 @@ class ConflictAwareMempool(Mempool):
             if tracked.included_in is not None and not self._is_blocking(tracked)
         ]
         for txid in done:
-            self.remove(txid)
+            self._pending.pop(txid, None)
 
     # ------------------------------------------------------------------
     # introspection

@@ -8,6 +8,7 @@ import pytest
 from repro.experiments.runner import collect_job_metrics
 from repro.experiments.spec import FaultMix, ScenarioSpec, load_scenario
 from repro.runtime.metrics import throughput_txps
+from repro.types.transaction import Transaction
 
 CORPUS = Path(__file__).resolve().parents[2] / "scenarios" / "fuzz_corpus"
 
@@ -150,4 +151,9 @@ class TestRestart:
         for replica_id in reborn:
             mempool = cluster.workload.mempools[replica_id]
             replica = cluster.replicas[replica_id]
-            assert replica.payload_source == mempool.payload_source
+            pending = Transaction(client_id=99, sequence=replica_id)
+            mempool.submit(pending)
+            payload = replica.payload_source(
+                cluster.simulator.now, replica.store.highest_certified_id
+            )
+            assert pending in payload.transactions

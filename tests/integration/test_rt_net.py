@@ -24,6 +24,7 @@ from repro.rt_net.manager import (
 )
 from repro.rt_net.replica_proc import ReplicaHost
 from repro.rt_net.transport import TcpTransport, WallClock
+from repro.runtime.client import chain_walk
 from repro.types.block import Block
 from repro.types.messages import ClientReplyMsg, ClientRequestMsg
 from repro.types.quorum_cert import QuorumCertificate
@@ -264,7 +265,7 @@ class TestProposeOnce:
         assert host._payload_source(0.0, parent.id()).transactions == (
             late, sibling_tx, fresh,
         )
-        carried, _needed = host._scan(parent.id())
+        carried, _needed = chain_walk(host.replica, parent.id())
         assert carried == {parent_tx.txid()}
 
     def test_reply_leaves_before_truncation_prunes_the_block(self, host):

@@ -1,8 +1,8 @@
 """Throughput pipeline end-to-end: batching, pipelining, linear votes.
 
 Covers the full transaction path (KV workload → mempools → batched
-proposals → removal at commit), the pipelined drain discipline's
-duplicate suppression, the O(n²) → O(n) vote-traffic change under
+proposals → removal at commit), proposals that skip what the parent's
+uncommitted chain carries, the O(n²) → O(n) vote-traffic change under
 linear vote collection, determinism across worker counts with every
 new flag on, and — the other direction — that with every flag off the
 committed campaign baseline and two pinned counter sets replay
@@ -109,21 +109,34 @@ class TestBatchedWorkload:
 
 class TestPipelinedProposals:
     def test_pipelining_suppresses_duplicate_proposals(self):
-        # Stop-and-wait re-proposes the same front until it commits.
         # A crashed replica breaks 3-chains, so a leader's block is
-        # often still uncommitted at its next turn and the re-shipped
-        # copy commits twice, wasting block space; the pipelined drain
-        # keeps consecutive proposals disjoint.
+        # often still uncommitted at its next turn.  Its next proposal
+        # skips what that chain carries, so no copy commits twice and
+        # the pipelined drain has nothing left to suppress.
         base = _workload_spec(
             name="tput-pipe", workload_rate=1000.0, batch_size=32,
             faults=FaultMix(crash=1),
         )
-        reproposal = _run(base)["metrics"]["txs"]
+        plain = _run(base)["metrics"]["txs"]
         pipelined = _run(base.with_overrides(pipelined_proposals=True))[
             "metrics"
         ]["txs"]
-        assert reproposal["duplicates"] > pipelined["duplicates"]
+        assert plain == pipelined
+        assert pipelined["duplicates"] == 0
         assert pipelined["committed_unique"] > 0
+
+    def test_checkpoint_smoke_commits_no_duplicate(self):
+        # The checkpoint CI campaign's shape: snapshot join after a
+        # partition, checkpoints every 4 heights, no pipelining.
+        campaign = Campaign.from_file(SCENARIOS_DIR / "checkpoint_smoke.toml")
+        job = next(
+            job for job in campaign.expand()
+            if job.spec.protocol == "sft-diembft"
+        )
+        assert not job.spec.pipelined_proposals
+        txs = run_job(job)["metrics"]["txs"]
+        assert txs["duplicates"] == 0
+        assert txs["committed_unique"] > 0
 
 
 class TestLinearVoteCollection:

@@ -169,3 +169,62 @@ def test_committed_blocks_are_consumed_from_the_stream():
         "blocks checkpoint truncation pruned; subscribe with "
         "CommitTracker.add_commit_listener instead:\n" + "\n".join(violations)
     )
+
+
+# ----------------------------------------------------------------------
+# One mempool wiring
+# ----------------------------------------------------------------------
+
+#: Rebinding a replica's proposal source.  Outside the sites below it
+#: is a second, hand-spelled mempool wiring next to ``attach``.
+PAYLOAD_SOURCE_BINDING = re.compile(r"\bpayload_source\s*=(?!=)")
+
+#: (file, function) that may rebind it: the replica's default, the one
+#: wiring both tiers share, and the Section 5 conflict-deferral pool
+#: (its own wiring until it is folded onto ``attach``).
+PAYLOAD_SOURCE_SITES = {
+    ("protocols/base.py", "__init__"),
+    ("runtime/client.py", "attach"),
+    ("runtime/conflict_policy.py", "bind"),
+}
+
+
+def _payload_source_bindings(root=SRC):
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        owner = _enclosing_functions(ast.parse(text))
+        relative = path.relative_to(root).as_posix()
+        for number, line in enumerate(text.splitlines(), start=1):
+            if not PAYLOAD_SOURCE_BINDING.search(line):
+                continue
+            if (relative, owner.get(number)) in PAYLOAD_SOURCE_SITES:
+                continue
+            found.append(f"src/repro/{relative}:{number}: {line.strip()}")
+    return found
+
+
+def test_payload_source_sites_exist():
+    for relative, function in PAYLOAD_SOURCE_SITES:
+        text = (SRC / relative).read_text()
+        assert f"def {function}(" in text, f"{relative}::{function} moved?"
+        assert PAYLOAD_SOURCE_BINDING.search(text), f"{relative} no longer binds"
+
+
+def test_the_wiring_lint_names_a_new_binding(tmp_path):
+    (tmp_path / "host.py").write_text(
+        "def wire(replica, mempool):\n"
+        "    replica.payload_source = mempool.payload_source\n"
+    )
+    assert _payload_source_bindings(tmp_path) == [
+        "src/repro/host.py:2: replica.payload_source = mempool.payload_source"
+    ]
+
+
+def test_replicas_are_wired_to_mempools_only_by_attach():
+    violations = _payload_source_bindings()
+    assert not violations, (
+        "payload_source rebound outside repro.runtime.client.attach; "
+        "wire the replica to its mempool with attach() instead:\n"
+        + "\n".join(violations)
+    )

@@ -9,9 +9,10 @@ from repro.analysis.report import (
     format_simple_table,
 )
 from repro.experiments.spec import ScenarioSpec
-from repro.runtime.client import Mempool
+from repro.runtime.client import Mempool, attach
 from repro.runtime.metrics import LatencyReport, percentile
-from repro.types.transaction import Transaction
+from repro.types.block import Block
+from repro.types.transaction import Payload, Transaction
 
 
 class TestSpecDerivedPieces:
@@ -231,13 +232,34 @@ class TestMempool:
             )
         assert with_exclude._in_flight == plain._in_flight
 
-    def test_payload_source_ignores_the_parent(self):
+    def test_payload_source_skips_what_the_parent_chain_carries(self):
+        spec = ScenarioSpec(n=4, protocol="diembft", seeds=(1,))
+        replica = spec.build(1).build().replicas[0]
         mempool = Mempool(max_block_transactions=2)
-        for sequence in range(3):
-            mempool.submit(self._txn(sequence))
-        assert (
-            mempool.payload_source(0.0, object()).transactions
-            == mempool.make_payload(0.0).transactions
+        attach(replica, mempool, lambda block, now, removed: None)
+        txns = [self._txn(sequence) for sequence in range(4)]
+        for txn in txns:
+            mempool.submit(txn)
+
+        def extend(parent, *transactions):
+            block = Block(
+                parent_id=parent.id(), qc=replica.store.qc_for(parent.id()),
+                round=parent.round + 1, height=parent.height + 1, proposer=0,
+                payload=Payload(transactions=transactions),
+            )
+            replica.store.add_block(block)
+            return block
+
+        # genesis - first - parent   <- the proposal extends this
+        #               \_ sibling   (abandoned)
+        first = extend(replica.genesis, txns[0])
+        parent = extend(first, txns[1])
+        extend(first, txns[2])
+        assert replica.payload_source(0.0, parent.id()).transactions == (
+            txns[2], txns[3],
+        )
+        assert replica.payload_source(0.0, first.id()).transactions == (
+            txns[1], txns[2],
         )
 
 
