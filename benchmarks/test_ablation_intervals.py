@@ -14,10 +14,10 @@ size of votes.
 """
 
 from repro.adversary import make_equivocating_leader
+from repro.analysis.invariants import check_prefix_consistency
 from repro.experiments.spec import ScenarioSpec
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
 from repro.runtime.config import build_cluster
-from repro.runtime.metrics import check_commit_safety
 
 N, F = 7, 2
 BYZANTINE_ID = 3
@@ -93,7 +93,7 @@ def test_ablation_marker_vs_intervals():
             for index, replica in enumerate(cluster.replicas)
             if index != BYZANTINE_ID
         ]
-        check_commit_safety(honest)
+        assert not check_prefix_consistency(honest)
         high = 2 * F - 1  # t = 1 Byzantine → Theorem 3 target
         reached, eligible = reach_stats(cluster, high)
         results[label] = (reached, eligible, vote_extra_ints(cluster))

@@ -9,21 +9,18 @@ Expected shape (paper): latency grows near-linearly with x; a jump at
 jump at 2f (stragglers' votes enter strong-QCs rarely); δ = 200 ms
 shifts the whole curve up.
 
-Runs as a two-job campaign (matrix over δ) through the experiment
-engine — the same path as ``repro campaign run scenarios/fig7a_*``.
+Runs ``scenarios/fig7a_symmetric.toml`` (a two-job campaign, matrix
+over δ) through the experiment engine — the same path as
+``repro campaign run`` and ``repro figure`` on that file.
 """
 
 from repro.analysis import format_fig7_table, line_chart
-from repro.experiments import Campaign, CampaignRunner
 
-from benchmarks.conftest import series_from_job, symmetric_spec
+from benchmarks.conftest import run_figure, series_from_job
 
 
 def test_fig7a_symmetric_geo_distribution():
-    campaign = Campaign(
-        symmetric_spec(delta=0.100), matrix={"delta": [0.100, 0.200]}
-    )
-    report = CampaignRunner(campaign.expand(), workers=1).run()
+    report = run_figure("fig7a_symmetric")
 
     results = {}
     for job_entry in report["jobs"]:

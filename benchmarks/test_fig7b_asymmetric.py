@@ -12,23 +12,19 @@ Expected shape (paper):
 * at δ = 200 ms, C-led rounds time out and are replaced, so region-C
   votes never reach the chain and the A/B view caps at 1.7f.
 
-Runs as a two-job campaign (matrix over δ) through the experiment
-engine; the spec's ``series_observers`` restricts the latency series
-to region-A/B observers — the paper's "strong-QC in the blockchain"
-accounting.
+Runs ``scenarios/fig7b_asymmetric.toml`` (a two-job campaign, matrix
+over δ) through the experiment engine; the file's ``series_observers``
+restricts the latency series to region-A/B observers — the paper's
+"strong-QC in the blockchain" accounting.
 """
 
 from repro.analysis import format_fig7_table
-from repro.experiments import Campaign, CampaignRunner
 
-from benchmarks.conftest import asymmetric_spec, series_from_job
+from benchmarks.conftest import run_figure, series_from_job
 
 
 def test_fig7b_asymmetric_geo_distribution():
-    campaign = Campaign(
-        asymmetric_spec(delta=0.100), matrix={"delta": [0.100, 0.200]}
-    )
-    report = CampaignRunner(campaign.expand(), workers=1).run()
+    report = run_figure("fig7b_asymmetric")
 
     results = {}
     for job_entry in report["jobs"]:

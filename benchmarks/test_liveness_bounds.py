@@ -8,10 +8,10 @@ best achieved strength and the mean/max time to reach it.
 """
 
 from repro.adversary import make_silent
+from repro.analysis.invariants import check_prefix_consistency
 from repro.experiments.spec import FaultMix, ScenarioSpec
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
 from repro.runtime.config import build_cluster
-from repro.runtime.metrics import check_commit_safety
 
 N, F = 10, 3
 
@@ -67,7 +67,7 @@ def test_liveness_bounds_theorem_2_and_3():
     for fault_count in range(0, F + 1):
         cluster = run_with_faults(fault_count, byzantine=False,
                                   generalized=False)
-        check_commit_safety(
+        assert not check_prefix_consistency(
             [replica for replica in cluster.replicas if not replica.crashed]
         )
         target = 2 * F - fault_count
@@ -83,7 +83,7 @@ def test_liveness_bounds_theorem_2_and_3():
             for replica in cluster.replicas
             if replica.replica_id < N - fault_count
         ]
-        check_commit_safety(honest)
+        assert not check_prefix_consistency(honest)
         target = 2 * F - fault_count
         rows.append(
             ("byzantine+intervals", fault_count, target)

@@ -12,8 +12,8 @@ protocols; the growth exponent is estimated from the endpoints.
 
 import math
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.experiments.spec import ScenarioSpec
-from repro.runtime.metrics import check_commit_safety
 
 SWEEP_N = (7, 13, 25, 49, 100)
 
@@ -50,7 +50,7 @@ def test_message_complexity_sft_vs_fbft():
         per_block = {}
         for protocol in ("sft-diembft", "fbft"):
             cluster = run_uniform(protocol, n, duration)
-            check_commit_safety(cluster.observer_replicas())
+            assert not check_prefix_consistency(cluster.observer_replicas())
             per_block[protocol] = messages_per_block(cluster)
         rows.append((n, per_block["sft-diembft"], per_block["fbft"]))
 

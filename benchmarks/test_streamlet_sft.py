@@ -10,8 +10,9 @@ DiemBFT's round-based rules vs a full competitive chain for
 Streamlet's height-based rules).
 """
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.experiments.spec import ScenarioSpec
-from repro.runtime.metrics import check_commit_safety, strong_latency_series
+from repro.runtime.metrics import strong_latency_series
 
 RATIOS = (1.0, 1.2, 1.4, 1.6, 1.8, 2.0)
 
@@ -38,7 +39,7 @@ def test_sft_streamlet_strength_and_costs():
 
     for protocol in ("sft-streamlet", "sft-diembft"):
         cluster = run(protocol)
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         cutoff = cluster.simulator.now * 0.6
         series = strong_latency_series(
             cluster, RATIOS, created_before=cutoff

@@ -8,19 +8,23 @@ table: committed transactions per second under the symmetric setting,
 plus the regular-commit latency for completeness.
 """
 
-from repro.runtime.metrics import check_commit_safety, throughput_txps
+from repro.analysis.invariants import check_prefix_consistency
+from repro.runtime.metrics import throughput_txps
 
-from benchmarks.conftest import regular_latency, run_symmetric
+from benchmarks.conftest import figure_campaign, regular_latency
 
 
 def test_throughput_parity_sft_vs_diembft():
     results = {}
+    # The Figure 7a setting at δ = 100 ms, once per protocol.
+    base = figure_campaign("fig7a_symmetric").base
 
     for protocol in ("diembft", "sft-diembft"):
-        cluster = run_symmetric(
-            delta=0.100, duration=30.0, protocol=protocol, seed=29
+        spec = base.with_overrides(
+            protocol=protocol, delta=0.100, duration=30.0, seeds=(29,)
         )
-        check_commit_safety(cluster.observer_replicas())
+        cluster = spec.build(29).run()
+        assert not check_prefix_consistency(cluster.observer_replicas())
         results[protocol] = (
             throughput_txps(cluster),
             regular_latency(cluster),

@@ -10,7 +10,8 @@ round-robin rotation (at latest when it acts as vote collector).
 Run:  python examples/crash_faults.py
 """
 
-from repro import FaultMix, ScenarioSpec, check_commit_safety
+from repro import FaultMix, ScenarioSpec
+from repro.analysis.invariants import check_prefix_consistency
 
 
 def run_with_crashes(crash_count: int) -> None:
@@ -32,7 +33,7 @@ def run_with_crashes(crash_count: int) -> None:
     f = spec.resolved_f()
     cluster = spec.build().run()
     survivors = [replica for replica in cluster.replicas if not replica.crashed]
-    check_commit_safety(survivors)
+    assert not check_prefix_consistency(survivors)
 
     replica = survivors[0]
     commits = replica.commit_tracker.commit_order

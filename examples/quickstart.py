@@ -11,7 +11,8 @@ consensus.
 Run:  python examples/quickstart.py
 """
 
-from repro import ScenarioSpec, check_commit_safety
+from repro import ScenarioSpec
+from repro.analysis.invariants import check_prefix_consistency
 
 
 def main() -> None:
@@ -32,7 +33,7 @@ def main() -> None:
           f"for {spec.duration:.0f}s of simulated time…")
 
     cluster = spec.build().run()
-    check_commit_safety(cluster.replicas)
+    assert not check_prefix_consistency(cluster.replicas)
 
     replica = cluster.replicas[0]
     commits = replica.commit_tracker.commit_order

@@ -10,7 +10,8 @@ message-complexity gulf between Streamlet's all-to-all + echo pattern
 Run:  python examples/streamlet_sft.py
 """
 
-from repro import ScenarioSpec, check_commit_safety, strong_latency_series
+from repro import ScenarioSpec, strong_latency_series
+from repro.analysis.invariants import check_prefix_consistency
 
 
 def run(protocol: str):
@@ -27,7 +28,7 @@ def run(protocol: str):
         block_batch_bytes=1_000,
     )
     cluster = spec.build().run()
-    check_commit_safety(cluster.replicas)
+    assert not check_prefix_consistency(cluster.replicas)
     return cluster
 
 

@@ -59,7 +59,6 @@ from repro.runtime import (
     Cluster,
     LatencyReport,
     build_cluster,
-    check_commit_safety,
     regular_commit_latency,
     strong_commit_latency,
     strong_latency_series,
@@ -122,7 +121,6 @@ __all__ = [
     "build_cluster",
     "Cluster",
     "LatencyReport",
-    "check_commit_safety",
     "regular_commit_latency",
     "strong_commit_latency",
     "strong_latency_series",

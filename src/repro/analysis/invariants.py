@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.resilience import max_strength
-from repro.runtime.metrics import strong_commit_safety_violations
 
 #: Names of every invariant this oracle knows how to check.
 INVARIANTS = (
@@ -90,28 +89,72 @@ def honest_observers(cluster) -> list:
 
 
 def check_definition_1(replicas, actual_faults: int, expected: bool = False):
-    """No conflicting ``x``-strong commits for ``x >= t`` (Definition 1)."""
+    """No conflicting ``x``-strong commits for ``x >= t`` (Definition 1).
+
+    Every block some replica holds at strength ``>= t`` is paired with
+    every other such block; a pair the strongest holder's store sees as
+    conflicting is one violation, at the weaker of the two levels.
+    """
+    strong: dict = {}
+    for replica in replicas:
+        for block_id, timeline in replica.commit_tracker.timelines():
+            if timeline.current >= actual_faults:
+                stored = strong.get(block_id)
+                if stored is None or timeline.current > stored[0]:
+                    strong[block_id] = (timeline.current, replica)
     violations = []
-    for level, block_a, block_b in strong_commit_safety_violations(
-        replicas, actual_faults
-    ):
-        violations.append(
-            InvariantViolation(
-                invariant="definition-1",
-                detail=(
-                    f"conflicting blocks {block_a.short()} and "
-                    f"{block_b.short()} are both >= {level}-strong committed "
-                    f"under t = {actual_faults} actual faults"
-                ),
-                expected=expected,
-            )
-        )
+    items = list(strong.items())
+    for i, (block_a, (level_a, replica_a)) in enumerate(items):
+        store = replica_a.store
+        for block_b, (level_b, _replica_b) in items[i + 1:]:
+            if block_a not in store or block_b not in store:
+                continue
+            if store.conflicts(block_a, block_b):
+                violations.append(
+                    InvariantViolation(
+                        invariant="definition-1",
+                        detail=(
+                            f"conflicting blocks {block_a.short()} and "
+                            f"{block_b.short()} are both >= "
+                            f"{min(level_a, level_b)}-strong committed "
+                            f"under t = {actual_faults} actual faults"
+                        ),
+                        expected=expected,
+                    )
+                )
     return violations
 
 
 # ----------------------------------------------------------------------
 # prefix consistency
 # ----------------------------------------------------------------------
+
+
+def chain_disagreements(chains) -> list:
+    """Cross-replica agreement: one block per height across replicas.
+
+    ``chains`` maps a replica id to its committed ``(height, block_id)``
+    sequence; block ids are digests on the simulator and hex strings on
+    the TCP tier.  Each replica that committed a different block at a
+    height than the first replica seen there is one violation.
+    """
+    first: dict = {}
+    violations = []
+    for replica_id, chain in chains.items():
+        for height, block_id in chain:
+            seen_id, seen_by = first.setdefault(height, (block_id, replica_id))
+            if seen_id != block_id:
+                violations.append(
+                    InvariantViolation(
+                        invariant="prefix-consistency",
+                        detail=(
+                            f"height {height}: replica {replica_id} "
+                            f"committed {str(block_id)[:10]} but replica "
+                            f"{seen_by} committed {str(seen_id)[:10]}"
+                        ),
+                    )
+                )
+    return violations
 
 
 def check_prefix_consistency(replicas):
@@ -122,10 +165,11 @@ def check_prefix_consistency(replicas):
     height (the skipped prefix is certified by the 2f+1 checkpoint
     digest, not by local commit events); those recorded join heights
     are excused from the per-replica gap and parent-linkage checks.
-    Cross-replica agreement at every height is still enforced in full.
+    Cross-replica agreement at every height (:func:`chain_disagreements`)
+    is still enforced in full.
     """
     violations = []
-    by_height: dict[int, tuple] = {}
+    chains = {}
     for replica in replicas:
         events = sorted(
             replica.commit_tracker.commit_order, key=lambda event: event.height
@@ -133,50 +177,37 @@ def check_prefix_consistency(replicas):
         snapshot_heights = getattr(
             replica.commit_tracker, "snapshot_heights", frozenset()
         )
-        previous = None
-        for event in events:
-            if previous is not None and event.height not in snapshot_heights:
-                if event.height != previous.height + 1:
-                    violations.append(
-                        InvariantViolation(
-                            invariant="prefix-consistency",
-                            detail=(
-                                f"replica {replica.replica_id} committed "
-                                f"height {event.height} after height "
-                                f"{previous.height} (gap in the chain)"
-                            ),
-                        )
-                    )
-                block = replica.store.maybe_get(event.block_id)
-                if block is not None and block.parent_id != previous.block_id:
-                    violations.append(
-                        InvariantViolation(
-                            invariant="prefix-consistency",
-                            detail=(
-                                f"replica {replica.replica_id}: committed "
-                                f"block {event.block_id.short()} at height "
-                                f"{event.height} does not extend the "
-                                f"committed block at height {previous.height}"
-                            ),
-                        )
-                    )
-            existing = by_height.get(event.height)
-            if existing is None:
-                by_height[event.height] = (event.block_id, replica.replica_id)
-            elif existing[0] != event.block_id:
+        for previous, event in zip(events, events[1:]):
+            if event.height in snapshot_heights:
+                continue
+            if event.height != previous.height + 1:
                 violations.append(
                     InvariantViolation(
                         invariant="prefix-consistency",
                         detail=(
-                            f"height {event.height}: replica "
-                            f"{replica.replica_id} committed "
-                            f"{event.block_id.short()} but replica "
-                            f"{existing[1]} committed {existing[0].short()}"
+                            f"replica {replica.replica_id} committed "
+                            f"height {event.height} after height "
+                            f"{previous.height} (gap in the chain)"
                         ),
                     )
                 )
-            previous = event
-    return violations
+            block = replica.store.maybe_get(event.block_id)
+            if block is not None and block.parent_id != previous.block_id:
+                violations.append(
+                    InvariantViolation(
+                        invariant="prefix-consistency",
+                        detail=(
+                            f"replica {replica.replica_id}: committed "
+                            f"block {event.block_id.short()} at height "
+                            f"{event.height} does not extend the "
+                            f"committed block at height {previous.height}"
+                        ),
+                    )
+                )
+        chains[replica.replica_id] = [
+            (event.height, event.block_id) for event in events
+        ]
+    return violations + chain_disagreements(chains)
 
 
 # ----------------------------------------------------------------------

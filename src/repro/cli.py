@@ -4,7 +4,7 @@ Examples::
 
     python -m repro run --protocol sft-diembft --n 31 --duration 20
     python -m repro run --topology asymmetric --delta 0.2 --timeout 0.15
-    python -m repro figure 7a            # regenerate a paper figure
+    python -m repro figure scenarios/fig7a_symmetric.toml   # a paper figure
     python -m repro counterexample       # Appendix C walkthrough
     python -m repro health --n 31        # QC-diversity health report
     python -m repro campaign run scenarios/smoke.toml --workers 4
@@ -32,18 +32,18 @@ from repro.analysis import (
 )
 from repro.analysis.chain_stats import collect_chain_stats
 from repro.analysis.health import QCDiversityMonitor
+from repro.analysis.invariants import check_prefix_consistency
 from repro.core.resilience import ratio_grid
 from repro.experiments.spec import FaultMix, ScenarioSpec
 from repro.runtime.config import PROTOCOLS
 from repro.runtime.metrics import (
-    check_commit_safety,
     regular_commit_latency,
     strong_latency_series,
     throughput_txps,
 )
 
 
-#: The paper's block shape (~1000 txns / ~450 KB), for `run` / `figure`.
+#: The paper's block shape (~1000 txns / ~450 KB), for `run` / `health`.
 _PAPER_BLOCK = {"block_batch_count": 1000, "block_batch_bytes": 450_000}
 
 
@@ -97,7 +97,11 @@ def command_run(args) -> int:
           f"duration={spec.duration}s seed={args.seed}")
     cluster = spec.build().run()
     survivors = [replica for replica in cluster.replicas if not replica.crashed]
-    check_commit_safety(survivors)
+    violations = check_prefix_consistency(survivors)
+    if violations:
+        for violation in violations:
+            print(f"SAFETY VIOLATION: {violation.detail}", file=sys.stderr)
+        return 1
     replica = survivors[0]
     commits = len(replica.commit_tracker.commit_order)
     mean, count = regular_commit_latency(
@@ -125,36 +129,18 @@ def command_run(args) -> int:
 
 
 def command_figure(args) -> int:
-    if args.which == "7a":
-        deltas, topology, timeout = (0.1, 0.2), "symmetric", 1.5
-    elif args.which == "7b":
-        deltas, topology, timeout = (0.1, 0.2), "asymmetric", 0.15
-    else:
-        print("supported figures: 7a, 7b", file=sys.stderr)
-        return 2
+    """Run a figure campaign and print its strong-latency curves, one
+    column per job (``scenarios/fig7a_symmetric.toml`` and friends)."""
+    from repro.experiments import reports_from_series, run_job
+
+    campaign = _load_campaign(args.spec)
     results = {}
-    for delta in deltas:
-        spec = ScenarioSpec(
-            protocol="sft-diembft",
-            n=100,
-            topology=topology,
-            delta=delta,
-            jitter=0.004,
-            duration=args.duration,
-            round_timeout=timeout,
-            timeout_multiplier=1.0 if topology == "asymmetric" else 1.5,
-            seeds=(11,),
-            verify_signatures=False,
-            observers=10,
-            **_PAPER_BLOCK,
+    for job in campaign.expand():
+        print(f"running {job.job_id}…", file=sys.stderr)
+        results[job.job_id] = reports_from_series(
+            run_job(job)["metrics"]["strong_latency_series"]
         )
-        label = f"δ={delta * 1000:.0f}ms"
-        print(f"running {topology} {label}…", file=sys.stderr)
-        cluster = spec.build().run()
-        results[label] = strong_latency_series(
-            cluster, ratio_grid(), created_before=args.duration * 0.6
-        )
-    print(format_fig7_table(results, title=f"Figure {args.which} (measured)"))
+    print(format_fig7_table(results, title=f"{campaign.name} (measured)"))
     print()
     print(line_chart(
         {
@@ -246,9 +232,6 @@ def command_campaign_run(args) -> int:
     print(format_campaign_table(report))
 
     exit_code = 0
-    if not report["summary"]["all_safe"]:
-        print("SAFETY VIOLATION in at least one job", file=sys.stderr)
-        exit_code = 1
     if not report["summary"]["all_invariants_ok"]:
         print("INVARIANT VIOLATION in at least one job", file=sys.stderr)
         exit_code = 1
@@ -608,8 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
     figure_parser = subparsers.add_parser(
         "figure", help="regenerate a paper figure"
     )
-    figure_parser.add_argument("which", choices=("7a", "7b"))
-    figure_parser.add_argument("--duration", type=float, default=30.0)
+    figure_parser.add_argument(
+        "spec", help="figure campaign TOML/JSON file (scenarios/fig*.toml)"
+    )
     figure_parser.set_defaults(handler=command_figure)
 
     counter_parser = subparsers.add_parser(

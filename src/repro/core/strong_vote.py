@@ -135,9 +135,6 @@ class VotingHistory:
         for block_id in pruned:
             self._restored.pop(block_id, None)
 
-    def vote_count(self) -> int:
-        return len(self._all_votes)
-
     # ------------------------------------------------------------------
     # marker (Section 3.2 / Figure 4, Figure 11)
     # ------------------------------------------------------------------

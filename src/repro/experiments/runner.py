@@ -23,13 +23,13 @@ from repro.analysis.health import QCDiversityMonitor
 from repro.analysis.invariants import (
     check_appendix_c,
     check_cluster_invariants,
+    honest_observers,
     invariant_report,
 )
 from repro.experiments.campaign import Campaign
 from repro.obs import breakdown_from_cluster, collect_flight_recording
 from repro.runtime.metrics import (
     LatencyReport,
-    check_commit_safety,
     commit_latency_percentiles,
     messages_per_committed_block,
     percentile,
@@ -116,26 +116,22 @@ def collect_job_metrics(cluster, spec) -> dict:
     """Aggregate chain/health/message statistics from a finished run."""
     cutoff = spec.duration * spec.cutoff_fraction
     correct = cluster.correct_replicas()
-    observers = [
-        replica for replica in cluster.observer_replicas()
-        if not replica.crashed and replica.replica_id not in cluster.byzantine_ids
-    ]
-    safety_ok = True
-    safety_error = None
-    try:
-        check_commit_safety(observers)
-    except AssertionError as error:
-        safety_ok = False
-        safety_error = str(error)
+    observers = honest_observers(cluster)
 
     # One oracle pass covers Definition 1 (with t from the spec's fault
-    # mix) plus the structural and liveness invariants.
+    # mix) plus the structural and liveness invariants; the safety keys
+    # are views of it.
     invariant_violations = check_cluster_invariants(cluster, spec)
     strong_violations = sum(
         1
         for violation in invariant_violations
         if violation.invariant == "definition-1"
     )
+    disagreements = [
+        violation.detail
+        for violation in invariant_violations
+        if violation.invariant == "prefix-consistency"
+    ]
 
     reference = observers[0] if observers else correct[0]
     regular_mean, regular_count = regular_commit_latency(
@@ -253,7 +249,7 @@ def collect_job_metrics(cluster, spec) -> dict:
             "peak_live_blocks": peak_live_blocks,
             **checkpoint_totals,
         },
-        "safety_ok": safety_ok,
+        "safety_ok": not disagreements,
         "strong_safety_violations": strong_violations,
         "invariants": invariant_report(invariant_violations),
     }
@@ -270,8 +266,8 @@ def collect_job_metrics(cluster, spec) -> dict:
     # the network actually sampled the fault.
     if "duplicated" in message_stats:
         metrics["messages"]["duplicated"] = message_stats["duplicated"]
-    if safety_error is not None:
-        metrics["safety_error"] = safety_error
+    if disagreements:
+        metrics["safety_error"] = disagreements[0]
     return metrics
 
 

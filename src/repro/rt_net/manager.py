@@ -25,6 +25,7 @@ import tempfile
 import time
 from pathlib import Path
 
+from repro.analysis.invariants import chain_disagreements
 from repro.experiments.spec import ScenarioSpec, spec_to_mapping
 
 
@@ -103,14 +104,13 @@ class RuntimeReport:
         }
 
     def chains_agree(self) -> bool:
-        """Every pair of replica chains agrees on the common prefix."""
-        chains = list(self.chains().values())
-        for i in range(len(chains)):
-            for j in range(i + 1, len(chains)):
-                a, b = chains[i], chains[j]
-                if a[: len(b)] != b[: len(a)]:
-                    return False
-        return True
+        """No two replicas committed different blocks at one height
+        (the oracle's cross-replica prefix-consistency check)."""
+        return not chain_disagreements({
+            rid: [(height, block) for height, _round, block
+                  in result.get("committed", ())]
+            for rid, result in self.results.items()
+        })
 
     def min_commits(self) -> int:
         chains = self.chains()

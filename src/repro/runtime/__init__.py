@@ -6,7 +6,6 @@ from repro.runtime.config import build_cluster
 from repro.runtime.conflict_policy import ConflictAwareMempool
 from repro.runtime.metrics import (
     LatencyReport,
-    check_commit_safety,
     regular_commit_latency,
     strong_commit_latency,
     strong_latency_series,
@@ -21,7 +20,6 @@ __all__ = [
     "ConflictAwareMempool",
     "TraceLog",
     "LatencyReport",
-    "check_commit_safety",
     "regular_commit_latency",
     "strong_commit_latency",
     "strong_latency_series",

@@ -212,11 +212,6 @@ class Cluster:
         replica.rejoin_after_restart()
         return replica
 
-    def run_more(self, extra: float) -> "Cluster":
-        """Continue a finished run for ``extra`` simulated seconds."""
-        self.simulator.run_until(self.simulator.now + extra)
-        return self
-
     # ------------------------------------------------------------------
     # accessors
     # ------------------------------------------------------------------

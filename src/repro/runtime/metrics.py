@@ -166,52 +166,3 @@ def messages_per_committed_block(cluster) -> float:
     if blocks == 0:
         return float("inf")
     return cluster.network.messages_sent / blocks
-
-
-def check_commit_safety(replicas) -> None:
-    """Assert BFT SMR safety across replicas.
-
-    No two replicas may commit different blocks at the same height
-    (Section 2), and each replica's own committed sequence must be
-    consistent (a single chain).  Raises ``AssertionError`` with a
-    diagnostic on violation.
-    """
-    by_height: dict[int, object] = {}
-    for replica in replicas:
-        for event in replica.commit_tracker.commit_order:
-            existing = by_height.get(event.height)
-            if existing is None:
-                by_height[event.height] = event.block_id
-            elif existing != event.block_id:
-                raise AssertionError(
-                    f"safety violation at height {event.height}: "
-                    f"replica {replica.replica_id} committed "
-                    f"{event.block_id.short()} but another replica committed "
-                    f"{existing.short()}"
-                )
-
-
-def strong_commit_safety_violations(replicas, actual_faults: int) -> list:
-    """Definition 1 check: conflicting strong commits under ``t`` faults.
-
-    Returns a list of (level, block_a, block_b) tuples for every pair
-    of conflicting blocks both strong committed at levels ``>= t``
-    across any two replicas.  An empty list means SFT safety held.
-    """
-    violations = []
-    strong: dict = {}
-    for replica in replicas:
-        for block_id, timeline in replica.commit_tracker.timelines():
-            if timeline.current >= actual_faults:
-                stored = strong.get(block_id)
-                if stored is None or timeline.current > stored[0]:
-                    strong[block_id] = (timeline.current, replica)
-    items = list(strong.items())
-    for i, (block_a, (level_a, replica_a)) in enumerate(items):
-        store = replica_a.store
-        for block_b, (level_b, _replica_b) in items[i + 1:]:
-            if block_a not in store or block_b not in store:
-                continue
-            if store.conflicts(block_a, block_b):
-                violations.append((min(level_a, level_b), block_a, block_b))
-    return violations

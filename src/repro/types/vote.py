@@ -124,9 +124,3 @@ class StrongVote:
         if self.uses_intervals():
             return any(lo <= target_round <= hi for lo, hi in self.intervals)
         return self.marker < target_round
-
-    def endorses_height(self, target_height: int) -> bool:
-        """Height-based (k-endorsement) analogue for SFT-Streamlet."""
-        if self.uses_intervals():
-            return any(lo <= target_height <= hi for lo, hi in self.intervals)
-        return self.marker < target_height

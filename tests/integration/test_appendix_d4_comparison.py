@@ -240,7 +240,7 @@ class TestLiveComparison:
         streamlet = build_cluster(
             small_experiment(protocol="sft-streamlet", duration=4.0)
         ).run()
-        from repro.runtime.metrics import check_commit_safety
+        from repro.analysis.invariants import check_prefix_consistency
 
-        check_commit_safety(diembft.replicas)
-        check_commit_safety(streamlet.replicas)
+        assert not check_prefix_consistency(diembft.replicas)
+        assert not check_prefix_consistency(streamlet.replicas)

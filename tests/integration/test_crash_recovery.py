@@ -128,6 +128,9 @@ class TestAmnesiaDifferential:
         # (prefix-consistency).
         assert "double-vote" in kinds, kinds
         assert "prefix-consistency" in kinds, kinds
+        # The safety keys are views of the same oracle pass.
+        assert entry["metrics"]["safety_ok"] is False
+        assert "safety_error" in entry["metrics"]
         recoveries = entry["metrics"]["recoveries"]
         assert recoveries["amnesia_restarts"] == 3
         assert recoveries["restores"] == 0  # nothing reloaded: disk lost

@@ -1,8 +1,8 @@
 """DiemBFT end-to-end over the simulated network."""
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.runtime.config import build_cluster
 from repro.runtime.metrics import (
-    check_commit_safety,
     regular_commit_latency,
     throughput_txps,
 )
@@ -17,7 +17,7 @@ class TestHappyPath:
 
     def test_safety_across_replicas(self):
         cluster = build_cluster(small_experiment(protocol="diembft")).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
 
     def test_rounds_advance_without_timeouts(self):
         cluster = build_cluster(small_experiment(protocol="diembft")).run()

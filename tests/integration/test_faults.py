@@ -6,10 +6,10 @@ from repro.adversary import (
     make_silent,
     make_withholding_leader,
 )
+from repro.analysis.invariants import check_prefix_consistency
 from repro.core.resilience import max_strength
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
 from repro.runtime.config import build_cluster
-from repro.runtime.metrics import check_commit_safety
 from tests.conftest import small_experiment
 
 
@@ -29,7 +29,7 @@ class TestCrashFaults:
             len(replica.commit_tracker.commit_order) > 10
             for replica in survivors
         )
-        check_commit_safety(survivors)
+        assert not check_prefix_consistency(survivors)
 
     def test_strength_capped_at_2f_minus_c(self):
         # Theorem 2: with c benign faults the cap is (2f - c)-strong.
@@ -65,7 +65,7 @@ class TestCrashFaults:
             replica.metrics.get("timeouts_sent").value > 0
             for replica in survivors
         )
-        check_commit_safety(survivors)
+        assert not check_prefix_consistency(survivors)
         assert all(
             len(replica.commit_tracker.commit_order) > 10
             for replica in survivors
@@ -79,7 +79,7 @@ class TestByzantineBehaviours:
         overrides = {6: make_silent(SFTDiemBFTReplica)}
         cluster.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 6]
-        check_commit_safety(honest)
+        assert not check_prefix_consistency(honest)
         f = cluster.config.resolved_f()
         best = -1
         for replica in honest:
@@ -95,7 +95,7 @@ class TestByzantineBehaviours:
         overrides = {2: make_equivocating_leader(SFTDiemBFTReplica)}
         cluster.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 2]
-        check_commit_safety(honest)
+        assert not check_prefix_consistency(honest)
         assert len(honest[0].commit_tracker.commit_order) > 20
 
     def test_equivocation_raises_markers(self):
@@ -122,7 +122,7 @@ class TestByzantineBehaviours:
         overrides = {4: make_withholding_leader(SFTDiemBFTReplica, reach=0.3)}
         cluster.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 4]
-        check_commit_safety(honest)
+        assert not check_prefix_consistency(honest)
         assert len(honest[0].commit_tracker.commit_order) > 10
 
     def test_lazy_voter_excluded_from_qcs(self):
@@ -131,7 +131,7 @@ class TestByzantineBehaviours:
         overrides = {6: make_lazy_voter(SFTDiemBFTReplica, delay=1.0)}
         cluster.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 6]
-        check_commit_safety(honest)
+        assert not check_prefix_consistency(honest)
         # The straggler's votes arrive after QCs form, so high-strength
         # commits stall below 2f.
         f = cluster.config.resolved_f()

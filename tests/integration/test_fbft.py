@@ -1,14 +1,14 @@
 """FBFT-adapted baseline (Appendix B): direct votes, quadratic messages."""
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.runtime.config import build_cluster
-from repro.runtime.metrics import check_commit_safety
 from tests.conftest import small_experiment
 
 
 class TestFBFTBehaviour:
     def test_commits_and_safety(self):
         cluster = build_cluster(small_experiment(protocol="fbft")).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         assert len(cluster.replicas[0].commit_tracker.commit_order) > 50
 
     def test_extra_votes_are_multicast(self):

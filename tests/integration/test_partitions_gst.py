@@ -1,7 +1,7 @@
 """Partial synchrony: GST, partitions, recovery."""
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.runtime.config import build_cluster
-from repro.runtime.metrics import check_commit_safety
 from tests.conftest import small_experiment
 
 
@@ -12,7 +12,7 @@ class TestGST:
             duration=12.0, gst=3.0, pre_gst_delay=0.4, round_timeout=0.3
         )
         cluster = build_cluster(config).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         replica = cluster.replicas[0]
         post_gst_commits = [
             event
@@ -26,7 +26,7 @@ class TestGST:
             duration=10.0, gst=2.0, pre_gst_delay=0.5, round_timeout=0.25
         )
         cluster = build_cluster(config).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
 
 
 class TestPartitions:
@@ -38,7 +38,7 @@ class TestPartitions:
             [(0, 1, 2, 3, 4), (5, 6)], start=2.0, end=6.0
         )
         cluster.run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         majority_commits = len(cluster.replicas[0].commit_tracker.commit_order)
         minority_commits = len(cluster.replicas[5].commit_tracker.commit_order)
         assert majority_commits > 50
@@ -53,7 +53,7 @@ class TestPartitions:
             [(0, 1, 2, 3), (4, 5, 6)], start=2.0, end=8.0
         )
         cluster.run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         replica = cluster.replicas[0]
         during = [
             event
@@ -77,4 +77,4 @@ class TestPartitions:
             if event.committed_at > 7.0
         ]
         assert len(after) > 20
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)

@@ -1,7 +1,7 @@
 """Protocol edge paths: stale messages, orphans, TC proposals, extremes."""
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.runtime.config import build_cluster
-from repro.runtime.metrics import check_commit_safety
 from tests.conftest import small_experiment
 
 
@@ -10,7 +10,7 @@ class TestMinimalCluster:
         cluster = build_cluster(
             small_experiment(n=4, duration=6.0)
         ).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         replica = cluster.replicas[0]
         assert len(replica.commit_tracker.commit_order) > 30
         best = max(
@@ -40,7 +40,7 @@ class TestMinimalCluster:
             crash_schedule=((3, 1.0),),
         ).run()
         survivors = [r for r in cluster.replicas if not r.crashed]
-        check_commit_safety(survivors)
+        assert not check_prefix_consistency(survivors)
         replica = survivors[0]
         assert replica.current_round > 40  # rounds still advance
         assert replica.qc_high.round > 40  # QCs still form
@@ -65,7 +65,7 @@ class TestMinimalCluster:
             )
         cluster.run()
         survivors = [r for r in cluster.replicas if not r.crashed]
-        check_commit_safety(survivors)
+        assert not check_prefix_consistency(survivors)
         late = [
             event
             for event in survivors[0].commit_tracker.commit_order
@@ -110,7 +110,7 @@ class TestStaleMessageHandling:
         cluster = build_cluster(
             small_experiment(duration=4.0, drop_stale_messages=False)
         ).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         assert len(cluster.replicas[0].commit_tracker.commit_order) > 20
 
 
@@ -123,7 +123,7 @@ class TestReorderingAndOrphans:
                 round_timeout=0.8,
             )
         ).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         for replica in cluster.replicas:
             assert len(replica.commit_tracker.commit_order) > 10
 
@@ -143,7 +143,7 @@ class TestTimeoutCertificatePath:
             small_experiment(duration=10.0), crash_schedule=((1, 0.0),)
         ).run()
         survivors = [r for r in cluster.replicas if not r.crashed]
-        check_commit_safety(survivors)
+        assert not check_prefix_consistency(survivors)
         replica = survivors[0]
         # Rounds led by the crashed replica (1, 8, 15, …) are skipped;
         # the chain must contain round gaps bridged by TC proposals.
@@ -167,7 +167,7 @@ class TestTimeoutCertificatePath:
             [(0, 1, 2, 3), (4, 5, 6)], start=1.0, end=7.0
         )
         cluster.run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         replica = cluster.replicas[0]
         post = [
             event
@@ -203,7 +203,7 @@ class TestExtremeWorkloads:
                 duration=4.0, block_batch_count=1, block_batch_bytes=100
             )
         ).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
 
     def test_huge_blocks_with_bandwidth(self):
         cluster = build_cluster(
@@ -215,7 +215,7 @@ class TestExtremeWorkloads:
                 round_timeout=2.0,
             )
         ).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         assert len(cluster.replicas[0].commit_tracker.commit_order) > 5
 
     def test_long_run_memory_sanity(self):
@@ -224,4 +224,4 @@ class TestExtremeWorkloads:
         # Nothing accumulates outside the chain itself (that the vote
         # collector releases its buckets is tests/unit/test_vote_collector).
         assert replica.store.orphan_count() == 0
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)

@@ -19,6 +19,7 @@ from repro.rt_net.clients import ClientFleet
 from repro.rt_net.differential import common_prefix_len, run_differential
 from repro.rt_net.manager import (
     RuntimeManager,
+    RuntimeReport,
     _free_ports,
     unsupported_features,
 )
@@ -160,6 +161,30 @@ class TestRuntimeManager:
         assert unsupported_features(faulty)
         with pytest.raises(ValueError):
             RuntimeManager(faulty)
+
+
+class TestChainsAgree:
+    """``RuntimeReport.chains_agree`` on hand-written result files."""
+
+    @staticmethod
+    def _report(*chains):
+        results = {
+            rid: {"committed": [
+                (height, height, block) for height, block in enumerate(chain, 1)
+            ]}
+            for rid, chain in enumerate(chains)
+        }
+        return RuntimeReport(load_scenario(SCENARIO), 1, results, {}, 0.0)
+
+    def test_different_block_at_one_height_disagrees(self):
+        report = self._report(["aa", "bb", "cc"], ["aa", "bd", "cc"])
+        assert not report.chains_agree()
+
+    def test_strict_prefix_agrees(self):
+        assert self._report(["aa", "bb", "cc"], ["aa", "bb"]).chains_agree()
+
+    def test_empty_chain_agrees(self):
+        assert self._report(["aa", "bb"], []).chains_agree()
 
 
 class TestProposeOnce:

@@ -1,9 +1,9 @@
 """SFT-DiemBFT end-to-end: strong commits, markers, endorsements."""
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.core.resilience import max_strength
 from repro.runtime.config import build_cluster
 from repro.runtime.metrics import (
-    check_commit_safety,
     regular_commit_latency,
     strong_commit_latency,
     strong_latency_series,
@@ -63,7 +63,7 @@ class TestStrongCommitProgress:
 
     def test_safety_and_throughput(self):
         cluster = build_cluster(small_experiment()).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         assert throughput_txps(cluster) > 100
 
     def test_same_throughput_as_plain_diembft(self):
@@ -151,7 +151,7 @@ class TestGeneralizedIntervals:
         cluster = build_cluster(
             small_experiment(generalized_intervals=True)
         ).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
         replica = cluster.replicas[0]
         qc = replica.qc_high
         assert all(vote.intervals for vote in qc.votes)

@@ -1,7 +1,8 @@
 """Streamlet and SFT-Streamlet end-to-end."""
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.runtime.config import build_cluster
-from repro.runtime.metrics import check_commit_safety, throughput_txps
+from repro.runtime.metrics import throughput_txps
 from tests.conftest import small_experiment
 
 
@@ -19,7 +20,7 @@ class TestStreamlet:
 
     def test_safety(self):
         cluster = build_cluster(streamlet_experiment()).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
 
     def test_votes_are_multicast_and_echoed(self):
         cluster = build_cluster(streamlet_experiment()).run()
@@ -43,7 +44,7 @@ class TestStreamlet:
             no_echo_cluster.network.messages_sent
             < with_echo.network.messages_sent
         )
-        check_commit_safety(no_echo_cluster.replicas)
+        assert not check_prefix_consistency(no_echo_cluster.replicas)
         del cluster
 
     def test_commit_is_middle_of_three_chain(self):
@@ -79,7 +80,7 @@ class TestSFTStreamlet:
         cluster = build_cluster(
             streamlet_experiment(protocol="sft-streamlet")
         ).run()
-        check_commit_safety(cluster.replicas)
+        assert not check_prefix_consistency(cluster.replicas)
 
     def test_height_markers_zero_without_forks(self):
         cluster = build_cluster(

@@ -160,6 +160,34 @@ class TestCLI:
         assert code == 0
         assert "max achievable strength" in out
 
+    def test_figure_command(self, tmp_path):
+        campaign = tmp_path / "tiny_figure.toml"
+        campaign.write_text(
+            "\n".join([
+                'name = "tiny_figure"',
+                "n = 4",
+                'topology = "symmetric"',
+                "duration = 3.0",
+                "round_timeout = 0.5",
+                "seeds = [1]",
+                "ratios = [1.0, 2.0]",
+                "[matrix]",
+                "delta = [0.02, 0.05]",
+            ])
+        )
+        code, out, err = self._run_cli(["figure", str(campaign)])
+        assert code == 0
+        assert "tiny_figure (measured)" in out
+        for delta in ("0.02", "0.05"):
+            assert f"tiny_figure/delta={delta},seed=1" in out
+            assert f"running tiny_figure/delta={delta},seed=1" in err
+        assert "x-strong (f)" in out
+
+    def test_figure_command_missing_file(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            self._run_cli(["figure", str(tmp_path / "nope.toml")])
+        assert excinfo.value.code == 2
+
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             self._run_cli(["frobnicate"])

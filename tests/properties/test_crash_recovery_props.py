@@ -18,8 +18,8 @@ property stays tier-1 fast.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.invariants import check_prefix_consistency
 from repro.experiments import FaultMix, ScenarioSpec
-from repro.runtime.metrics import check_commit_safety
 
 PROTOCOLS = ("diembft", "sft-diembft", "streamlet", "sft-streamlet")
 
@@ -78,6 +78,6 @@ def _run_schedule(schedule):
     restarted = set(range(spec.n - count, spec.n))
     for replica_id in restarted:
         assert cluster.durable.state_for(replica_id).restores == 1
-    check_commit_safety(
+    assert not check_prefix_consistency(
         [replica for replica in cluster.replicas if not replica.crashed]
     )

@@ -15,12 +15,12 @@ from repro.adversary import (
     make_silent,
     make_withholding_leader,
 )
+from repro.analysis.invariants import (
+    check_definition_1,
+    check_prefix_consistency,
+)
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
 from repro.runtime.config import build_cluster
-from repro.runtime.metrics import (
-    check_commit_safety,
-    strong_commit_safety_violations,
-)
 from tests.conftest import small_experiment
 
 BEHAVIOURS = (None, "silent", "equivocate", "withhold")
@@ -86,9 +86,9 @@ def test_safety_under_random_faults(plan):
         if replica.replica_id not in byzantine_ids and not replica.crashed
     ]
     # BFT SMR safety: t <= f always holds here.
-    check_commit_safety(honest)
+    assert not check_prefix_consistency(honest)
     # SFT safety (Definition 1) at the actual fault count.
-    violations = strong_commit_safety_violations(honest, len(byzantine_ids))
+    violations = check_definition_1(honest, len(byzantine_ids))
     assert violations == []
 
 
@@ -101,7 +101,7 @@ def test_safety_under_random_faults(plan):
 def test_fault_free_runs_always_reach_2f(seed):
     config = small_experiment(duration=6.0, seed=seed)
     cluster = build_cluster(config).run()
-    check_commit_safety(cluster.replicas)
+    assert not check_prefix_consistency(cluster.replicas)
     f = cluster.config.resolved_f()
     best = max(
         (
