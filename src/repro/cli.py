@@ -7,8 +7,8 @@ Examples::
     python -m repro figure scenarios/fig7a_symmetric.toml   # a paper figure
     python -m repro counterexample       # Appendix C walkthrough
     python -m repro health --n 31        # QC-diversity health report
-    python -m repro campaign run scenarios/smoke.toml --workers 4
-    python -m repro campaign diff report.json baseline.json
+    python -m repro campaign run scenarios/smoke.toml --workers 4 \
+        --baseline scenarios/baselines/smoke.json
     python -m repro fuzz run --seeds 0:50 --workers 4
     python -m repro fuzz replay scenarios/fuzz_corpus/appendix_c_naive.json
     python -m repro fuzz shrink failing.json --out minimal.json
@@ -196,9 +196,10 @@ def _load_campaign(path):
 
 
 def command_campaign_run(args) -> int:
-    from repro.experiments import CampaignRunner, diff_reports, save_report
+    from repro.experiments import CampaignRunner, save_report
 
     campaign = _load_campaign(args.spec)
+    baseline = _load_baseline(args.baseline)
     try:
         jobs = campaign.expand()
     except ValueError as error:
@@ -235,16 +236,7 @@ def command_campaign_run(args) -> int:
     if not report["summary"]["all_invariants_ok"]:
         print("INVARIANT VIOLATION in at least one job", file=sys.stderr)
         exit_code = 1
-    if args.baseline:
-        regressions = diff_reports(
-            report,
-            _load_report_file(args.baseline),
-            latency_tolerance=args.tolerance,
-            message_tolerance=args.tolerance,
-            commit_tolerance=args.tolerance,
-        )
-        exit_code = _report_regressions(regressions) or exit_code
-    return exit_code
+    return _check_baseline(report["digests"], baseline) or exit_code
 
 
 def _write_flight_dumps(report, directory) -> list:
@@ -267,13 +259,32 @@ def _write_flight_dumps(report, directory) -> list:
     return written
 
 
-def _report_regressions(regressions) -> int:
-    if not regressions:
-        print("\nbaseline check: no regressions")
+def _load_baseline(path):
+    """Load a ``--baseline`` digest file (None when not given)."""
+    from repro.experiments import load_baseline
+
+    if path is None:
+        return None
+    try:
+        return load_baseline(path)
+    except (OSError, ValueError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2) from error
+
+
+def _check_baseline(digests, baseline) -> int:
+    """Print every moved digest; 1 if any moved, 0 otherwise."""
+    from repro.experiments import moved_digests
+
+    if baseline is None:
         return 0
-    print(f"\nbaseline check: {len(regressions)} regression(s)")
-    for regression in regressions:
-        print(f"  {regression.describe()}")
+    moved = moved_digests(digests, baseline)
+    if not moved:
+        print(f"\nbaseline: {len(baseline)} digests identical")
+        return 0
+    print(f"\nbaseline: {len(moved)} moved (baseline -> now)")
+    for name, (was, now) in moved.items():
+        print(f"  {name}: {was or 'missing'} -> {now or 'missing'}")
     return 1
 
 
@@ -298,22 +309,9 @@ def command_campaign_report(args) -> int:
         print(
             f"\ntotal commits: {summary.get('total_commits')}  "
             f"mean regular latency: {summary.get('mean_regular_latency_s')}s  "
-            f"all safe: {summary.get('all_safe')}"
+            f"all invariants ok: {summary.get('all_invariants_ok')}"
         )
     return 0
-
-
-def command_campaign_diff(args) -> int:
-    from repro.experiments import diff_reports
-
-    regressions = diff_reports(
-        _load_report_file(args.report),
-        _load_report_file(args.baseline),
-        latency_tolerance=args.tolerance,
-        message_tolerance=args.tolerance,
-        commit_tolerance=args.tolerance,
-    )
-    return _report_regressions(regressions)
 
 
 def _describe_violations(violations, indent: str = "  ") -> None:
@@ -331,6 +329,7 @@ def command_fuzz_run(args) -> int:
     except ValueError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    baseline = _load_baseline(args.baseline)
     profile = PROFILES[args.profile]
     print(
         f"fuzz {profile.name}: {len(seeds)} seeds, workers={args.workers}",
@@ -378,7 +377,8 @@ def command_fuzz_run(args) -> int:
     )
     for name in summary["minimized"]:
         print(f"  minimized spec: {args.corpus_dir}/{name}")
-    return 1 if summary["unexpected_violations"] else 0
+    exit_code = 1 if summary["unexpected_violations"] else 0
+    return _check_baseline(report["digests"], baseline) or exit_code
 
 
 def _load_fuzz_spec(path):
@@ -624,9 +624,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_run.add_argument("--out", default=None,
                               help="write the JSON campaign report here")
     campaign_run.add_argument("--baseline", default=None,
-                              help="fail on regression vs this report")
-    campaign_run.add_argument("--tolerance", type=float, default=0.25,
-                              help="relative regression tolerance")
+                              help="fail unless every job's metrics digest "
+                                   "equals this {job_id: digest} file")
     campaign_run.add_argument("--flight-dir", default=None,
                               help="write flight-recorder dumps for "
                                    "violating jobs into this directory")
@@ -637,15 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_report.add_argument("report", help="campaign report JSON")
     campaign_report.set_defaults(handler=command_campaign_report)
-
-    campaign_diff = campaign_sub.add_parser(
-        "diff", help="compare a campaign report against a baseline"
-    )
-    campaign_diff.add_argument("report", help="current campaign report JSON")
-    campaign_diff.add_argument("baseline", help="baseline campaign report JSON")
-    campaign_diff.add_argument("--tolerance", type=float, default=0.25,
-                               help="relative regression tolerance")
-    campaign_diff.set_defaults(handler=command_campaign_diff)
 
     fuzz_parser = subparsers.add_parser(
         "fuzz", help="randomized fault-schedule fuzzing (invariant oracle)"
@@ -667,6 +657,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="write minimized failing specs here")
     fuzz_run.add_argument("--no-shrink", action="store_true",
                           help="skip shrinking failing schedules")
+    fuzz_run.add_argument("--baseline", default=None,
+                          help="fail unless every case's metrics digest "
+                               "equals this {case name: digest} file")
     fuzz_run.set_defaults(handler=command_fuzz_run)
 
     fuzz_replay = fuzz_sub.add_parser(

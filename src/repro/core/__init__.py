@@ -1,4 +1,4 @@
-"""The paper's primary contribution: strengthened fault tolerance.
+"""The paper's primary contribution: Strengthened Fault Tolerance.
 
 This package is protocol-agnostic: it implements markers and
 generalized interval votes (Sections 3.2 and 3.4), endorsement

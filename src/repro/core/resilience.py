@@ -4,7 +4,7 @@ A block is *x-strong committed* when it tolerates ``x`` Byzantine
 faults (Definition 1); ``x`` ranges over ``[f, 2f]``.  The evaluation
 (Figure 7) reports latency at ratios ``x/f ∈ {1.0, 1.1, …, 2.0}``; we
 translate a ratio to the absolute level ``ceil(ratio · f)`` — the
-smallest integer strength that delivers "at least ratio·f" tolerance.
+smallest integer strength that survives at least ratio·f faults.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The sweep entry point for the whole repo: describe a scenario (or a
 matrix of them) in TOML/JSON, expand it into jobs, run the jobs in
-parallel, and diff the aggregate report against a regression baseline.
+parallel, and check each job's metrics digest against a committed
+baseline.
 
     from repro.experiments import Campaign, run_campaign
 
@@ -11,9 +12,9 @@ parallel, and diff the aggregate report against a regression baseline.
 """
 
 from repro.experiments.baseline import (
-    Regression,
-    diff_reports,
+    load_baseline,
     load_report,
+    moved_digests,
     save_report,
 )
 from repro.experiments.campaign import Campaign, Job
@@ -49,8 +50,8 @@ __all__ = [
     "run_job",
     "collect_job_metrics",
     "reports_from_series",
-    "Regression",
-    "diff_reports",
+    "moved_digests",
+    "load_baseline",
     "save_report",
     "load_report",
 ]

@@ -1,36 +1,17 @@
-"""Regression baselines for campaign reports.
+"""Behaviour baselines: exact metric digests.
 
-A baseline is simply a previously-saved campaign report.  Comparing a
-fresh report against it flags jobs whose commit latency or message
-complexity regressed beyond a tolerance, or whose committed-block
-count collapsed — the guardrail CI runs on every push.
+A job's ``metrics`` section is byte-identical for a given spec and
+seed, so "did behaviour move?" has one exact answer: does each job's
+metrics digest equal the committed one?  Campaign and fuzz reports
+carry a top-level ``digests`` map; a baseline file is the same
+``{name: digest}`` map, committed.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import dataclass
 from pathlib import Path
-
-
-@dataclass(slots=True)
-class Regression:
-    """One tolerance violation between a report and its baseline."""
-
-    job_id: str
-    metric: str
-    current: float | None
-    baseline: float | None
-    limit: float | None
-
-    def describe(self) -> str:
-        def show(value):
-            return "—" if value is None else f"{value:g}"
-
-        return (
-            f"{self.job_id}: {self.metric} {show(self.current)} "
-            f"vs baseline {show(self.baseline)} (limit {show(self.limit)})"
-        )
 
 
 def save_report(report: dict, path) -> None:
@@ -41,70 +22,31 @@ def load_report(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-def _jobs_by_id(report: dict) -> dict:
-    return {entry["job_id"]: entry for entry in report.get("jobs", ())}
+def metrics_digest(metrics: dict) -> str:
+    """sha256 of the sorted-key ``metrics`` JSON, first 16 hex digits."""
+    return hashlib.sha256(
+        json.dumps(metrics, sort_keys=True).encode()
+    ).hexdigest()[:16]
 
 
-def diff_reports(
-    current: dict,
-    baseline: dict,
-    latency_tolerance: float = 0.25,
-    message_tolerance: float = 0.25,
-    commit_tolerance: float = 0.25,
-) -> list:
-    """Regressions of ``current`` against ``baseline``.
+def load_baseline(path) -> dict:
+    """A committed ``{name: digest}`` file; ValueError if it is not one."""
+    baseline = load_report(path)
+    if not isinstance(baseline, dict) or not all(
+        isinstance(digest, str) for digest in baseline.values()
+    ):
+        raise ValueError(f"{path}: not a {{name: digest}} map")
+    return baseline
 
-    Higher-is-worse metrics (regular commit latency, messages per
-    committed block) regress when they exceed baseline × (1 + tol);
-    commits regress when they fall below baseline × (1 - tol).  Jobs
-    present in the baseline but missing from the current report are
-    regressions too — a shrunk matrix must be deliberate.
+
+def moved_digests(digests: dict, baseline: dict) -> dict:
+    """``name → (baseline, now)`` for every entry that differs.
+
+    The key sets must match exactly: a name on one side only is moved,
+    with ``None`` for its missing side.
     """
-    regressions = []
-    current_jobs = _jobs_by_id(current)
-    for job_id, base_entry in _jobs_by_id(baseline).items():
-        entry = current_jobs.get(job_id)
-        if entry is None:
-            regressions.append(
-                Regression(job_id, "missing-job", None, None, None)
-            )
-            continue
-        metrics = entry["metrics"]
-        base_metrics = base_entry["metrics"]
-
-        if not metrics.get("safety_ok", False):
-            regressions.append(
-                Regression(job_id, "safety_ok", 0.0, 1.0, 1.0)
-            )
-
-        for metric, value, base_value, tolerance in (
-            (
-                "regular_latency_s",
-                metrics.get("regular_latency_s"),
-                base_metrics.get("regular_latency_s"),
-                latency_tolerance,
-            ),
-            (
-                "messages.per_commit",
-                metrics.get("messages", {}).get("per_commit"),
-                base_metrics.get("messages", {}).get("per_commit"),
-                message_tolerance,
-            ),
-        ):
-            if value is None or base_value is None:
-                continue
-            limit = base_value * (1.0 + tolerance)
-            if value > limit:
-                regressions.append(
-                    Regression(job_id, metric, value, base_value, limit)
-                )
-
-        commits = metrics.get("commits")
-        base_commits = base_metrics.get("commits")
-        if commits is not None and base_commits:
-            floor = base_commits * (1.0 - commit_tolerance)
-            if commits < floor:
-                regressions.append(
-                    Regression(job_id, "commits", commits, base_commits, floor)
-                )
-    return regressions
+    return {
+        name: (baseline.get(name), digests.get(name))
+        for name in sorted(set(baseline) | set(digests))
+        if baseline.get(name) != digests.get(name)
+    }

@@ -8,8 +8,8 @@ making the report independent of worker count and completion order.
 
 Per-job metrics are split into a ``metrics`` section — deterministic
 for a fixed spec + seed, byte-identical across runs and worker counts —
-and a ``wall_clock_s`` timing that naturally varies.  Regression
-baselines (:mod:`repro.experiments.baseline`) compare only the
+and a ``wall_clock_s`` timing that naturally varies.  The report's
+``digests`` map (:mod:`repro.experiments.baseline`) hashes only the
 deterministic section.
 """
 
@@ -26,6 +26,7 @@ from repro.analysis.invariants import (
     honest_observers,
     invariant_report,
 )
+from repro.experiments.baseline import metrics_digest
 from repro.experiments.campaign import Campaign
 from repro.obs import breakdown_from_cluster, collect_flight_recording
 from repro.runtime.metrics import (
@@ -326,8 +327,8 @@ def run_job(job) -> dict:
         metrics = collect_job_metrics(cluster, spec)
         violations = metrics.get("invariants", {}).get("violations", [])
         if violations:
-            # Outside ``metrics`` on purpose: baselines and fuzz digests
-            # compare/hash only the deterministic metrics section.
+            # Outside ``metrics`` on purpose: digests hash only the
+            # deterministic metrics section.
             flight_recording = collect_flight_recording(cluster, violations)
     wall_clock = time.perf_counter() - start
     entry = {
@@ -355,7 +356,6 @@ def _summarize(results: list) -> dict:
         "mean_regular_latency_s": (
             round(sum(latencies) / len(latencies), 6) if latencies else None
         ),
-        "all_safe": all(entry["metrics"]["safety_ok"] for entry in results),
         "all_invariants_ok": all(
             entry["metrics"].get("invariants", {}).get("ok", True)
             for entry in results
@@ -403,6 +403,10 @@ class CampaignRunner:
             "job_count": len(results),
             "wall_clock_s": round(wall_clock, 3),
             "jobs": results,
+            "digests": {
+                entry["job_id"]: metrics_digest(entry["metrics"])
+                for entry in results
+            },
             "summary": _summarize(results),
         }
 

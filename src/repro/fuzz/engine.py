@@ -19,8 +19,6 @@ module:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from pathlib import Path
 
 from repro.experiments.campaign import Job
@@ -66,12 +64,6 @@ def evaluate_case(spec, seed) -> dict:
     return run_job(Job(job_id=f"fuzz/{spec.name}", spec=spec, seed=seed))
 
 
-def _metrics_digest(metrics: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(metrics, sort_keys=True).encode()
-    ).hexdigest()[:16]
-
-
 def _case_entry(entry: dict, spec) -> dict:
     invariants = entry["metrics"]["invariants"]
     return {
@@ -81,7 +73,6 @@ def _case_entry(entry: dict, spec) -> dict:
         "ok": invariants["ok"],
         "violations": invariants["violations"],
         "commits": entry["metrics"]["commits"],
-        "metrics_digest": _metrics_digest(entry["metrics"]),
     }
 
 
@@ -146,6 +137,9 @@ def run_fuzz(
         "profile": profile.name,
         "seeds": list(seeds),
         "cases": cases,
+        "digests": {
+            job.spec.name: results["digests"][job.job_id] for job in jobs
+        },
         "summary": {
             "cases": len(cases),
             "unexpected_violations": unexpected,

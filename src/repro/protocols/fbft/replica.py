@@ -1,6 +1,6 @@
 """FBFT's flexible quorums adapted to DiemBFT (Appendix B).
 
-The baseline achieves strengthened fault tolerance with *direct* votes
+The baseline achieves Strengthened Fault Tolerance (SFT) with *direct* votes
 only: the strong commit rule requires each 3-chain block to carry
 ``x + f + 1`` distinct signed votes.  Because liveness caps QC size at
 ``2f + 1``, any extra votes that arrive after the QC formed must be

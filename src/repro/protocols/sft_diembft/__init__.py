@@ -1,4 +1,4 @@
-"""SFT-DiemBFT — strengthened fault tolerance for DiemBFT (Figure 4)."""
+"""SFT-DiemBFT — Strengthened Fault Tolerance for DiemBFT (Figure 4)."""
 
 from repro.protocols.sft_diembft.replica import SFTDiemBFTReplica
 

@@ -1,4 +1,4 @@
-"""SFT-Streamlet — strengthened fault tolerance for Streamlet (Figure 11)."""
+"""SFT-Streamlet — Strengthened Fault Tolerance for Streamlet (Figure 11)."""
 
 from repro.protocols.sft_streamlet.replica import SFTStreamletReplica
 

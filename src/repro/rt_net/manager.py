@@ -283,13 +283,6 @@ class RuntimeManager:
     # run / stop / harvest
     # ------------------------------------------------------------------
 
-    def kill_replica(self, replica_id: int) -> None:
-        """Hard-kill one replica (crash-fault experiments)."""
-        process = self.processes[replica_id]
-        if process.alive():
-            process.popen.kill()
-            process.popen.wait(timeout=10)
-
     def stop(self, grace: float = 10.0) -> RuntimeReport:
         """SIGTERM everyone, harvest results, SIGKILL stragglers."""
         for process in self.processes.values():

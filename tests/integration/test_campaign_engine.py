@@ -15,7 +15,6 @@ from repro.experiments import (
     ScenarioSpec,
     load_report,
     run_job,
-    save_report,
 )
 
 SCENARIOS_DIR = Path(__file__).resolve().parents[2] / "scenarios"
@@ -96,7 +95,7 @@ class TestSixteenJobMatrix:
         report = CampaignRunner(
             campaign.expand(), workers=min(4, multiprocessing.cpu_count())
         ).run()
-        assert report["summary"]["all_safe"]
+        assert report["summary"]["all_invariants_ok"]
         for entry in report["jobs"]:
             assert entry["metrics"]["commits"] > 0, entry["job_id"]
 
@@ -171,7 +170,7 @@ class TestCampaignCLI:
         report = load_report(out)
         assert report["job_count"] == 2
         assert report["wall_clock_s"] > 0
-        assert report["summary"]["all_safe"]
+        assert report["summary"]["all_invariants_ok"]
 
     def test_campaign_report_command(self, tmp_path):
         spec = self._write_spec(tmp_path)
@@ -183,47 +182,56 @@ class TestCampaignCLI:
         assert code == 0
         assert "total commits:" in stdout
 
-    def test_campaign_diff_detects_injected_regression(self, tmp_path):
+    def _baseline_run(self, tmp_path, tamper):
+        """``campaign run --baseline`` against the run's own digests,
+        passed through ``tamper`` first."""
         spec = self._write_spec(tmp_path)
         out = tmp_path / "report.json"
-        self._run_cli(["campaign", "run", str(spec), "--out", str(out)])
-        report = load_report(out)
-
-        # Identical reports: clean diff.
-        baseline_path = tmp_path / "baseline.json"
-        save_report(report, baseline_path)
-        code, stdout, _ = self._run_cli(
-            ["campaign", "diff", str(out), str(baseline_path)]
+        assert self._run_cli(
+            ["campaign", "run", str(spec), "--out", str(out)]
+        )[0] == 0
+        digests = load_report(out)["digests"]
+        assert len(digests) == 2
+        tamper(digests)
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(digests))
+        return self._run_cli(
+            ["campaign", "run", str(spec), "--baseline", str(baseline)]
         )
+
+    def test_campaign_run_matching_baseline_exits_0(self, tmp_path):
+        code, stdout, _ = self._baseline_run(tmp_path, lambda digests: None)
         assert code == 0
-        assert "no regressions" in stdout
+        assert "baseline: 2 digests identical" in stdout
 
-        # Inject a 2x latency regression into the current report.
-        regressed = json.loads(json.dumps(report))
-        regressed["jobs"][0]["metrics"]["regular_latency_s"] *= 2.0
-        regressed_path = tmp_path / "regressed.json"
-        save_report(regressed, regressed_path)
-        code, stdout, _ = self._run_cli(
-            ["campaign", "diff", str(regressed_path), str(baseline_path)]
-        )
+    def test_campaign_run_moved_digest_exits_1(self, tmp_path):
+        job = "mini/protocol=sft-diembft,seed=1"
+
+        def tamper(digests):
+            digests[job] = "0000000000000000"
+
+        code, stdout, _ = self._baseline_run(tmp_path, tamper)
         assert code == 1
-        assert "regular_latency_s" in stdout
+        assert "baseline: 1 moved" in stdout
+        assert f"{job}: 0000000000000000 -> " in stdout
 
-    def test_campaign_run_fails_against_regressed_baseline(self, tmp_path):
+    @pytest.mark.parametrize("content", [None, "{not json", '["a", "b"]'])
+    def test_campaign_run_bad_baseline_exits_2_before_any_job(
+        self, tmp_path, content
+    ):
         spec = self._write_spec(tmp_path)
-        out = tmp_path / "report.json"
-        self._run_cli(["campaign", "run", str(spec), "--out", str(out)])
-        report = load_report(out)
-        # A baseline that demands impossibly few messages per commit.
-        for entry in report["jobs"]:
-            entry["metrics"]["messages"]["per_commit"] /= 10.0
-        baseline_path = tmp_path / "baseline.json"
-        save_report(report, baseline_path)
-        code, stdout, _ = self._run_cli(
-            ["campaign", "run", str(spec), "--baseline", str(baseline_path)]
-        )
-        assert code == 1
-        assert "regression" in stdout
+        baseline = tmp_path / "baseline.json"
+        if content is not None:
+            baseline.write_text(content)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with pytest.raises(SystemExit) as excinfo:
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                cli_main(
+                    ["campaign", "run", str(spec), "--baseline", str(baseline)]
+                )
+        assert excinfo.value.code == 2
+        assert stderr.getvalue().startswith("error:")
+        assert "mini/" not in stdout.getvalue() + stderr.getvalue()
 
     def test_missing_spec_file_errors(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

@@ -3,6 +3,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,7 @@ from repro.fuzz import (
     spec_fails,
 )
 
+BASELINES_DIR = Path(__file__).resolve().parents[2] / "scenarios" / "baselines"
 FUZZ_SEEDS = range(4)
 
 
@@ -43,9 +45,9 @@ class TestEngineDeterminism:
         assert len(report["cases"]) == len(list(FUZZ_SEEDS))
         from repro.experiments import spec_from_mapping
 
+        assert list(report["digests"]) == [case["name"] for case in report["cases"]]
         for case in report["cases"]:
             assert case["ok"] in (True, False)
-            assert "metrics_digest" in case
             # every fuzz case must be reconstructible from its report
             assert spec_from_mapping(case["spec"]).name == case["name"]
 
@@ -112,6 +114,23 @@ class TestFuzzCli:
         report = json.loads(out.read_text())
         assert report["summary"]["cases"] == 3
         assert "unexpected violation" in stdout.getvalue()
+
+    def test_fuzz_run_tampered_baseline_exits_1(self, tmp_path, capsys):
+        committed = json.loads((BASELINES_DIR / "fuzz_smoke.json").read_text())
+        baseline = {
+            "fuzz-smoke-00000": committed["fuzz-smoke-00000"],
+            "fuzz-smoke-00001": "0000000000000000",
+        }
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        code = cli_main([
+            "fuzz", "run", "--seeds", "0:2", "--profile", "smoke",
+            "--no-shrink", "--baseline", str(path),
+        ])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert "baseline: 1 moved" in out
+        assert "fuzz-smoke-00001: 0000000000000000 -> " in out
 
     def test_fuzz_replay_ok_spec(self, tmp_path, capsys):
         spec = ScenarioSpec(

@@ -20,6 +20,8 @@ from repro.experiments import (
     CampaignRunner,
     FaultMix,
     ScenarioSpec,
+    load_baseline,
+    moved_digests,
     run_job,
 )
 from repro.experiments.campaign import Job
@@ -202,14 +204,8 @@ class TestFlagsOffBaselines:
         report = CampaignRunner(
             campaign.expand(), workers=1, name=campaign.name
         ).run()
-        baseline = json.loads(
-            (SCENARIOS_DIR / "baselines" / "smoke_campaign.json").read_text()
-        )
-        assert json.dumps(
-            [entry["metrics"] for entry in report["jobs"]], sort_keys=True
-        ) == json.dumps(
-            [entry["metrics"] for entry in baseline["jobs"]], sort_keys=True
-        )
+        baseline = load_baseline(SCENARIOS_DIR / "baselines" / "smoke.json")
+        assert moved_digests(report["digests"], baseline) == {}
 
     @pytest.mark.parametrize(
         "spec, seed, events, commits, sent",

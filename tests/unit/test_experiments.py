@@ -9,11 +9,10 @@ from repro.experiments import (
     Campaign,
     FaultMix,
     PartitionWindow,
-    Regression,
     ScenarioSpec,
     collect_job_metrics,
-    diff_reports,
     load_scenario,
+    moved_digests,
     spec_from_mapping,
 )
 from repro.net.network import NetworkConfig
@@ -280,59 +279,29 @@ class TestCampaignExpansion:
         assert [job.seed for job in campaign.expand()] == [7, 8, 9]
 
 
-def _report_with(job_id, latency, per_commit=10.0, commits=100, safe=True):
-    return {
-        "jobs": [
-            {
-                "job_id": job_id,
-                "metrics": {
-                    "commits": commits,
-                    "regular_latency_s": latency,
-                    "messages": {"per_commit": per_commit},
-                    "safety_ok": safe,
-                },
-            }
-        ]
-    }
+class TestDigestBaseline:
+    BASELINE = {"a/seed=1": "00000000000000aa", "b/seed=1": "00000000000000bb"}
 
+    def test_identical_digests_move_nothing(self):
+        assert moved_digests(dict(self.BASELINE), self.BASELINE) == {}
 
-class TestBaselineDiff:
-    def test_no_regression_within_tolerance(self):
-        current = _report_with("a/seed=1", 0.11)
-        baseline = _report_with("a/seed=1", 0.10)
-        assert diff_reports(current, baseline) == []
+    def test_changed_digest_moves(self):
+        now = dict(self.BASELINE, **{"b/seed=1": "00000000000000cc"})
+        assert moved_digests(now, self.BASELINE) == {
+            "b/seed=1": ("00000000000000bb", "00000000000000cc")
+        }
 
-    def test_latency_regression_detected(self):
-        current = _report_with("a/seed=1", 0.20)
-        baseline = _report_with("a/seed=1", 0.10)
-        regressions = diff_reports(current, baseline)
-        assert [r.metric for r in regressions] == ["regular_latency_s"]
-        assert "a/seed=1" in regressions[0].describe()
+    def test_missing_job_moves(self):
+        now = {"a/seed=1": "00000000000000aa"}
+        assert moved_digests(now, self.BASELINE) == {
+            "b/seed=1": ("00000000000000bb", None)
+        }
 
-    def test_message_and_commit_regressions(self):
-        current = _report_with("a/seed=1", 0.10, per_commit=20.0, commits=10)
-        baseline = _report_with("a/seed=1", 0.10, per_commit=10.0, commits=100)
-        metrics = {r.metric for r in diff_reports(current, baseline)}
-        assert metrics == {"messages.per_commit", "commits"}
-
-    def test_missing_job_is_a_regression(self):
-        current = {"jobs": []}
-        baseline = _report_with("a/seed=1", 0.10)
-        regressions = diff_reports(current, baseline)
-        assert regressions == [
-            Regression("a/seed=1", "missing-job", None, None, None)
-        ]
-
-    def test_unsafe_job_is_a_regression(self):
-        current = _report_with("a/seed=1", 0.10, safe=False)
-        baseline = _report_with("a/seed=1", 0.10)
-        assert "safety_ok" in {r.metric for r in diff_reports(current, baseline)}
-
-    def test_tolerance_is_configurable(self):
-        current = _report_with("a/seed=1", 0.14)
-        baseline = _report_with("a/seed=1", 0.10)
-        assert diff_reports(current, baseline, latency_tolerance=0.5) == []
-        assert diff_reports(current, baseline, latency_tolerance=0.1)
+    def test_extra_job_moves(self):
+        now = dict(self.BASELINE, **{"c/seed=1": "00000000000000cc"})
+        assert moved_digests(now, self.BASELINE) == {
+            "c/seed=1": (None, "00000000000000cc")
+        }
 
 
 class TestValidationGaps:
