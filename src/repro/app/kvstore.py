@@ -21,6 +21,8 @@ from repro.types.transaction import Transaction
 #: Bounded key space keeps set/del/transfer commands colliding enough
 #: to exercise external validity (failed transfers) deterministically.
 _KEY_SPACE = 256
+#: Size a sampled ``set`` command's value is padded towards.
+PAYLOAD_BYTES = 64
 
 
 @dataclass(frozen=True, slots=True)
@@ -58,14 +60,14 @@ class KVCommand:
             return None
 
     @classmethod
-    def sample(cls, rng, sequence: int, payload_bytes: int) -> "KVCommand":
+    def sample(cls, rng, sequence: int) -> "KVCommand":
         """The load generators' traffic mix, drawn from ``rng``: 85 %
-        ``set`` (value padded towards ``payload_bytes``), 10 %
+        ``set`` (value padded towards :data:`PAYLOAD_BYTES`), 10 %
         ``transfer``, 5 % ``del``."""
         roll = rng.random()
         key = f"k{rng.randrange(_KEY_SPACE)}"
         if roll < 0.85:
-            pad = "x" * max(0, payload_bytes - len(key) - 12)
+            pad = "x" * max(0, PAYLOAD_BYTES - len(key) - 12)
             return cls(op="set", key=key, value=f"{sequence}:{pad}")
         if roll < 0.95:
             other = f"k{rng.randrange(_KEY_SPACE)}"

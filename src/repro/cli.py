@@ -2,11 +2,11 @@
 
 Examples::
 
-    python -m repro run --protocol sft-diembft --n 31 --duration 20
-    python -m repro run --topology asymmetric --delta 0.2 --timeout 0.15
+    python -m repro run scenarios/geo_latency.toml
+    python -m repro run scenarios/smoke.toml --seed 3 --csv
     python -m repro figure scenarios/fig7a_symmetric.toml   # a paper figure
     python -m repro counterexample       # Appendix C walkthrough
-    python -m repro health --n 31        # QC-diversity health report
+    python -m repro health scenarios/outcast_regions.toml   # QC diversity
     python -m repro campaign run scenarios/smoke.toml --workers 4 \
         --baseline scenarios/baselines/smoke.json
     python -m repro fuzz run --seeds 0:50 --workers 4
@@ -32,10 +32,6 @@ from repro.analysis import (
 )
 from repro.analysis.chain_stats import collect_chain_stats
 from repro.analysis.health import QCDiversityMonitor
-from repro.analysis.invariants import check_prefix_consistency
-from repro.core.resilience import ratio_grid
-from repro.experiments.spec import FaultMix, ScenarioSpec
-from repro.runtime.config import PROTOCOLS
 from repro.runtime.metrics import (
     regular_commit_latency,
     strong_latency_series,
@@ -43,76 +39,29 @@ from repro.runtime.metrics import (
 )
 
 
-#: The paper's block shape (~1000 txns / ~450 KB), for `run` / `health`.
-_PAPER_BLOCK = {"block_batch_count": 1000, "block_batch_bytes": 450_000}
-
-
-def _add_run_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--protocol", choices=PROTOCOLS, default="sft-diembft")
-    parser.add_argument("--n", type=int, default=31, help="replica count")
-    parser.add_argument(
-        "--topology", choices=("uniform", "symmetric", "asymmetric"),
-        default="symmetric",
-    )
-    parser.add_argument("--delta", type=float, default=0.1,
-                        help="inter-region delay δ in seconds")
-    parser.add_argument("--duration", type=float, default=20.0,
-                        help="simulated seconds")
-    parser.add_argument("--timeout", type=float, default=1.0,
-                        help="pacemaker base round timeout")
-    parser.add_argument("--extra-wait", type=float, default=0.0,
-                        help="leader QC extra wait (Section 4.2)")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--intervals", action="store_true",
-                        help="generalized interval votes (Section 3.4)")
-    parser.add_argument("--crash", type=int, default=0,
-                        help="crash this many replicas at t=0")
-    parser.add_argument("--csv", action="store_true",
-                        help="emit the latency series as CSV")
-
-
-def _spec_from_args(args) -> ScenarioSpec:
-    return ScenarioSpec(
-        protocol=args.protocol,
-        n=args.n,
-        topology=args.topology,
-        delta=args.delta,
-        jitter=0.004,
-        duration=args.duration,
-        round_timeout=args.timeout,
-        qc_extra_wait=args.extra_wait,
-        seeds=(args.seed,),
-        generalized_intervals=args.intervals,
-        verify_signatures=args.n <= 31,
-        observers="all" if args.n <= 31 else 5,
-        faults=FaultMix(crash=args.crash),
-        **_PAPER_BLOCK,
-    )
-
-
 def command_run(args) -> int:
-    spec = _spec_from_args(args)
+    from repro.analysis.invariants import check_cluster_invariants
+
+    spec, seed = _load_cluster_spec(args)
     print(f"protocol={spec.protocol} n={spec.n} f={spec.resolved_f()} "
           f"topology={spec.build_topology().describe()} "
-          f"duration={spec.duration}s seed={args.seed}")
-    cluster = spec.build().run()
-    survivors = [replica for replica in cluster.replicas if not replica.crashed]
-    violations = check_prefix_consistency(survivors)
-    if violations:
-        for violation in violations:
-            print(f"SAFETY VIOLATION: {violation.detail}", file=sys.stderr)
+          f"duration={spec.duration}s seed={seed}")
+    cluster = spec.build(seed).run()
+    violations = check_cluster_invariants(cluster, spec)
+    _describe_violations([violation.to_dict() for violation in violations])
+    if any(not violation.expected for violation in violations):
         return 1
-    replica = survivors[0]
+    replica = next(r for r in cluster.replicas if not r.crashed)
     commits = len(replica.commit_tracker.commit_order)
-    mean, count = regular_commit_latency(
-        cluster, created_before=spec.duration * 0.66
-    )
+    cutoff = spec.duration * spec.cutoff_fraction
+    mean, count = regular_commit_latency(cluster, created_before=cutoff)
     print(f"\ncommits: {commits}  rounds: {replica.current_round}  "
           f"throughput: {throughput_txps(cluster):.0f} txn/s")
     if mean is not None:
         print(f"regular commit latency: {mean:.3f}s over {count} samples")
     series = strong_latency_series(
-        cluster, ratio_grid(), created_before=spec.duration * 0.66
+        cluster, spec.ratios, created_before=cutoff,
+        observers=spec.series_observers,
     )
     if args.csv:
         print(format_series_csv(series, label=spec.protocol))
@@ -166,8 +115,8 @@ def command_counterexample(args) -> int:
 
 
 def command_health(args) -> int:
-    spec = _spec_from_args(args)
-    cluster = spec.build().run()
+    spec, seed = _load_cluster_spec(args)
+    cluster = spec.build(seed).run()
     replica = cluster.replicas[0]
     monitor = QCDiversityMonitor(spec.n)
     monitor.observe_chain(replica.store, replica.commit_tracker.commit_order)
@@ -527,15 +476,22 @@ def command_rt_diff(args) -> int:
     return 0
 
 
-def _run_traced_cluster(args):
-    """Run one scenario with tracing forced on; returns (spec, cluster)."""
+def _load_cluster_spec(args):
+    """The scenario file and seed of a one-cluster command (``run``,
+    ``health``, ``trace``); scripted specs have no cluster and exit 2."""
     spec = _load_fuzz_spec(args.spec)
     if spec.script:
-        print("error: scripted scenarios have no cluster to trace",
+        print(f"error: scripted scenarios have no cluster to {args.command}",
               file=sys.stderr)
         raise SystemExit(2)
-    spec = spec.with_overrides(trace_level=args.level)
     seed = args.seed if args.seed is not None else spec.seeds[0]
+    return spec, seed
+
+
+def _run_traced_cluster(args):
+    """Run one scenario with tracing forced on; returns (spec, cluster)."""
+    spec, seed = _load_cluster_spec(args)
+    spec = spec.with_overrides(trace_level=args.level)
     print(f"tracing {spec.name} (seed {seed}, level {args.level})…",
           file=sys.stderr)
     cluster = spec.build(seed)
@@ -584,8 +540,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run_parser = subparsers.add_parser("run", help="run one experiment")
-    _add_run_arguments(run_parser)
+    def _add_spec_arguments(sub) -> None:
+        sub.add_argument("spec", help="scenario TOML/JSON file")
+        sub.add_argument("--seed", type=int, default=None,
+                         help="override the spec's first seed")
+
+    run_parser = subparsers.add_parser(
+        "run", help="run one scenario and judge it with the invariant oracle"
+    )
+    _add_spec_arguments(run_parser)
+    run_parser.add_argument("--csv", action="store_true",
+                            help="emit the latency series as CSV")
     run_parser.set_defaults(handler=command_run)
 
     figure_parser = subparsers.add_parser(
@@ -605,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     health_parser = subparsers.add_parser(
         "health", help="QC-diversity replica health report (Section 5)"
     )
-    _add_run_arguments(health_parser)
+    _add_spec_arguments(health_parser)
     health_parser.set_defaults(handler=command_health)
 
     campaign_parser = subparsers.add_parser(
@@ -665,9 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_replay = fuzz_sub.add_parser(
         "replay", help="re-run one spec and re-check every invariant"
     )
-    fuzz_replay.add_argument("spec", help="scenario TOML/JSON file")
-    fuzz_replay.add_argument("--seed", type=int, default=None,
-                             help="override the spec's first seed")
+    _add_spec_arguments(fuzz_replay)
     fuzz_replay.add_argument("--strict", action="store_true",
                              help="fail even on expected counterexamples")
     fuzz_replay.add_argument("--flight-out", default=None,
@@ -678,9 +641,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_shrink = fuzz_sub.add_parser(
         "shrink", help="bisect a failing spec to a minimal schedule"
     )
-    fuzz_shrink.add_argument("spec", help="scenario TOML/JSON file")
-    fuzz_shrink.add_argument("--seed", type=int, default=None,
-                             help="override the spec's first seed")
+    _add_spec_arguments(fuzz_shrink)
     fuzz_shrink.add_argument("--out", default=None,
                              help="where to write the minimized spec")
     fuzz_shrink.set_defaults(handler=command_fuzz_shrink)
@@ -691,9 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     rt_sub = rt_parser.add_subparsers(dest="rt_command", required=True)
 
     def _add_rt_arguments(sub) -> None:
-        sub.add_argument("spec", help="scenario TOML/JSON file")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the spec's first seed")
+        _add_spec_arguments(sub)
         sub.add_argument("--duration", type=float, default=None,
                          help="wall seconds to run (default: spec duration)")
         sub.add_argument("--workdir", default=None,
@@ -723,9 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_sub = trace_parser.add_subparsers(dest="trace_command", required=True)
 
     def _add_trace_arguments(sub) -> None:
-        sub.add_argument("spec", help="scenario TOML/JSON file")
-        sub.add_argument("--seed", type=int, default=None,
-                         help="override the spec's first seed")
+        _add_spec_arguments(sub)
         sub.add_argument("--level", choices=("spans", "full"),
                          default="spans",
                          help="trace detail (full adds message deliveries)")

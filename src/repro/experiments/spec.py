@@ -23,6 +23,7 @@ from pathlib import Path
 from repro.adversary.behaviors import BEHAVIOR_FACTORIES
 from repro.net.network import NetworkConfig
 from repro.net.topology import (
+    AB_DELAY,
     AsymmetricTopology,
     RegionTopology,
     SymmetricTopology,
@@ -256,11 +257,9 @@ class ScenarioSpec:
     delta: float = 0.100
     region_sizes: tuple = ()
     intra_delay: float = 0.001
-    ab_delay: float = 0.020
     uniform_delay: float = 0.010
     jitter: float = 0.002
     bandwidth_bytes_per_sec: float = 0.0
-    processing_delay: float = 0.0
     gst: float = 0.0
     pre_gst_delay: float = 0.0
     # At-least-once delivery faults (both default off ⇒ byte-identical
@@ -272,13 +271,11 @@ class ScenarioSpec:
     # Protocol knobs.
     round_timeout: float = 0.5
     timeout_multiplier: float = 1.5
-    max_timeout: float = 8.0
     qc_extra_wait: float = 0.0
     generalized_intervals: bool = False
     interval_window: int | None = None
     naive_accounting: bool = False
     verify_signatures: bool = True
-    drop_stale_messages: bool = True
     block_batch_count: int = 10
     block_batch_bytes: int = 1_000
     streamlet_round_duration: float | None = None
@@ -289,15 +286,12 @@ class ScenarioSpec:
     # Throughput program (all default-off, same byte-identical-replay
     # discipline): a real-transaction KV workload at ``workload_rate``
     # txs/sec feeding per-replica mempools, leaders batching up to
-    # ``batch_size`` transactions / ``max_batch_bytes`` bytes per
-    # block, and linear vote collection.  ``pipelined_proposals``
-    # changes nothing that commits in any measured run (leaders already
-    # skip what their parent's chain carries); it stays because the
-    # frozen benchmark names it.
+    # ``batch_size`` transactions per block, and linear vote
+    # collection.  ``pipelined_proposals`` changes nothing that commits
+    # in any measured run (leaders already skip what their parent's
+    # chain carries); it stays because the frozen benchmark names it.
     workload_rate: float = 0.0
-    workload_payload_bytes: int = 64
     batch_size: int = 256
-    max_batch_bytes: int = 0
     pipelined_proposals: bool = False
     linear_votes: bool = False
     # Checkpoint subprotocol: sign state digests every this-many
@@ -348,18 +342,16 @@ class ScenarioSpec:
         if self.f is not None:
             _require_count("f", self.f)
         for name in (
-            "delta", "intra_delay", "ab_delay", "uniform_delay", "jitter",
-            "bandwidth_bytes_per_sec", "processing_delay", "gst",
-            "pre_gst_delay", "qc_extra_wait", "workload_rate",
-            "duplicate_rate", "reorder_window",
+            "delta", "intra_delay", "uniform_delay", "jitter",
+            "bandwidth_bytes_per_sec", "gst", "pre_gst_delay",
+            "qc_extra_wait", "workload_rate", "duplicate_rate",
+            "reorder_window",
         ):
             _require_finite(name, getattr(self, name))
         if self.duplicate_rate > 1.0:
             raise ValueError(
                 f"duplicate_rate must be <= 1, got {self.duplicate_rate!r}"
             )
-        _require_count("workload_payload_bytes", self.workload_payload_bytes)
-        _require_count("max_batch_bytes", self.max_batch_bytes)
         _require_count("checkpoint_interval", self.checkpoint_interval)
         if (
             not isinstance(self.batch_size, int)
@@ -369,8 +361,7 @@ class ScenarioSpec:
             raise ValueError(
                 f"batch_size must be a positive integer, got {self.batch_size!r}"
             )
-        for name in ("duration", "round_timeout", "timeout_multiplier",
-                     "max_timeout"):
+        for name in ("duration", "round_timeout", "timeout_multiplier"):
             _require_finite(name, getattr(self, name))
             if getattr(self, name) <= 0:
                 raise ValueError(
@@ -435,9 +426,7 @@ class ScenarioSpec:
                     "the asymmetric topology is defined for n=100 (45/45/10)"
                 )
             return AsymmetricTopology(
-                delta=self.delta,
-                ab_delay=self.ab_delay,
-                intra_delay=self.intra_delay,
+                delta=self.delta, intra_delay=self.intra_delay
             )
         if self.topology == "regions":
             if sum(self.region_sizes) != self.n:
@@ -482,15 +471,15 @@ class ScenarioSpec:
         """The worst one-hop delay the chosen topology can produce.
 
         Only that topology's knobs count — a max over every preset's
-        would inflate uniform pacing by ``delta``/``ab_delay`` — except
-        that ``ab_delay`` counts for ``regions`` too: it sizes every
+        would inflate uniform pacing by ``delta``/``AB_DELAY`` — except
+        that ``AB_DELAY`` counts for ``regions`` too: it sizes every
         committed Streamlet baseline's slot.
         """
         candidates = [self.intra_delay]
         if self.topology == "uniform":
             candidates.append(self.uniform_delay)
         else:
-            candidates.extend([self.delta, self.ab_delay])
+            candidates.extend([self.delta, AB_DELAY])
         return max(candidates)
 
     def streamlet_slot(self) -> float:

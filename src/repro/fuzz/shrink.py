@@ -127,7 +127,6 @@ def _candidate_overrides(spec: ScenarioSpec):
         yield {
             "workload_rate": 0.0,
             "batch_size": 256,
-            "max_batch_bytes": 0,
             "pipelined_proposals": False,
         }
     if spec.pipelined_proposals:

@@ -220,7 +220,6 @@ class NetworkConfig:
     gst: float = 0.0
     pre_gst_delay: float = 0.0
     bandwidth_bytes_per_sec: float = 0.0
-    processing_delay: float = 0.0
     duplicate_rate: float = 0.0
     reorder_window: float = 0.0
 
@@ -426,13 +425,7 @@ class Network:
             self.dropped_to_unregistered += 1
             return
         self.messages_delivered += 1
-        if self.config.processing_delay > 0:
-            self.simulator.schedule_fire(
-                self.simulator.now + self.config.processing_delay,
-                handler.deliver, src, message,
-            )
-        else:
-            handler.deliver(src, message)
+        handler.deliver(src, message)
 
     # ------------------------------------------------------------------
     # statistics

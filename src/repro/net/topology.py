@@ -112,6 +112,10 @@ class SymmetricTopology(RegionTopology):
         return f"symmetric({sizes}, δ={self.delta * 1000:.0f}ms)"
 
 
+#: Figure 6's A↔B delay in the asymmetric topology, in seconds.
+AB_DELAY = 0.020
+
+
 class AsymmetricTopology(RegionTopology):
     """Figure 6 (right): A=45, B=45, C=10; A↔B 20 ms; C↔{A,B} = δ."""
 
@@ -121,17 +125,15 @@ class AsymmetricTopology(RegionTopology):
         n_a: int = 45,
         n_b: int = 45,
         n_c: int = 10,
-        ab_delay: float = 0.020,
         intra_delay: float = 0.001,
     ):
-        inter = {(0, 1): ab_delay, (0, 2): delta, (1, 2): delta}
+        inter = {(0, 1): AB_DELAY, (0, 2): delta, (1, 2): delta}
         super().__init__((n_a, n_b, n_c), inter, intra_delay)
         self.delta = delta
-        self.ab_delay = ab_delay
 
     def describe(self) -> str:
         sizes = "/".join(str(size) for size in self.region_sizes)
         return (
-            f"asymmetric({sizes}, A↔B={self.ab_delay * 1000:.0f}ms, "
+            f"asymmetric({sizes}, A↔B={AB_DELAY * 1000:.0f}ms, "
             f"δ={self.delta * 1000:.0f}ms)"
         )

@@ -14,12 +14,11 @@ Pacemaker (round synchronization).  Five protocols are provided:
 """
 
 from repro.protocols.base import BaseReplica, ReplicaConfig, ReplicaContext
-from repro.protocols.pacemaker import Pacemaker, PacemakerConfig
+from repro.protocols.pacemaker import Pacemaker
 
 __all__ = [
     "BaseReplica",
     "ReplicaConfig",
     "ReplicaContext",
     "Pacemaker",
-    "PacemakerConfig",
 ]

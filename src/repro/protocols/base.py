@@ -74,7 +74,7 @@ material accessors) — never reach into a concrete transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Protocol, runtime_checkable
 
 from repro.core.commit_rules import CommitTracker
@@ -149,8 +149,9 @@ class ReplicaConfig:
     ``f`` is the assumed Byzantine bound with ``n = 3f + 1`` replicas
     (quorums have ``2f + 1``).  Knobs:
 
-    * ``round_timeout`` / ``timeout_multiplier`` / ``max_timeout`` —
-      pacemaker timer policy;
+    * ``round_timeout`` / ``timeout_multiplier`` — pacemaker timer
+      policy (backoff capped at
+      :data:`~repro.protocols.pacemaker.MAX_TIMEOUT`);
     * ``qc_extra_wait`` — Section 4.2: leaders delay QC formation this
       many seconds after reaching ``2f + 1`` votes to fold in straggler
       votes (0 disables);
@@ -170,14 +171,9 @@ class ReplicaConfig:
       from peers and recover QCs from timeout-attached votes.  Off
       preserves the pre-sync behaviour byte-for-byte (determinism
       differentials, bench baselines);
-    * ``sync_retry`` / ``sync_max_blocks`` / ``sync_round_lag`` —
-      sync tuning: per-peer response deadline before rotating, blocks
-      per response, and how far the round may run ahead of the local
-      certified tip before a tip catch-up fires;
-    * ``batch_size`` / ``max_batch_bytes`` — mempool drain caps when a
-      real-transaction workload is attached: at most ``batch_size``
-      transactions and (when non-zero) ``max_batch_bytes`` payload
-      bytes per proposed block;
+    * ``batch_size`` — mempool drain cap when a real-transaction
+      workload is attached: at most ``batch_size`` transactions per
+      proposed block;
     * ``pipelined_proposals`` — changes nothing that commits in any
       measured run: on either tier a leader already skips what its
       parent's uncommitted chain carries (:func:`~repro.runtime.client.attach`).  On, it also
@@ -211,35 +207,26 @@ class ReplicaConfig:
     f: int
     round_timeout: float = 1.0
     timeout_multiplier: float = 1.5
-    max_timeout: float = 8.0
     qc_extra_wait: float = 0.0
     generalized_intervals: bool = False
     interval_window: int | None = None
     observer: bool = True
     naive_accounting: bool = False
     verify_signatures: bool = True
-    drop_stale_messages: bool = True
     block_batch_count: int = 1000
     block_batch_bytes: int = 450_000
     sync_enabled: bool = True
-    sync_retry: float = 0.25
-    sync_max_blocks: int = 8
-    sync_round_lag: int = 4
     batch_size: int = 256
-    max_batch_bytes: int = 0
     pipelined_proposals: bool = False
     linear_votes: bool = False
     checkpoint_interval: int = 0
     trace_level: str = "off"
     flight_recorder: bool = True
-    leader_fn: object = field(default=None)
 
     def quorum(self) -> int:
         return 2 * self.f + 1
 
     def leader_of(self, round_number: int) -> int:
-        if self.leader_fn is not None:
-            return self.leader_fn(round_number, self.n)
         return round_robin_leader(round_number, self.n)
 
 

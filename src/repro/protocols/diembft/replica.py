@@ -28,7 +28,7 @@ overrides late vote handling.
 from __future__ import annotations
 
 from repro.protocols.base import BaseReplica, ReplicaConfig, ReplicaContext
-from repro.protocols.pacemaker import Pacemaker, PacemakerConfig
+from repro.protocols.pacemaker import Pacemaker
 from repro.types.block import Block
 from repro.types.messages import ProposalMsg, TimeoutMsg, VoteMsg
 from repro.types.quorum_cert import QuorumCertificate
@@ -48,13 +48,7 @@ class DiemBFTReplica(BaseReplica):
         self.r_vote = 0
         self.r_lock = 0
         self.pacemaker = Pacemaker(
-            PacemakerConfig(
-                base_timeout=config.round_timeout,
-                multiplier=config.timeout_multiplier,
-                max_timeout=config.max_timeout,
-                quorum=config.quorum(),
-                join_threshold=config.f + 1,
-            ),
+            config,
             context,
             on_new_round=self._on_new_round,
             on_local_timeout=self._on_local_timeout,
@@ -151,8 +145,7 @@ class DiemBFTReplica(BaseReplica):
 
     def _accept_proposal(self, msg: ProposalMsg) -> None:
         if (
-            self.config.drop_stale_messages
-            and msg.round < self.pacemaker.current_round
+            msg.round < self.pacemaker.current_round
             and not self.store.is_awaited(msg.block.id())
         ):
             # Real DiemBFT rejects proposals for rounds it has moved
@@ -231,10 +224,7 @@ class DiemBFTReplica(BaseReplica):
         ):
             self._c_invalid_messages.inc()
             return
-        if (
-            self.config.drop_stale_messages
-            and msg.round < self.pacemaker.current_round
-        ):
+        if msg.round < self.pacemaker.current_round:
             return  # timeout for a round this replica already left
         self._process_qc(msg.qc_high, self.context.now)
         if self.sync is not None and msg.vote is not None:

@@ -10,30 +10,26 @@ standard Bracha-style echo that guarantees timeout certificates form),
 and ``2f + 1`` form a :class:`~repro.types.quorum_cert.TimeoutCertificate`.
 
 Timer durations follow exponential backoff over *consecutive* failed
-rounds, capped at ``max_timeout``; one successful round resets the
-backoff.
+rounds, capped at :data:`MAX_TIMEOUT`; one successful round resets
+the backoff.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.types.quorum_cert import TimeoutCertificate
 
-
-@dataclass(slots=True)
-class PacemakerConfig:
-    base_timeout: float = 1.0
-    multiplier: float = 1.5
-    max_timeout: float = 8.0
-    quorum: int = 3
-    join_threshold: int = 2  # f + 1
+#: Cap on one round's backed-off timer, in seconds.
+MAX_TIMEOUT = 8.0
 
 
 class Pacemaker:
     """Tracks the current round and decides when to advance it.
 
-    The owning replica provides two callbacks:
+    Timer policy and thresholds come from the owning replica's
+    :class:`~repro.protocols.base.ReplicaConfig`: ``round_timeout``
+    backed off by ``timeout_multiplier``, ``f + 1`` timeouts to join,
+    ``quorum()`` to form a TC.  The owning replica provides two
+    callbacks:
 
     * ``on_new_round(round, reason)`` — invoked after every advance
       (``reason`` is ``"qc"``, ``"tc"`` or ``"start"``);
@@ -42,7 +38,7 @@ class Pacemaker:
       for multicasting its timeout message.
     """
 
-    def __init__(self, config: PacemakerConfig, context, on_new_round, on_local_timeout):
+    def __init__(self, config, context, on_new_round, on_local_timeout):
         self.config = config
         self.context = context
         self.current_round = 0
@@ -64,10 +60,10 @@ class Pacemaker:
         self._enter_round(1, "start")
 
     def current_timeout(self) -> float:
-        duration = self.config.base_timeout * (
-            self.config.multiplier ** self.consecutive_timeouts
+        duration = self.config.round_timeout * (
+            self.config.timeout_multiplier ** self.consecutive_timeouts
         )
-        return min(duration, self.config.max_timeout)
+        return min(duration, MAX_TIMEOUT)
 
     def _enter_round(self, round_number: int, reason: str) -> None:
         self.current_round = round_number
@@ -130,14 +126,14 @@ class Pacemaker:
         votes[sender] = max(votes.get(sender, -1), qc_high_round)
 
         if (
-            len(votes) >= self.config.join_threshold
+            len(votes) >= self.config.f + 1
             and round_number >= self.current_round
             and round_number not in self._timed_out_rounds
         ):
             self._timed_out_rounds.add(round_number)
             self._on_local_timeout(round_number)
 
-        if len(votes) >= self.config.quorum and round_number not in self._tcs:
+        if len(votes) >= self.config.quorum() and round_number not in self._tcs:
             tc = TimeoutCertificate(
                 round=round_number,
                 timeout_voters=frozenset(votes),

@@ -34,7 +34,6 @@ class StreamletConfig(ReplicaConfig):
     """Streamlet adds the lock-step round duration (``2Δ``)."""
 
     round_duration: float = 0.5
-    echo_enabled: bool = True
 
 
 class StreamletReplica(BaseReplica):
@@ -144,7 +143,7 @@ class StreamletReplica(BaseReplica):
             if key in self._seen_message_keys:
                 return
             self._seen_message_keys.add(key)
-            if self.config.echo_enabled and self._should_echo(message):
+            if self._should_echo(message):
                 self.context.multicast(
                     EchoMsg(sender=self.replica_id, inner=message, origin=src),
                     include_self=False,

@@ -41,14 +41,12 @@ class ClientFleet:
         endpoints: dict[int, tuple[str, int]],
         f: int,
         num_clients: int = 8,
-        payload_bytes: int = 64,
         seed: int = 0,
         request_timeout: float = 10.0,
     ) -> None:
         self.endpoints = dict(endpoints)
         self.f = f
         self.num_clients = num_clients
-        self.payload_bytes = payload_bytes
         self.seed = seed
         self.request_timeout = request_timeout
         self.stats: dict[int, _ClientStats] = {}
@@ -114,7 +112,7 @@ class ClientFleet:
                 )
             sequence = 0
             while loop.time() < stop_at:
-                command = KVCommand.sample(rng, sequence, self.payload_bytes)
+                command = KVCommand.sample(rng, sequence)
                 transaction = command.to_transaction(
                     client_id=client_id,
                     sequence=sequence,

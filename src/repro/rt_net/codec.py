@@ -39,7 +39,6 @@ from repro.types.messages import (
     ClientRequestMsg,
     EchoMsg,
     ExtraVotesMsg,
-    NewRoundMsg,
     ProposalMsg,
     QCMsg,
     SnapshotRequestMsg,
@@ -60,7 +59,6 @@ WIRE_TYPES = (
     VoteMsg,
     TimeoutMsg,
     QCMsg,
-    NewRoundMsg,
     ExtraVotesMsg,
     EchoMsg,
     ClientRequestMsg,

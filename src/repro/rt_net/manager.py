@@ -47,7 +47,7 @@ def unsupported_features(spec: ScenarioSpec) -> list[str]:
             f"topology {spec.topology!r} (localhost TCP is uniform)"
         )
     if spec.bandwidth_bytes_per_sec or spec.gst or spec.duplicate_rate \
-            or spec.reorder_window or spec.processing_delay:
+            or spec.reorder_window:
         problems.append("simulated network shaping (bandwidth/gst/dup/reorder)")
     if spec.trace_level != "off":
         problems.append("trace_level (cluster-wide span log is in-process)")

@@ -36,9 +36,7 @@ class Mempool:
     called by the commit listener :func:`attach` registers), never on
     proposal: a leader whose round fails must not lose them.
     :meth:`make_payload` therefore *copies* from the queue, capped by
-    ``max_block_transactions`` and, when non-zero, ``max_block_bytes``
-    (a payload always takes at least one transaction so a jumbo entry
-    cannot wedge the queue), skipping ``exclude``: the txids the
+    ``max_block_transactions``, skipping ``exclude``: the txids the
     proposal's uncommitted ancestors already carry (:func:`chain_walk`).
     Each transaction is thus proposed once; if that chain is abandoned
     the set no longer names it, so it is eligible again without a timer.
@@ -53,12 +51,10 @@ class Mempool:
     def __init__(
         self,
         max_block_transactions: int = 1000,
-        max_block_bytes: int = 0,
         pipelined: bool = False,
         inflight_timeout: float = 1.0,
     ) -> None:
         self.max_block_transactions = max_block_transactions
-        self.max_block_bytes = max_block_bytes
         self.pipelined = pipelined
         self.inflight_timeout = inflight_timeout
         self._pending: OrderedDict = OrderedDict()
@@ -69,11 +65,10 @@ class Mempool:
     @classmethod
     def for_replica(cls, config) -> "Mempool":
         """The pool a replica with ``config`` proposes from, on either
-        tier: its batch caps and its drain discipline."""
+        tier: its batch cap and its drain discipline."""
         per_round = getattr(config, "round_duration", None) or config.round_timeout
         return cls(
             max_block_transactions=config.batch_size,
-            max_block_bytes=config.max_batch_bytes,
             pipelined=config.pipelined_proposals,
             inflight_timeout=8.0 * per_round,  # outlives a 3-chain commit
         )
@@ -135,16 +130,10 @@ class Mempool:
             for txid in expired:
                 del in_flight[txid]
         front = []
-        size = 0
-        max_bytes = self.max_block_bytes
         for txid, transaction in self._pending.items():
             if txid in exclude or (self.pipelined and txid in in_flight):
                 continue
-            tx_size = transaction.size_bytes()
-            if front and max_bytes and size + tx_size > max_bytes:
-                break
             front.append((txid, transaction))
-            size += tx_size
             if len(front) >= self.max_block_transactions:
                 break
         if self.pipelined:
@@ -224,14 +213,12 @@ class KVWorkload:
         self,
         cluster,
         rate: float,
-        payload_bytes: int = 64,
         seed: int = 0,
     ) -> None:
         if rate <= 0:
             raise ValueError(f"workload rate must be positive, got {rate!r}")
         self.cluster = cluster
         self.rate = rate
-        self.payload_bytes = payload_bytes
         self.rng = random.Random(f"kv-workload:{seed}")
         self.sequence = 0
         self.submitted = 0
@@ -256,7 +243,7 @@ class KVWorkload:
 
     def _tick(self) -> None:
         simulator = self.cluster.simulator
-        command = KVCommand.sample(self.rng, self.sequence, self.payload_bytes)
+        command = KVCommand.sample(self.rng, self.sequence)
         target = self.sequence % len(self.cluster.replicas)
         transaction = command.to_transaction(
             client_id=target,

@@ -120,7 +120,6 @@ class Cluster:
             self.workload = KVWorkload(
                 self,
                 rate=self.config.workload_rate,
-                payload_bytes=self.config.workload_payload_bytes,
                 seed=self.seed,
             )
         self._built = True

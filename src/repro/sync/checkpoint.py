@@ -37,6 +37,7 @@ from repro.app.kvstore import LedgerExecutor
 from repro.core.commit_rules import CommitEvent
 from repro.crypto.hashing import hash_fields
 from repro.sync.fetch import PeerFetcher
+from repro.sync.manager import SYNC_RETRY, SYNC_ROUND_LAG
 from repro.types.messages import (
     CheckpointMsg,
     SnapshotRequestMsg,
@@ -127,7 +128,7 @@ class CheckpointManager:
         self._c_peer_rotations = metrics.counter("checkpoint.peer_rotations")
         # Snapshots are bulky; give peers a few sync-retry budgets.
         self._fetcher = PeerFetcher(
-            replica, self._send_request, 4.0 * self.config.sync_retry,
+            replica, self._send_request, 4.0 * SYNC_RETRY,
             self._checkpoint_block_stored, self._c_peer_rotations,
         )
 
@@ -540,7 +541,7 @@ class CheckpointManager:
         # once something above the checkpoint round is certified).
         if replica.sync is not None:
             replica.sync.note_round_lag(
-                msg.block.round + self.config.sync_round_lag + 1,
+                msg.block.round + SYNC_ROUND_LAG + 1,
                 msg.block.round,
             )
 

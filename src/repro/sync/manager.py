@@ -13,7 +13,7 @@ on.  The manager mirrors DiemBFT's block-retrieval subprotocol:
 * **fetching** — one in-flight request per missing target, sent to one
   peer at a time with a deterministic rotation order; an unanswered or
   useless request is retried against the next peer after
-  ``sync_retry`` seconds (this is what defeats response-withholding
+  :data:`SYNC_RETRY` seconds (this is what defeats response-withholding
   peers);
 * **validation** — a response is applied only if its chain links
   hash-to-hash, every embedded QC (and the optional tip QC)
@@ -21,7 +21,7 @@ on.  The manager mirrors DiemBFT's block-retrieval subprotocol:
   structurally extend their parents; any failure rejects the whole
   response *before* the block store is touched;
 * **iterated deepening** — one response carries at most
-  ``sync_max_blocks`` ancestors; if the oldest received block's parent
+  :data:`SYNC_MAX_BLOCKS` ancestors; if the oldest received block's parent
   is still unknown the manager immediately chases it, so arbitrarily
   deep gaps close in a bounded number of round trips.
 
@@ -36,6 +36,14 @@ from __future__ import annotations
 
 from repro.sync.fetch import PeerFetcher
 from repro.types.messages import SyncRequestMsg, SyncResponseMsg
+
+#: Seconds a peer has to answer before the request rotates onward.
+SYNC_RETRY = 0.25
+#: Most ancestors one response carries.
+SYNC_MAX_BLOCKS = 8
+#: Rounds the local round may run ahead of the certified tip before a
+#: tip catch-up fires.
+SYNC_ROUND_LAG = 4
 
 #: Sentinel key for the tip (round-lag) fetch in the in-flight table.
 _TIP = None
@@ -66,7 +74,7 @@ class SyncManager:
         # A target the budget gave up on is restarted by the next
         # staleness signal.
         self._fetcher = PeerFetcher(
-            replica, self._send_request, self.config.sync_retry,
+            replica, self._send_request, SYNC_RETRY,
             self._resolved, self._c_peer_rotations,
         )
 
@@ -82,12 +90,12 @@ class SyncManager:
 
     def note_round_lag(self, round_number: int, certified_round: int) -> None:
         """The round advanced past the local certified tip by too much."""
-        if round_number - certified_round <= self.config.sync_round_lag:
+        if round_number - certified_round <= SYNC_ROUND_LAG:
             return
         if _TIP in self._fetcher.inflight:
             return
         self._fetcher.start(
-            _TIP, goal=round_number - self.config.sync_round_lag
+            _TIP, goal=round_number - SYNC_ROUND_LAG
         )
 
     # ------------------------------------------------------------------
@@ -100,7 +108,7 @@ class SyncManager:
             SyncRequestMsg(
                 sender=self.replica.replica_id,
                 target=fetch.target,
-                max_blocks=self.config.sync_max_blocks,
+                max_blocks=SYNC_MAX_BLOCKS,
                 nonce=fetch.nonce,
             )
         )
@@ -137,7 +145,7 @@ class SyncManager:
         else:
             start = store.maybe_get(msg.target)
         blocks = []
-        limit = max(1, min(msg.max_blocks, self.config.sync_max_blocks))
+        limit = max(1, min(msg.max_blocks, SYNC_MAX_BLOCKS))
         cursor = start
         while (
             cursor is not None

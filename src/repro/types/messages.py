@@ -106,13 +106,6 @@ class QCMsg(Message):
 
 
 @dataclass(frozen=True, slots=True)
-class NewRoundMsg(Message):
-    """Advance notification carrying a TC to replicas that missed it."""
-
-    tc: TimeoutCertificate
-
-
-@dataclass(frozen=True, slots=True)
 class ExtraVotesMsg(Message):
     """FBFT-adapted baseline (Appendix B): late votes multicast by a leader.
 
@@ -342,7 +335,6 @@ __all__ = [
     "VoteMsg",
     "QCMsg",
     "TimeoutMsg",
-    "NewRoundMsg",
     "ExtraVotesMsg",
     "EchoMsg",
     "ClientRequestMsg",

@@ -28,25 +28,6 @@ class TestStreamlet:
         assert stats.get("VoteMsg", 0) > 0
         assert stats.get("EchoMsg", 0) > stats.get("VoteMsg", 0)
 
-    def test_echo_disabled_cuts_traffic(self):
-        with_echo = build_cluster(streamlet_experiment()).run()
-        config = streamlet_experiment()
-        cluster = build_cluster(config)
-        cluster.build()
-        # Echo is a StreamletConfig flag; rebuild with it off.
-        config_no_echo = streamlet_experiment()
-        no_echo_cluster = build_cluster(config_no_echo)
-        no_echo_cluster.build()
-        for replica in no_echo_cluster.replicas:
-            replica.config.echo_enabled = False
-        no_echo_cluster.run()
-        assert (
-            no_echo_cluster.network.messages_sent
-            < with_echo.network.messages_sent
-        )
-        assert not check_prefix_consistency(no_echo_cluster.replicas)
-        del cluster
-
     def test_commit_is_middle_of_three_chain(self):
         cluster = build_cluster(streamlet_experiment()).run()
         replica = cluster.replicas[0]

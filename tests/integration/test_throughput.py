@@ -43,7 +43,6 @@ def _workload_spec(**overrides):
         round_timeout=0.5,
         seeds=(1,),
         workload_rate=500.0,
-        workload_payload_bytes=64,
         batch_size=64,
     )
     defaults.update(overrides)

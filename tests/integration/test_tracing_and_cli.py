@@ -113,6 +113,29 @@ class TestTracing:
         assert from_state["qc_to_commit_s"] is not None
 
 
+def _spec_file(tmp_path, **overrides) -> str:
+    """Save a small scenario for the one-cluster commands; its path."""
+    from repro.experiments import ScenarioSpec, save_scenario
+
+    knobs = dict(name="cli_run", n=7, duration=3.0, round_timeout=0.5)
+    knobs.update(overrides)
+    path = tmp_path / f"{knobs['name']}.json"
+    save_scenario(ScenarioSpec(**knobs), path)
+    return str(path)
+
+
+def _amnesia_spec(tmp_path) -> str:
+    """Three replicas restart from blank disks: the amnesia
+    differential, which deliberately double-votes."""
+    from repro.experiments import FaultMix
+
+    return _spec_file(
+        tmp_path, name="amnesia_dump", protocol="diembft", n=4,
+        duration=8.0, seeds=(11,),
+        faults=FaultMix(amnesia=3, recover_at=2.5, downtime=1.0),
+    )
+
+
 class TestCLI:
     def _run_cli(self, argv):
         stdout, stderr = io.StringIO(), io.StringIO()
@@ -120,31 +143,44 @@ class TestCLI:
             code = cli_main(argv)
         return code, stdout.getvalue(), stderr.getvalue()
 
-    def test_run_command(self):
-        code, out, _ = self._run_cli(
-            ["run", "--protocol", "sft-diembft", "--n", "7",
-             "--topology", "uniform", "--duration", "3",
-             "--timeout", "0.5"]
-        )
+    def test_run_command(self, tmp_path):
+        code, out, _ = self._run_cli(["run", _spec_file(tmp_path)])
         assert code == 0
         assert "commits:" in out
         assert "strong commit latency" in out
 
-    def test_run_command_csv(self):
+    def test_run_command_csv(self, tmp_path):
         code, out, _ = self._run_cli(
-            ["run", "--n", "7", "--topology", "uniform",
-             "--duration", "3", "--timeout", "0.5", "--csv"]
+            ["run", _spec_file(tmp_path), "--csv"]
         )
         assert code == 0
         assert "ratio,level,mean_latency_s" in out
 
-    def test_run_with_crashes(self):
-        code, out, _ = self._run_cli(
-            ["run", "--n", "7", "--topology", "uniform", "--duration", "4",
-             "--timeout", "0.4", "--crash", "1"]
+    def test_run_with_crashes(self, tmp_path):
+        from repro.experiments import FaultMix
+
+        spec = _spec_file(
+            tmp_path, duration=4.0, round_timeout=0.4,
+            faults=FaultMix(crash=1),
         )
+        code, out, _ = self._run_cli(["run", spec])
         assert code == 0
         assert "commits:" in out
+
+    def test_run_exits_1_on_safety_violation(self, tmp_path):
+        # The amnesia differential double-votes; run judges it with the
+        # same oracle as campaigns and the fuzzer.
+        code, out, _ = self._run_cli(["run", _amnesia_spec(tmp_path)])
+        assert code == 1
+        assert "double-vote" in out
+        assert "commits:" not in out
+
+    def test_run_rejects_scripted_spec(self):
+        with pytest.raises(SystemExit) as excinfo:
+            self._run_cli(
+                ["run", "scenarios/fuzz_corpus/appendix_c_naive.json"]
+            )
+        assert excinfo.value.code == 2
 
     def test_counterexample_command(self):
         code, out, _ = self._run_cli(["counterexample", "--f", "2"])
@@ -152,11 +188,8 @@ class TestCLI:
         assert "violates Definition 1: True" in out
         assert "safe: True" in out
 
-    def test_health_command(self):
-        code, out, _ = self._run_cli(
-            ["health", "--n", "7", "--topology", "uniform",
-             "--duration", "3", "--timeout", "0.5"]
-        )
+    def test_health_command(self, tmp_path):
+        code, out, _ = self._run_cli(["health", _spec_file(tmp_path)])
         assert code == 0
         assert "max achievable strength" in out
 
@@ -255,23 +288,13 @@ class TestTraceCLI:
         assert excinfo.value.code == 2
 
     def test_fuzz_replay_writes_flight_dump(self, tmp_path):
-        # An amnesia schedule (three replicas restarting from blank
-        # disks) deliberately violates safety — the replay must exit
-        # non-zero and dump every replica's flight-recorder ring.
-        # (This used to replay lazy_quorum_stall, but that entry's
-        # violation was an oracle applicability gap, since fixed.)
-        from repro.experiments import FaultMix, ScenarioSpec, save_scenario
-
-        spec = ScenarioSpec(
-            name="amnesia_dump", protocol="diembft", n=4, duration=8.0,
-            seeds=(11,),
-            faults=FaultMix(amnesia=3, recover_at=2.5, downtime=1.0),
-        )
-        spec_path = tmp_path / "amnesia_dump.json"
-        save_scenario(spec, spec_path)
+        # The amnesia replay must exit non-zero and dump every replica's
+        # flight-recorder ring.  (This used to replay lazy_quorum_stall,
+        # but that entry's violation was an oracle applicability gap,
+        # since fixed.)
         dump_path = tmp_path / "flight.json"
         code, _, err = self._run_cli(
-            ["fuzz", "replay", str(spec_path),
+            ["fuzz", "replay", _amnesia_spec(tmp_path),
              "--flight-out", str(dump_path)]
         )
         assert code == 1  # the replay violates double-vote/prefix

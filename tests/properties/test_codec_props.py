@@ -29,7 +29,6 @@ from repro.types.messages import (
     EchoMsg,
     ExtraVotesMsg,
     Message,
-    NewRoundMsg,
     ProposalMsg,
     QCMsg,
     SnapshotRequestMsg,
@@ -136,7 +135,6 @@ wire_messages = st.one_of(
     st.builds(TimeoutMsg, sender=senders, round=rounds, qc_high=qcs,
               signature=maybe_signature, vote=st.none() | votes),
     st.builds(QCMsg, sender=senders, qc=qcs),
-    st.builds(NewRoundMsg, sender=senders, tc=tcs),
     st.builds(ExtraVotesMsg, sender=senders, round=rounds,
               votes=st.lists(votes, max_size=3).map(tuple)),
     st.builds(ClientRequestMsg, sender=senders, transaction=transactions),
@@ -254,8 +252,7 @@ def test_every_message_type_is_covered():
     strategy here would silently lose round-trip coverage.
     """
     covered = {
-        ProposalMsg, VoteMsg, TimeoutMsg, QCMsg, NewRoundMsg,
-        ExtraVotesMsg, EchoMsg, ClientRequestMsg, ClientReplyMsg,
+        ProposalMsg, VoteMsg, TimeoutMsg, QCMsg, ExtraVotesMsg, EchoMsg, ClientRequestMsg, ClientReplyMsg,
         SyncRequestMsg, SyncResponseMsg, CheckpointMsg,
         SnapshotRequestMsg, SnapshotResponseMsg,
     }

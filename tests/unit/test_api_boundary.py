@@ -228,3 +228,85 @@ def test_replicas_are_wired_to_mempools_only_by_attach():
         "wire the replica to its mempool with attach() instead:\n"
         + "\n".join(violations)
     )
+
+
+# ----------------------------------------------------------------------
+# One spelling per knob
+# ----------------------------------------------------------------------
+
+SCENARIOS = SRC.parents[1] / "scenarios"
+
+#: Config fields a spec derives rather than forwards by name.
+DERIVED_CONFIG_FIELDS = {"observer", "round_duration", "seed"}
+
+#: Knobs no committed scenario or fuzz seed moves off its default, and
+#: the non-test caller that does.
+KNOBS_SET_ELSEWHERE = {
+    # The Section 3.4 ablation, benchmarks/test_ablation_intervals.py.
+    "generalized_intervals",
+    "interval_window",
+    # `repro trace` and the bench harness's spans/full variants.
+    "trace_level",
+    # The bench harness's noflight variant.
+    "flight_recorder",
+    # The WAL differential; the fuzzer deliberately leaves it out.
+    "faults.amnesia",
+}
+
+
+def _run_specs():
+    """Every expanded scenarios/ job plus fuzz seeds 0-299 per profile."""
+    from repro.experiments import Campaign
+    from repro.fuzz import PROFILES, generate_spec
+
+    paths = sorted(SCENARIOS.glob("*.toml"))
+    paths += sorted((SCENARIOS / "fuzz_corpus").glob("*.json"))
+    specs = [job.spec for path in paths for job in Campaign.from_file(path).expand()]
+    for profile in PROFILES.values():
+        specs += [generate_spec(seed, profile) for seed in range(300)]
+    return specs
+
+
+def test_every_config_knob_is_a_spec_field():
+    from dataclasses import fields
+
+    from repro.experiments import ScenarioSpec
+    from repro.net.network import NetworkConfig
+    from repro.protocols.base import ReplicaConfig
+    from repro.protocols.streamlet.replica import StreamletConfig
+
+    spec_fields = {field.name for field in fields(ScenarioSpec)}
+    stray = {
+        f"{config.__name__}.{field.name}"
+        for config in (ReplicaConfig, StreamletConfig, NetworkConfig)
+        for field in fields(config)
+        if field.name not in spec_fields | DERIVED_CONFIG_FIELDS
+    }
+    assert not stray, (
+        "config knobs no ScenarioSpec can set; make them constants or "
+        f"spec fields: {sorted(stray)}"
+    )
+
+
+def test_every_spec_knob_is_set_by_some_run():
+    from dataclasses import fields
+
+    from repro.experiments import FaultMix, ScenarioSpec
+
+    specs = _run_specs()
+    unset = set()
+    for prefix, default, values in (
+        ("", ScenarioSpec(), lambda spec: spec),
+        ("faults.", FaultMix(), lambda spec: spec.faults),
+    ):
+        for field in fields(default):
+            if all(
+                getattr(values(spec), field.name) == getattr(default, field.name)
+                for spec in specs
+            ):
+                unset.add(prefix + field.name)
+    assert unset == KNOBS_SET_ELSEWHERE, (
+        "spec knobs only their default reaches (delete them, or name "
+        f"their caller here): {sorted(unset - KNOBS_SET_ELSEWHERE)}; "
+        f"allowlisted knobs a run now sets: {sorted(KNOBS_SET_ELSEWHERE - unset)}"
+    )

@@ -29,18 +29,15 @@ REPLICA_KNOBS = {
     "f": 1,
     "round_timeout": 0.75,
     "timeout_multiplier": 2.0,
-    "max_timeout": 9.0,
     "qc_extra_wait": 0.05,
     "generalized_intervals": True,
     "interval_window": 5,
     "naive_accounting": True,
     "verify_signatures": False,
-    "drop_stale_messages": False,
     "block_batch_count": 3,
     "block_batch_bytes": 77,
     "sync_enabled": False,
     "batch_size": 5,
-    "max_batch_bytes": 99,
     "pipelined_proposals": True,
     "linear_votes": True,
     "checkpoint_interval": 4,
@@ -52,7 +49,6 @@ NETWORK_KNOBS = {
     "gst": 1.5,
     "pre_gst_delay": 0.2,
     "bandwidth_bytes_per_sec": 1e6,
-    "processing_delay": 0.001,
     "duplicate_rate": 0.1,
     "reorder_window": 0.02,
 }
@@ -99,6 +95,13 @@ class TestKnobForwarding:
         assert not spec.replica_config(5).observer
         slot = ScenarioSpec(protocol="streamlet", streamlet_round_duration=0.3)
         assert slot.replica_config(0).round_duration == 0.3
+
+    @pytest.mark.parametrize("protocol", ["sft-diembft", "sft-streamlet"])
+    def test_leader_rotation_is_round_robin(self, protocol):
+        config = ScenarioSpec(protocol=protocol, n=7).replica_config(0)
+        assert [config.leader_of(r) for r in range(1, 16)] == [
+            r % 7 for r in range(1, 16)
+        ]
 
 
 class TestScenarioSpec:

@@ -13,6 +13,7 @@ import pytest
 from repro.protocols.base import ReplicaConfig
 from repro.protocols.diembft import DiemBFTReplica
 from repro.sync.checkpoint import state_digest
+from repro.sync.manager import SYNC_RETRY
 from repro.types.block import Block
 from repro.types.messages import (
     CheckpointMsg,
@@ -107,7 +108,7 @@ class Harness:
         self.registry = registry
         self.simulator = simulator
         self.sent = sent
-        self.delay = setting.retry_multiplier * config.sync_retry
+        self.delay = setting.retry_multiplier * SYNC_RETRY
         self.fetcher = setting.fetcher(replica)
         self.block = setting.start(replica, registry)
 
@@ -180,7 +181,7 @@ def test_resolved_fetch_ends_without_a_send(harness):
 
 
 def test_retry_delay_is_the_managers_multiple_of_sync_retry(harness):
-    # harness.delay is 1x sync_retry for block-sync, 4x for snapshots.
+    # harness.delay is 1x SYNC_RETRY for block-sync, 4x for snapshots.
     harness.simulator.run_until(0.99 * harness.delay)
     assert harness.peers() == [3]
     harness.simulator.run_until(1.01 * harness.delay)

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from repro.app import KVCommand, KVStateMachine
+from repro.app.kvstore import PAYLOAD_BYTES
 
 
 class TestTrafficMix:
@@ -32,9 +33,19 @@ class TestTrafficMix:
         rng = random.Random(stream)
         hasher = hashlib.sha256()
         for sequence in range(200):
-            command = KVCommand.sample(rng, sequence, payload_bytes=64)
+            command = KVCommand.sample(rng, sequence)
             hasher.update(command.encode() + b"\n")
         assert hasher.hexdigest() == digest
+
+    def test_set_commands_pad_to_payload_bytes(self):
+        rng = random.Random("kv-workload:1")
+        commands = [KVCommand.sample(rng, sequence) for sequence in range(300)]
+        sizes = {
+            len(command.encode()) for command in commands if command.op == "set"
+        }
+        # The sequence number's width moves the size by a byte or two.
+        assert sizes and min(sizes) >= PAYLOAD_BYTES - 2
+        assert max(sizes) == PAYLOAD_BYTES
 
 
 class TestCommands:

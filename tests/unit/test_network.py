@@ -163,14 +163,6 @@ class TestBandwidth:
         assert recorders[1].received[0][0] == recorders[2].received[0][0]
 
 
-class TestProcessingDelay:
-    def test_processing_delay_applied(self):
-        simulator, network, recorders = make_network(processing_delay=0.003)
-        network.send(0, 1, "x")
-        simulator.run_until(1.0)
-        assert abs(recorders[1].received[0][0] - 0.013) < 1e-9
-
-
 class TestWireSizes:
     def test_proposal_size_scales_with_payload(self):
         genesis, genesis_qc = make_genesis()
@@ -465,10 +457,10 @@ _SCHEDULE_CASES = {
     ),
     "everything": (
         {"jitter": 0.003, "seed": 6, "gst": 0.5, "pre_gst_delay": 0.05,
-         "bandwidth_bytes_per_sec": 2500.0, "processing_delay": 0.001,
+         "bandwidth_bytes_per_sec": 2500.0,
          "duplicate_rate": 0.3, "reorder_window": 0.02},
         True,
-        "3b8d0eb432d375ca",
+        "71f789bd7dfe0b2f",
     ),
 }
 

@@ -1,24 +1,24 @@
 """Pacemaker: round sync rule, timeouts, backoff, TCs."""
 
 from repro.net.simulator import Simulator
-from repro.protocols.pacemaker import Pacemaker, PacemakerConfig
+from repro.protocols.base import ReplicaConfig
+from repro.protocols.pacemaker import MAX_TIMEOUT, Pacemaker
 
 
 class Harness:
-    """Hosts a pacemaker over a bare simulator."""
+    """Hosts a pacemaker over a bare simulator (TCs at ``2f + 1``
+    timeouts, the join rule at ``f + 1``)."""
 
-    def __init__(self, base_timeout=1.0, multiplier=2.0, max_timeout=8.0,
-                 quorum=3, join_threshold=2):
+    def __init__(self, base_timeout=1.0, multiplier=2.0, f=1):
         self.simulator = Simulator()
         self.rounds = []
         self.local_timeouts = []
         self.pacemaker = Pacemaker(
-            PacemakerConfig(
-                base_timeout=base_timeout,
-                multiplier=multiplier,
-                max_timeout=max_timeout,
-                quorum=quorum,
-                join_threshold=join_threshold,
+            ReplicaConfig(
+                n=3 * f + 1,
+                f=f,
+                round_timeout=base_timeout,
+                timeout_multiplier=multiplier,
             ),
             self,
             on_new_round=lambda r, reason: self.rounds.append((r, reason)),
@@ -83,7 +83,7 @@ class TestTimeouts:
         assert not harness.pacemaker.has_timed_out(1)
 
     def test_tc_forms_at_quorum(self):
-        harness = Harness(quorum=3)
+        harness = Harness(f=1)
         harness.pacemaker.start()
         assert harness.pacemaker.record_timeout_vote(1, sender=0, qc_high_round=0) is None
         assert harness.pacemaker.record_timeout_vote(1, sender=1, qc_high_round=0) is None
@@ -93,31 +93,54 @@ class TestTimeouts:
         assert tc.timeout_voters == frozenset({0, 1, 2})
 
     def test_tc_highest_qc_round_aggregated(self):
-        harness = Harness(quorum=2)
+        harness = Harness(f=1)
         harness.pacemaker.start()
         harness.pacemaker.record_timeout_vote(1, sender=0, qc_high_round=3)
-        tc = harness.pacemaker.record_timeout_vote(1, sender=1, qc_high_round=7)
+        harness.pacemaker.record_timeout_vote(1, sender=1, qc_high_round=7)
+        tc = harness.pacemaker.record_timeout_vote(1, sender=2, qc_high_round=5)
         assert tc.highest_qc_round == 7
 
     def test_duplicate_timeout_votes_ignored(self):
-        harness = Harness(quorum=2)
+        harness = Harness(f=1)
         harness.pacemaker.start()
         harness.pacemaker.record_timeout_vote(1, sender=0, qc_high_round=0)
+        harness.pacemaker.record_timeout_vote(1, sender=1, qc_high_round=0)
         assert (
             harness.pacemaker.record_timeout_vote(1, sender=0, qc_high_round=0)
             is None
         )
 
     def test_join_rule_at_f_plus_one(self):
-        harness = Harness(quorum=3, join_threshold=2)
+        harness = Harness(f=1)
         harness.pacemaker.start()
         harness.pacemaker.record_timeout_vote(1, sender=0, qc_high_round=0)
         assert harness.local_timeouts == []
         harness.pacemaker.record_timeout_vote(1, sender=1, qc_high_round=0)
         assert harness.local_timeouts == [1]  # joined the timeout
 
+    def test_tc_quorum_follows_f(self):
+        harness = Harness(f=2)
+        harness.pacemaker.start()
+        for sender in range(4):
+            assert harness.pacemaker.record_timeout_vote(
+                1, sender=sender, qc_high_round=0
+            ) is None
+        tc = harness.pacemaker.record_timeout_vote(1, sender=4, qc_high_round=0)
+        assert tc.timeout_voters == frozenset(range(5))
+
+    def test_join_threshold_follows_f(self):
+        harness = Harness(f=2)
+        harness.pacemaker.start()
+        for sender in range(2):
+            harness.pacemaker.record_timeout_vote(
+                1, sender=sender, qc_high_round=0
+            )
+        assert harness.local_timeouts == []
+        harness.pacemaker.record_timeout_vote(1, sender=2, qc_high_round=0)
+        assert harness.local_timeouts == [1]
+
     def test_join_rule_ignores_old_rounds(self):
-        harness = Harness(quorum=3, join_threshold=2)
+        harness = Harness(f=1)
         harness.pacemaker.start()
         harness.pacemaker.advance_on_qc(5)
         harness.pacemaker.record_timeout_vote(2, sender=0, qc_high_round=0)
@@ -125,10 +148,10 @@ class TestTimeouts:
         assert harness.local_timeouts == []
 
     def test_tc_advances_round(self):
-        harness = Harness(quorum=2)
+        harness = Harness(f=1)
         harness.pacemaker.start()
         tc = None
-        for sender in range(2):
+        for sender in range(3):
             tc = harness.pacemaker.record_timeout_vote(
                 1, sender=sender, qc_high_round=0
             ) or tc
@@ -138,8 +161,7 @@ class TestTimeouts:
 
 class TestBackoff:
     def test_backoff_grows_with_consecutive_tcs(self):
-        harness = Harness(base_timeout=1.0, multiplier=2.0, max_timeout=16.0,
-                          quorum=1)
+        harness = Harness(base_timeout=1.0, multiplier=2.0, f=0)
         harness.pacemaker.start()
         assert harness.pacemaker.current_timeout() == 1.0
         tc = harness.pacemaker.record_timeout_vote(1, sender=0, qc_high_round=0)
@@ -150,7 +172,7 @@ class TestBackoff:
         assert harness.pacemaker.current_timeout() == 4.0
 
     def test_qc_resets_backoff(self):
-        harness = Harness(base_timeout=1.0, multiplier=2.0, quorum=1)
+        harness = Harness(base_timeout=1.0, multiplier=2.0, f=0)
         harness.pacemaker.start()
         tc = harness.pacemaker.record_timeout_vote(1, sender=0, qc_high_round=0)
         harness.pacemaker.advance_on_tc(tc)
@@ -158,12 +180,12 @@ class TestBackoff:
         assert harness.pacemaker.current_timeout() == 1.0
 
     def test_backoff_capped(self):
-        harness = Harness(base_timeout=1.0, multiplier=10.0, max_timeout=3.0,
-                          quorum=1)
+        harness = Harness(base_timeout=1.0, multiplier=10.0, f=0)
         harness.pacemaker.start()
         tc = harness.pacemaker.record_timeout_vote(1, sender=0, qc_high_round=0)
         harness.pacemaker.advance_on_tc(tc)
-        assert harness.pacemaker.current_timeout() == 3.0
+        assert MAX_TIMEOUT < 10.0
+        assert harness.pacemaker.current_timeout() == MAX_TIMEOUT
 
 
 class TestTCBookkeeping:

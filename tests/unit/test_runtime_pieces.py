@@ -81,6 +81,14 @@ class TestMempool:
         # Transactions stay pending until committed.
         assert mempool.pending_count() == 3
 
+    def test_large_transactions_fill_by_count(self):
+        mempool = Mempool(max_block_transactions=3)
+        for sequence in range(5):
+            mempool.submit(
+                Transaction(client_id=1, sequence=sequence, payload=bytes(4096))
+            )
+        assert mempool.make_payload(now=0.0).tx_count() == 3
+
     def test_remove_committed(self):
         mempool = Mempool()
         txn = self._txn(0)
@@ -94,21 +102,6 @@ class TestMempool:
         mempool.submit(txn)
         mempool.submit(txn)
         assert mempool.pending_count() == 1
-
-    def test_byte_cap_limits_payload(self):
-        # Each default transaction is 16 header bytes; a 40-byte cap
-        # fits two.
-        mempool = Mempool(max_block_transactions=10, max_block_bytes=40)
-        for sequence in range(5):
-            mempool.submit(self._txn(sequence))
-        assert mempool.make_payload(now=0.0).tx_count() == 2
-
-    def test_byte_cap_always_takes_one(self):
-        # A jumbo transaction larger than the cap must not wedge the
-        # queue: the first entry always ships.
-        mempool = Mempool(max_block_bytes=8)
-        mempool.submit(self._txn(0))
-        assert mempool.make_payload(now=0.0).tx_count() == 1
 
     def test_stop_and_wait_re_proposes_same_front(self):
         mempool = Mempool(max_block_transactions=2)
@@ -185,16 +178,10 @@ class TestMempool:
         txns = [self._txn(sequence) for sequence in range(6)]
         carried = {txns[0].txid(), txns[1].txid()}
         by_count = Mempool(max_block_transactions=3)
-        # 16 bytes each: a 40-byte cap fits two.
-        by_bytes = Mempool(max_block_transactions=10, max_block_bytes=40)
         for txn in txns:
             by_count.submit(txn)
-            by_bytes.submit(txn)
         assert by_count.make_payload(0.0, carried).transactions == (
             txns[2], txns[3], txns[4],
-        )
-        assert by_bytes.make_payload(0.0, carried).transactions == (
-            txns[2], txns[3],
         )
 
     def test_exclude_composes_with_pipelined(self):
@@ -216,7 +203,7 @@ class TestMempool:
     def test_empty_exclude_changes_nothing(self, pipelined):
         def filled():
             mempool = Mempool(
-                max_block_transactions=3, max_block_bytes=100,
+                max_block_transactions=3,
                 pipelined=pipelined, inflight_timeout=0.25,
             )
             for sequence in range(8):

@@ -10,6 +10,8 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments.spec import ScenarioSpec
+from repro.sync import manager as sync_manager
+from repro.sync.manager import SYNC_MAX_BLOCKS, SYNC_RETRY, SYNC_ROUND_LAG
 from repro.types.messages import SyncRequestMsg, SyncResponseMsg
 from repro.types.quorum_cert import QuorumCertificate
 from repro.types.vote import Vote
@@ -98,6 +100,16 @@ class TestServe:
         assert response.tip_qc.block_id == target.id()
         assert response.tip_qc.validate(donor.registry, 3)
 
+    def test_reply_capped_at_sync_max_blocks(self, donor):
+        server = donor.replicas[0]
+        sent = capture_sends(server)
+        tip = donor_chain(donor, 1)[0]
+        server.sync.serve(
+            1, signed_request(donor, 1, tip.id(), max_blocks=10 * SYNC_MAX_BLOCKS)
+        )
+        [(_, response)] = sent
+        assert len(response.blocks) == SYNC_MAX_BLOCKS
+
     def test_unknown_target_yields_empty_miss(self, donor):
         fresh = build_cluster()
         replica = fresh.replicas[0]
@@ -117,6 +129,26 @@ class TestServe:
         )  # unsigned
         replica.deliver(1, request)
         assert sent == []
+
+
+class TestRoundLag:
+    def test_lag_within_bound_fetches_nothing(self):
+        replica = build_cluster().replicas[0]
+        sent = capture_sends(replica)
+        replica.sync.note_round_lag(SYNC_ROUND_LAG, certified_round=0)
+        assert sent == []
+        assert replica.sync.inflight() == 0
+
+    def test_lag_beyond_bound_requests_the_tip(self):
+        replica = build_cluster().replicas[0]
+        sent = capture_sends(replica)
+        replica.sync.note_round_lag(SYNC_ROUND_LAG + 1, certified_round=0)
+        [(_, request)] = sent
+        assert request.target is None  # the peer's certified tip
+        assert request.max_blocks == SYNC_MAX_BLOCKS
+        # A second lag report while the tip fetch is out sends nothing.
+        replica.sync.note_round_lag(SYNC_ROUND_LAG + 5, certified_round=0)
+        assert len(sent) == 1
 
 
 class TestResponseValidation:
@@ -208,7 +240,7 @@ class TestRetryAndRotation:
         replica.sync.note_missing(target)
         assert [dst for dst, _ in sent] == [1]
         # Nobody answers: the retry timer must rotate to the next peer.
-        cluster.simulator.run_until(replica.config.sync_retry * 2.5)
+        cluster.simulator.run_until(SYNC_RETRY * 2.5)
         peers = [dst for dst, _ in sent]
         assert peers[:3] == [1, 2, 3]
         assert replica.metrics.get("sync.peer_rotations").value >= 2
@@ -218,7 +250,7 @@ class TestRetryAndRotation:
         replica = cluster.replicas[2]
         sent = capture_sends(replica)
         replica.sync.note_missing(donor_chain(donor, 1)[0].id())
-        cluster.simulator.run_until(replica.config.sync_retry * 4)
+        cluster.simulator.run_until(SYNC_RETRY * 4)
         assert 2 not in [dst for dst, _ in sent]
 
     def test_empty_miss_rotates_immediately(self, donor):
@@ -262,10 +294,10 @@ class TestApply:
         assert replica.sync.inflight() == 0
         assert replica.metrics.get("sync.blocks_synced").value == len(full)
 
-    def test_deep_gap_chases_missing_parent(self, donor):
+    def test_deep_gap_chases_missing_parent(self, donor, monkeypatch):
+        monkeypatch.setattr(sync_manager, "SYNC_MAX_BLOCKS", 2)
         cluster = build_cluster()
         replica = cluster.replicas[0]
-        replica.config.sync_max_blocks = 2
         sent = capture_sends(replica)
         chain = donor_chain(donor, 4)
         replica.sync.note_missing(chain[0].id())

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.experiments.spec import ScenarioSpec
 from repro.net.topology import (
+    AB_DELAY,
     AsymmetricTopology,
     RegionTopology,
     SymmetricTopology,
@@ -57,12 +59,22 @@ class TestAsymmetric:
         assert topology.n == 100
 
     def test_ab_fast_c_slow(self):
-        topology = AsymmetricTopology(delta=0.1, ab_delay=0.02)
+        topology = AsymmetricTopology(delta=0.1)
         a, b, c = 0, 45, 90
         assert topology.delay(a, b) == 0.02
         assert topology.delay(a, c) == 0.1
         assert topology.delay(b, c) == 0.1
         assert topology.delay(c, c + 1) == 0.001
+
+    def test_describe_names_ab_delay(self):
+        assert AB_DELAY == 0.02
+        assert "A↔B=20ms" in AsymmetricTopology(delta=0.1).describe()
+
+    def test_max_delay_counts_ab_delay_when_delta_is_smaller(self):
+        spec = ScenarioSpec(topology="asymmetric", delta=0.005)
+        assert spec.max_delay() == AB_DELAY
+        uniform = ScenarioSpec(topology="uniform", uniform_delay=0.005)
+        assert uniform.max_delay() < AB_DELAY
 
     def test_replicas_in_region(self):
         topology = AsymmetricTopology(delta=0.1)
