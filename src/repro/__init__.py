@@ -22,7 +22,6 @@ tests regenerating each figure of the paper.
 """
 
 from repro.core import (
-    BruteForceEndorsementOracle,
     CommitTracker,
     EndorsementTracker,
     IntervalSet,
@@ -81,7 +80,6 @@ __all__ = [
     "IntervalSet",
     "VotingHistory",
     "EndorsementTracker",
-    "BruteForceEndorsementOracle",
     "CommitTracker",
     "StrengthTimeline",
     "level_for_ratio",

@@ -12,7 +12,6 @@ from repro.analysis.invariants import (
 from repro.analysis.report import (
     format_campaign_table,
     format_fig7_table,
-    format_fig8_table,
     format_series_csv,
     format_simple_table,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "line_chart",
     "format_campaign_table",
     "format_fig7_table",
-    "format_fig8_table",
     "format_series_csv",
     "format_simple_table",
     "ChainStats",

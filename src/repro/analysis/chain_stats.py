@@ -24,12 +24,6 @@ class ChainStats:
     mean_qc_size: float
     qc_diversity: float
 
-    def round_utilization(self) -> float:
-        """Fraction of rounds that produced a committed block."""
-        if self.max_round <= 0:
-            return 0.0
-        return self.committed_rounds / self.max_round
-
 
 def collect_chain_stats(replica) -> ChainStats:
     """Compute :class:`ChainStats` from a replica's store and commits."""

@@ -36,10 +36,9 @@ class QCDiversityMonitor:
     """Scores replica participation from observed chain QCs.
 
     Feed it every QC that lands on the chain (e.g. from one replica's
-    committed blocks); query :meth:`report` for per-replica health,
-    :meth:`stragglers` for the slowest participants, and
-    :meth:`outcasts` for replicas whose votes never appear — the ones
-    the paper says should be "reconfigured or replaced".
+    committed blocks); query :meth:`report` for per-replica health —
+    its outcasts, replicas whose votes never appear, are the ones the
+    paper says should be "reconfigured or replaced".
     """
 
     def __init__(self, n: int, window: int | None = None) -> None:
@@ -111,18 +110,6 @@ class QCDiversityMonitor:
         """
         total = max(1, len(self._recent))
         return [count / total for count in self._appearances]
-
-    def stragglers(self, rate_threshold: float = 0.5) -> list:
-        """Replicas appearing in fewer than ``rate_threshold`` of QCs."""
-        return [
-            health
-            for health in self.report()
-            if health.appearance_rate < rate_threshold
-        ]
-
-    def outcasts(self) -> list:
-        """Replicas that never appeared in any observed QC."""
-        return [health for health in self.report() if health.is_outcast()]
 
     def max_achievable_strength(self, f: int) -> int:
         """Upper bound on strong-commit strength given current diversity.

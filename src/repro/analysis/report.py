@@ -57,29 +57,6 @@ def format_fig7_table(series_by_delta: dict, title: str) -> str:
     return format_simple_table(headers, rows, title=title)
 
 
-def format_fig8_table(points_by_level: dict, title: str) -> str:
-    """Figure 8 format: per strong level, (regular, strong) latency pairs.
-
-    ``points_by_level`` maps a series label (e.g. ``"2.0f-strong"``) to
-    a list of ``(regular_latency, strong_latency)`` pairs, one per
-    extra-wait setting.
-    """
-    headers = ["series"] + [
-        f"point{i}(reg→strong)" for i in range(
-            max(len(points) for points in points_by_level.values())
-        )
-    ]
-    rows = []
-    for label, points in points_by_level.items():
-        row = [label]
-        for regular, strong in points:
-            reg = f"{regular:.2f}" if regular is not None else "—"
-            stg = f"{strong:.2f}" if strong is not None else "—"
-            row.append(f"{reg}→{stg}")
-        rows.append(row)
-    return format_simple_table(headers, rows, title=title)
-
-
 def format_campaign_table(report: dict, title: str | None = None) -> str:
     """One row per campaign job: commits, latency, messages, wall time.
 

@@ -4,7 +4,7 @@
 encoded in transaction payloads; :class:`LedgerExecutor` applies a
 replica's blocks to a state machine as they commit.  Determinism
 is the whole point: after any prefix of the log, every honest replica
-must hold exactly the same state (verified via :meth:`state_hash`),
+must hold exactly the same state (compare :meth:`KVStateMachine.items`),
 which is the linearizability check the SMR definition demands.
 
 Commands serialize into :class:`~repro.types.transaction.Transaction`
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.crypto.hashing import HashDigest, hash_fields
 from repro.types.transaction import Transaction
 
 #: Bounded key space keeps set/del/transfer commands colliding enough
@@ -135,20 +134,6 @@ class KVStateMachine:
             return False
         return self.apply(command)
 
-    def get(self, key: str) -> str | None:
-        return self._state.get(key)
-
-    def __len__(self) -> int:
-        return len(self._state)
-
-    def state_hash(self) -> HashDigest:
-        """Order-independent digest of the full state."""
-        items = tuple(sorted(self._state.items()))
-        return hash_fields("kv-state", items)
-
-    def snapshot(self) -> dict:
-        return dict(self._state)
-
     def items(self) -> tuple:
         """The full state as sorted ``(key, value)`` pairs (wire form)."""
         return tuple(sorted(self._state.items()))
@@ -216,6 +201,3 @@ class LedgerExecutor:
     def applied_txids(self) -> tuple:
         """The dedup set as a sorted tuple (digest/wire form)."""
         return tuple(sorted(self._applied_txids, key=lambda txid: txid.value))
-
-    def state_hash(self) -> HashDigest:
-        return self.state.state_hash()

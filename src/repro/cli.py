@@ -12,7 +12,6 @@ Examples::
     python -m repro fuzz run --seeds 0:50 --workers 4
     python -m repro fuzz replay scenarios/fuzz_corpus/appendix_c_naive.json
     python -m repro fuzz shrink failing.json --out minimal.json
-    python -m repro trace summarize scenarios/fuzz_corpus/some_case.json
     python -m repro trace export scenario.json --out trace.json
     python -m repro rt run scenarios/rt_smoke.toml --clients 4
     python -m repro rt diff scenarios/rt_smoke.toml
@@ -488,31 +487,18 @@ def _load_cluster_spec(args):
     return spec, seed
 
 
-def _run_traced_cluster(args):
-    """Run one scenario with tracing forced on; returns (spec, cluster)."""
+def command_trace_export(args) -> int:
+    """Run one scenario with tracing forced on and export its trace."""
+    import json
+
+    from repro.obs import chrome_trace, validate_chrome_trace
+
     spec, seed = _load_cluster_spec(args)
     spec = spec.with_overrides(trace_level=args.level)
     print(f"tracing {spec.name} (seed {seed}, level {args.level})…",
           file=sys.stderr)
     cluster = spec.build(seed)
     cluster.run()
-    return spec, cluster
-
-
-def command_trace_summarize(args) -> int:
-    from repro.obs import summarize_trace
-
-    _spec, cluster = _run_traced_cluster(args)
-    print(summarize_trace(cluster.trace, reference_replica=args.reference))
-    return 0
-
-
-def command_trace_export(args) -> int:
-    import json
-
-    from repro.obs import chrome_trace, validate_chrome_trace
-
-    spec, cluster = _run_traced_cluster(args)
     data = chrome_trace(cluster.trace, reference_replica=args.reference)
     problems = validate_chrome_trace(data)
     if problems:
@@ -681,25 +667,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_sub = trace_parser.add_subparsers(dest="trace_command", required=True)
 
-    def _add_trace_arguments(sub) -> None:
-        _add_spec_arguments(sub)
-        sub.add_argument("--level", choices=("spans", "full"),
-                         default="spans",
-                         help="trace detail (full adds message deliveries)")
-        sub.add_argument("--reference", type=int, default=0,
-                         help="replica whose lifecycle is decomposed")
-
-    trace_summarize = trace_sub.add_parser(
-        "summarize", help="run one scenario traced and print a span summary"
-    )
-    _add_trace_arguments(trace_summarize)
-    trace_summarize.set_defaults(handler=command_trace_summarize)
-
     trace_export = trace_sub.add_parser(
         "export",
         help="run one scenario traced and export Chrome trace-event JSON",
     )
-    _add_trace_arguments(trace_export)
+    _add_spec_arguments(trace_export)
+    trace_export.add_argument("--level", choices=("spans", "full"),
+                              default="spans",
+                              help="trace detail (full adds message deliveries)")
+    trace_export.add_argument("--reference", type=int, default=0,
+                              help="replica whose lifecycle is decomposed")
     trace_export.add_argument("--out", default=None,
                               help="output path (default <name>-trace.json)")
     trace_export.set_defaults(handler=command_trace_export)

@@ -8,7 +8,7 @@ conflicts are measured in *rounds* (SFT-DiemBFT) or *heights*
 """
 
 from repro.core.commit_rules import CommitEvent, CommitTracker, StrongCommitEvent
-from repro.core.endorsement import BruteForceEndorsementOracle, EndorsementTracker
+from repro.core.endorsement import EndorsementTracker
 from repro.core.intervals import IntervalSet
 from repro.core.resilience import (
     StrengthTimeline,
@@ -22,7 +22,6 @@ __all__ = [
     "IntervalSet",
     "VotingHistory",
     "EndorsementTracker",
-    "BruteForceEndorsementOracle",
     "CommitTracker",
     "CommitEvent",
     "StrongCommitEvent",

@@ -199,9 +199,6 @@ class CommitTracker:
                 listener(blk, now)
         return newly
 
-    def is_committed(self, block_id: BlockId) -> bool:
-        return block_id in self.committed
-
     def forget_pruned(self, pruned) -> None:
         """Drop 3-chain work state anchored at truncated blocks.
 
@@ -382,6 +379,3 @@ class CommitTracker:
     def timelines(self):
         """Iterate over all (block_id, StrengthTimeline) pairs."""
         return self._timelines.items()
-
-    def commit_count(self) -> int:
-        return len(self.commit_order)

@@ -25,9 +25,9 @@ as permissive as the new vote (``stored_marker <= new_marker``, or the
 new vote's still-relevant intervals are a subset of the stored union):
 ancestor paths are unique, so the earlier vote's walk already recorded
 everything the new walk would contribute below that point.  Steady
-state cost is O(1) per vote, and the result is *exact* —
-:class:`BruteForceEndorsementOracle` recomputes endorser sets from the
-raw vote log and certifies the optimization in the test suite.
+state cost is O(1) per vote, and the result is *exact*: the test
+suite's brute-force oracle recomputes endorser sets from the raw vote
+log and certifies the optimization.
 """
 
 from __future__ import annotations
@@ -258,50 +258,3 @@ class EndorsementTracker:
             if k in intervals:
                 result.add(voter)
         return frozenset(result)
-
-
-class BruteForceEndorsementOracle:
-    """Reference implementation: recompute endorsements from a vote log.
-
-    Quadratic and allocation-heavy — used only by tests to certify that
-    :class:`EndorsementTracker`'s early-stopping walks are exact.
-    """
-
-    def __init__(self, store: BlockStore, mode: str = "round") -> None:
-        self._store = store
-        self._mode = mode
-        self._votes: list = []
-
-    def add_vote(self, vote) -> None:
-        self._votes.append(vote)
-
-    def add_strong_qc(self, qc: QuorumCertificate) -> None:
-        for vote in qc.votes:
-            self.add_vote(vote)
-
-    def endorsers(self, block_id: BlockId, k: int | None = None) -> frozenset:
-        """Endorsers of ``block_id`` (``k`` overrides the threshold)."""
-        block = self._store.maybe_get(block_id)
-        if block is None:
-            return frozenset()
-        threshold = k
-        if threshold is None:
-            threshold = block.round if self._mode == "round" else block.height
-        result = set()
-        for vote in self._votes:
-            if vote.block_id not in self._store:
-                continue
-            if vote.block_id == block_id:
-                result.add(vote.voter)
-                continue
-            if not self._store.is_ancestor(block_id, vote.block_id):
-                continue
-            if vote.intervals:
-                if any(lo <= threshold <= hi for lo, hi in vote.intervals):
-                    result.add(vote.voter)
-            elif vote.conflicts_marker() < threshold:
-                result.add(vote.voter)
-        return frozenset(result)
-
-    def count(self, block_id: BlockId, k: int | None = None) -> int:
-        return len(self.endorsers(block_id, k))

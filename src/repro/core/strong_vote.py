@@ -23,8 +23,8 @@ blocks.  Tips suffice for both computations:
   ``[key(common_ancestor(B, T)) + 1, key(T)]`` for the conflicting tip
   ``T`` of that fork.
 
-A brute-force recomputation over the full vote log is kept for
-property-based cross-checks.
+The full vote log is kept too: the test suite's brute-force
+recomputation over it cross-checks both computations.
 """
 
 from __future__ import annotations
@@ -92,10 +92,6 @@ class VotingHistory:
                 )
             }
 
-    def voted_tips(self) -> tuple:
-        """Current maximal voted blocks, one per live fork."""
-        return tuple(self._tips)
-
     def tip_keys(self) -> tuple:
         """The tip set as durable ``(block_id, key)`` pairs — what the
         WAL persists so markers survive a crash."""
@@ -156,15 +152,6 @@ class VotingHistory:
                 marker = max(marker, key)
         return marker
 
-    def marker_brute_force(self, block: Block) -> int:
-        """Oracle: recompute the marker from the full vote log."""
-        block_id = block.id()
-        marker = 0
-        for voted_id in self._all_votes:
-            if self._store.conflicts(voted_id, block_id):
-                marker = max(marker, _key_of(self._store.get(voted_id), self._mode))
-        return marker
-
     # ------------------------------------------------------------------
     # generalized intervals (Section 3.4)
     # ------------------------------------------------------------------
@@ -200,28 +187,4 @@ class VotingHistory:
                 # Unknown lineage after a restart: exclude the whole
                 # prefix up to the fsync-time key (never over-endorse).
                 excluded.append((1, key))
-        return base.subtract(IntervalSet.from_pairs(excluded))
-
-    def intervals_brute_force(
-        self, block: Block, window: int | None = None
-    ) -> IntervalSet:
-        """Oracle: intervals from the full vote log, one D per voted block.
-
-        Uses every voted conflicting block (not just tips); the result
-        must equal :meth:`intervals_for` because each voted block's
-        exclusion interval is contained in its tip's.
-        """
-        block_id = block.id()
-        r = _key_of(block, self._mode)
-        lo = 1 if window is None else max(1, r - window)
-        base = IntervalSet.single(lo, r)
-        excluded = []
-        for voted_id in self._all_votes:
-            if not self._store.conflicts(voted_id, block_id):
-                continue
-            voted = self._store.get(voted_id)
-            ancestor = self._store.common_ancestor(block_id, voted_id)
-            excluded.append(
-                (_key_of(ancestor, self._mode) + 1, _key_of(voted, self._mode))
-            )
         return base.subtract(IntervalSet.from_pairs(excluded))

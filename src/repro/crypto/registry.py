@@ -13,7 +13,7 @@ import hashlib
 import hmac
 from typing import Iterable
 
-from repro.crypto.signatures import Signature, SigningKey, VerifyingKey
+from repro.crypto.signatures import Signature, SigningKey
 
 
 class KeyRegistry:
@@ -54,10 +54,6 @@ class KeyRegistry:
     def signing_key(self, replica_id: int) -> SigningKey:
         """Return the private key of ``replica_id`` (simulation only)."""
         return self._signing_keys[replica_id]
-
-    def verifying_key(self, replica_id: int) -> VerifyingKey:
-        """Return the public key of ``replica_id``."""
-        return self._verifying_keys[replica_id]
 
     def verify(self, message: bytes, signature: Signature) -> bool:
         """Verify one signature against the registered key of its signer."""

@@ -156,16 +156,6 @@ class FaultMix:
             assigned[name] = ids
         return assigned
 
-    def byzantine_ids(self, n: int) -> tuple[int, ...]:
-        """Ids with a behaviour override (everything except crashes)."""
-        assigned = self.assignments(n)
-        return tuple(
-            replica_id
-            for name in ("silent", "equivocate", "withhold", "lazy",
-                         "marker_lie", "sync_withhold", "amnesia")
-            for replica_id in assigned[name]
-        )
-
     def behavior_kwargs(self, behavior: str) -> dict:
         """Extra knobs each behaviour factory takes, from this mix."""
         if behavior == "withhold":

@@ -35,9 +35,6 @@ class StrongCommitProof:
     block: Block
     qc: QuorumCertificate
 
-    def entries(self) -> tuple:
-        return tuple(self.block.commit_log)
-
 
 def build_proof(store, block_id) -> StrongCommitProof | None:
     """Assemble a proof from a replica's block store, if possible."""
@@ -95,7 +92,3 @@ class LightClient:
             if level > best:
                 self.proven_levels[block_id_bytes] = level
         return tuple(accepted)
-
-    def proven_strength(self, block_id_bytes: bytes) -> int:
-        """Highest proven level for a block (-1 when unknown)."""
-        return self.proven_levels.get(block_id_bytes, -1)

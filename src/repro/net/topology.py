@@ -26,11 +26,6 @@ class Topology:
         """One-way base delay in seconds from ``src`` to ``dst``."""
         raise NotImplementedError
 
-    def region_of(self, replica_id: int) -> int:
-        """Region index of a replica (0 for flat topologies)."""
-        del replica_id
-        return 0
-
     def describe(self) -> str:
         return f"{type(self).__name__}(n={self.n})"
 
@@ -79,9 +74,6 @@ class RegionTopology(Topology):
                 if (i, j) not in self._inter:
                     raise ValueError(f"missing inter-region delay for ({i}, {j})")
 
-    def region_of(self, replica_id: int) -> int:
-        return self._region_of[replica_id]
-
     def delay(self, src: int, dst: int) -> float:
         if src == dst:
             return 0.0
@@ -90,10 +82,6 @@ class RegionTopology(Topology):
         if region_src == region_dst:
             return self.intra_delay
         return self._inter[(region_src, region_dst)]
-
-    def replicas_in_region(self, region: int) -> tuple:
-        start = sum(self.region_sizes[:region])
-        return tuple(range(start, start + self.region_sizes[region]))
 
 
 class SymmetricTopology(RegionTopology):

@@ -8,13 +8,13 @@ violations), :mod:`repro.obs.phases` (per-phase latency decomposition),
 and :mod:`repro.obs.export` (Perfetto / Chrome trace-event JSON).
 """
 
-from repro.obs.export import chrome_trace, summarize_trace, validate_chrome_trace
+from repro.obs.export import chrome_trace, validate_chrome_trace
 from repro.obs.flight import (
     FlightRecorder,
     collect_flight_recording,
     write_flight_dump,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.phases import breakdown_from_cluster, breakdown_from_trace
 from repro.obs.trace import TRACE_LEVELS, TraceEvent, TraceLog, Tracer
 
@@ -22,8 +22,6 @@ __all__ = [
     "TRACE_LEVELS",
     "Counter",
     "FlightRecorder",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "TraceEvent",
     "TraceLog",
@@ -32,7 +30,6 @@ __all__ = [
     "breakdown_from_trace",
     "chrome_trace",
     "collect_flight_recording",
-    "summarize_trace",
     "validate_chrome_trace",
     "write_flight_dump",
 ]

@@ -1,4 +1,4 @@
-"""Trace exporters: Chrome trace-event JSON (Perfetto) and summaries.
+"""Trace exporter: Chrome trace-event JSON (Perfetto).
 
 :func:`chrome_trace` converts a :class:`~repro.obs.trace.TraceLog`
 into the Chrome trace-event JSON object format — load the file at
@@ -9,8 +9,7 @@ phases on the reference replica's track.  Timestamps are microseconds
 of simulated time.
 
 :func:`validate_chrome_trace` checks the structural schema (used by
-tests and the CI trace-smoke step), and :func:`summarize_trace`
-renders the human-readable ``repro trace summarize`` report.
+tests and the CI trace-smoke step).
 """
 
 from __future__ import annotations
@@ -161,35 +160,3 @@ def validate_chrome_trace(data) -> list:
         if phase == "i" and event.get("s") not in ("t", "p", "g"):
             problems.append(f"{where}: instant scope {event.get('s')!r}")
     return problems
-
-
-def summarize_trace(log: TraceLog, reference_replica: int = 0) -> str:
-    """Human-readable per-kind/per-replica summary with the breakdown."""
-    lines = [
-        f"events recorded: {len(log)} (dropped: {log.dropped}, "
-        f"capacity: {log.capacity})"
-    ]
-    kinds = log.kinds()
-    if kinds:
-        lines.append("by kind:")
-        for kind, count in kinds.items():
-            lines.append(f"  {kind:<18} {count}")
-    replica_ids = sorted({event.replica_id for event in log.events()})
-    if replica_ids:
-        lines.append(f"replicas traced: {len(replica_ids)} "
-                     f"({replica_ids[0]}..{replica_ids[-1]})")
-    timeline = log.round_timeline(reference_replica)
-    if timeline:
-        lines.append(
-            f"replica {reference_replica} rounds: {timeline[0][1]} → "
-            f"{timeline[-1][1]} over t=[{timeline[0][0]:.3f}, "
-            f"{timeline[-1][0]:.3f}]"
-        )
-    breakdown = breakdown_from_trace(log, reference_replica)
-    lines.append(f"latency breakdown (replica {reference_replica}):")
-    for key in ("mempool_wait_s", "proposal_to_qc_s", "qc_to_endorse_s",
-                "endorse_to_commit_s", "qc_to_commit_s"):
-        value = breakdown[key]
-        rendered = "n/a" if value is None else f"{value:.6f}s"
-        lines.append(f"  {key:<22} {rendered}")
-    return "\n".join(lines)

@@ -41,9 +41,6 @@ class FlightRecorder:
             self.dropped += 1
         self._ring.append(entry)
 
-    def __len__(self) -> int:
-        return len(self._ring)
-
     def events(self) -> list:
         return [
             entry if isinstance(entry, TraceEvent) else TraceEvent(*entry)

@@ -117,10 +117,6 @@ class TraceLog:
             self._by_kind[evicted.kind].popleft()
             self.dropped += 1
 
-    def record(self, time: float, replica_id: int, kind: str, **fields) -> None:
-        self.append(TraceEvent(time=time, replica_id=replica_id, kind=kind,
-                               **fields))
-
     def __len__(self) -> int:
         return len(self._events)
 
@@ -137,21 +133,6 @@ class TraceLog:
             for event in source
             if (replica_id is None or event.replica_id == replica_id)
             and event.time >= since
-        ]
-
-    def kinds(self) -> dict:
-        """Histogram of (retained) event kinds."""
-        return {
-            kind: len(index)
-            for kind, index in sorted(self._by_kind.items())
-            if index
-        }
-
-    def round_timeline(self, replica_id: int) -> list:
-        """(time, round) entries reconstructed from round-entry events."""
-        return [
-            (event.time, event.round)
-            for event in self.events(kind="round", replica_id=replica_id)
         ]
 
 

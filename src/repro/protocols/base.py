@@ -939,13 +939,6 @@ class BaseReplica:
             del self._collected_votes[key]
             self._pending_qc_forms.discard(key)
 
-    # ------------------------------------------------------------------
-    # introspection helpers (used by runtime/metrics/tests)
-    # ------------------------------------------------------------------
-
-    def committed_blocks(self) -> list:
-        return list(self.commit_tracker.commit_order)
-
 
 class SFTMixin:
     """The paper's SFT layer over any :class:`BaseReplica` family.
@@ -1038,9 +1031,6 @@ class SFTMixin:
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-
-    def strength_of(self, block_id) -> int:
-        return self.commit_tracker.strength_of(block_id)
 
     def endorser_count(self, block_id) -> int:
         if self.endorsement is None:

@@ -68,14 +68,6 @@ class DirectVoteTracker:
         voters = self._voters.get(block_id)
         return len(voters) if voters is not None else 0
 
-    def count_at(self, block_id: BlockId, k: int) -> int:
-        """Direct votes are threshold-independent."""
-        del k
-        return self.count(block_id)
-
-    def endorsers(self, block_id: BlockId) -> frozenset:
-        return frozenset(self._voters.get(block_id, ()))
-
 
 class FBFTDiemBFTReplica(DiemBFTReplica):
     """DiemBFT with Appendix-B flexible-quorum strong commits."""

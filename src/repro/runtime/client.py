@@ -102,11 +102,6 @@ class Mempool:
             removed += self._pending.pop(txid, None) is not None
         return removed
 
-    def drop_committed(self, block, now: float) -> None:
-        """Commit listener: ``block``'s transactions leave the pool."""
-        del now
-        self.remove_committed(block.payload.transactions)
-
     def payload_source(self, now: float, parent_id=None) -> Payload:
         """The simulator tier's ``BaseReplica.payload_source``: what
         the uncommitted chain under ``parent_id`` does not carry yet,

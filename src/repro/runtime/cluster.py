@@ -233,8 +233,5 @@ class Cluster:
             if not replica.crashed and replica.replica_id not in self.byzantine_ids
         ]
 
-    def replica(self, replica_id: int):
-        return self.replicas[replica_id]
-
     def message_stats(self) -> dict:
         return self.network.stats()

@@ -25,11 +25,6 @@ class LatencyReport:
     samples: int
     eligible: int
 
-    def reached_fraction(self) -> float:
-        if self.eligible == 0:
-            return 0.0
-        return self.samples / self.eligible
-
 
 def _eligible_commits(replica, created_before):
     """Non-genesis commit events, read off the events themselves so

@@ -327,19 +327,6 @@ class BlockStore:
         flushed = self._flush_orphans(block_id)
         return pruned, flushed
 
-    def root_block(self) -> Block:
-        """The store's effective root: genesis, or the last truncation root."""
-        genesis = self._blocks.get(self.genesis_id)
-        if genesis is not None:
-            return genesis
-        cursor = self._blocks[self.highest_certified_id]
-        while cursor.parent_id is not None:
-            parent = self._blocks.get(cursor.parent_id)
-            if parent is None:
-                return cursor
-            cursor = parent
-        return cursor
-
     # ------------------------------------------------------------------
     # ancestry
     # ------------------------------------------------------------------
@@ -359,18 +346,6 @@ class BlockStore:
         # The store holds exactly one Block object per id, so identity
         # comparison is equivalent to id comparison and avoids hashing.
         return cursor is ancestor
-
-    def ancestor_at_height(self, block_id: BlockId, height: int) -> Block:
-        """The unique ancestor of ``block_id`` at ``height``."""
-        cursor = self.get(block_id)
-        if height > cursor.height or height < 0:
-            raise ChainError(f"no ancestor at height {height}")
-        while cursor.height > height:
-            parent = self._blocks.get(cursor.parent_id)
-            if parent is None:
-                raise ChainError(f"ancestor at height {height} was truncated")
-            cursor = parent
-        return cursor
 
     def common_ancestor(self, a_id: BlockId, b_id: BlockId) -> Block:
         """The deepest block that both ``a_id`` and ``b_id`` extend."""
@@ -399,19 +374,6 @@ class BlockStore:
         if a_id == b_id:
             return False
         return not self.is_ancestor(a_id, b_id) and not self.is_ancestor(b_id, a_id)
-
-    def path_to_genesis(self, block_id: BlockId) -> list:
-        """Blocks from ``block_id`` down to genesis, inclusive, in that order."""
-        path = []
-        cursor = self.get(block_id)
-        while True:
-            path.append(cursor)
-            if cursor.parent_id is None:
-                return path
-            parent = self._blocks.get(cursor.parent_id)
-            if parent is None:
-                return path  # truncated: the path ends at the stored root
-            cursor = parent
 
     def iter_ancestors(self, block_id: BlockId):
         """Yield ``block_id``'s block then each *stored* ancestor.

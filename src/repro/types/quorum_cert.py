@@ -44,16 +44,6 @@ class QuorumCertificate:
         """True for the bootstrap certificate of the genesis block."""
         return self.round == 0
 
-    def is_strong(self) -> bool:
-        """True when every vote carries strong-vote information."""
-        return bool(self.votes) and all(
-            hasattr(vote, "marker") for vote in self.votes
-        )
-
-    def ranks_higher_than(self, other: "QuorumCertificate") -> bool:
-        """QC ranking used for ``qc_high`` updates (by round)."""
-        return self.round > other.round
-
     def validate(self, registry: KeyRegistry, quorum: int) -> bool:
         """Check vote signatures, consistency, and quorum size.
 

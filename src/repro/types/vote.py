@@ -109,18 +109,3 @@ class StrongVote:
 
     def conflicts_marker(self) -> int:
         return self.marker
-
-    def uses_intervals(self) -> bool:
-        """True when this vote carries generalized interval information."""
-        return bool(self.intervals)
-
-    def endorses_round(self, target_round: int) -> bool:
-        """Whether this vote endorses an *ancestor* block at ``target_round``.
-
-        Direct endorsement (``B = B'``) is handled by the caller — this
-        method only answers the indirect case of the endorsement
-        definition: ``marker < r`` or ``r ∈ I``.
-        """
-        if self.uses_intervals():
-            return any(lo <= target_round <= hi for lo, hi in self.intervals)
-        return self.marker < target_round

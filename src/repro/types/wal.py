@@ -112,16 +112,6 @@ class DurableState:
     def note_restore(self) -> None:
         self.restores += 1
 
-    def double_votes(self) -> list:
-        """Rounds with conflicting vote-log entries (should be empty)."""
-        seen: dict = {}
-        bad = []
-        for round_number, block_id in self.vote_log:
-            prior = seen.setdefault(round_number, block_id)
-            if prior != block_id:
-                bad.append(round_number)
-        return bad
-
 
 class DurableDisk:
     """The simulated stable storage: one :class:`DurableState` per id.

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.intervals import IntervalSet
+from repro.core.strong_vote import _key_of
 from repro.crypto.registry import KeyRegistry
-from repro.types.block import Block, make_genesis
+from repro.types.block import Block, BlockId, make_genesis
 from repro.types.chain import BlockStore
 from repro.types.quorum_cert import QuorumCertificate
 from repro.types.transaction import Payload, TxBatch
@@ -103,6 +105,112 @@ class ChainBuilder:
             blocks.append(block)
             cursor = block
         return blocks
+
+
+class BruteForceEndorsementOracle:
+    """Reference implementation: recompute endorsements from a vote log.
+
+    Quadratic and allocation-heavy — certifies that
+    :class:`~repro.core.endorsement.EndorsementTracker`'s early-stopping
+    walks are exact.
+    """
+
+    def __init__(self, store: BlockStore, mode: str = "round") -> None:
+        self._store = store
+        self._mode = mode
+        self._votes: list = []
+
+    def add_vote(self, vote) -> None:
+        self._votes.append(vote)
+
+    def endorsers(self, block_id: BlockId, k: int | None = None) -> frozenset:
+        """Endorsers of ``block_id`` (``k`` overrides the threshold)."""
+        block = self._store.maybe_get(block_id)
+        if block is None:
+            return frozenset()
+        threshold = k
+        if threshold is None:
+            threshold = block.round if self._mode == "round" else block.height
+        result = set()
+        for vote in self._votes:
+            if vote.block_id not in self._store:
+                continue
+            if vote.block_id == block_id:
+                result.add(vote.voter)
+                continue
+            if not self._store.is_ancestor(block_id, vote.block_id):
+                continue
+            if vote.intervals:
+                if any(lo <= threshold <= hi for lo, hi in vote.intervals):
+                    result.add(vote.voter)
+            elif vote.conflicts_marker() < threshold:
+                result.add(vote.voter)
+        return frozenset(result)
+
+    def count(self, block_id: BlockId, k: int | None = None) -> int:
+        return len(self.endorsers(block_id, k))
+
+
+def marker_brute_force(history, block: Block) -> int:
+    """Oracle: recompute ``history``'s marker from its full vote log."""
+    block_id = block.id()
+    marker = 0
+    for voted_id in history._all_votes:
+        if history._store.conflicts(voted_id, block_id):
+            marker = max(
+                marker, _key_of(history._store.get(voted_id), history._mode)
+            )
+    return marker
+
+
+def intervals_brute_force(
+    history, block: Block, window: int | None = None
+) -> IntervalSet:
+    """Oracle: intervals from the full vote log, one D per voted block.
+
+    Uses every voted conflicting block (not just tips); the result
+    must equal :meth:`VotingHistory.intervals_for` because each voted
+    block's exclusion interval is contained in its tip's.
+    """
+    block_id = block.id()
+    r = _key_of(block, history._mode)
+    lo = 1 if window is None else max(1, r - window)
+    base = IntervalSet.single(lo, r)
+    excluded = []
+    for voted_id in history._all_votes:
+        if not history._store.conflicts(voted_id, block_id):
+            continue
+        voted = history._store.get(voted_id)
+        ancestor = history._store.common_ancestor(block_id, voted_id)
+        excluded.append(
+            (_key_of(ancestor, history._mode) + 1, _key_of(voted, history._mode))
+        )
+    return base.subtract(IntervalSet.from_pairs(excluded))
+
+
+def store_root(store: BlockStore) -> Block:
+    """The store's effective root: genesis, or the last truncation root."""
+    return list(store.iter_ancestors(store.highest_certified_id))[-1]
+
+
+def ancestor_at_height(store: BlockStore, block_id: BlockId, height: int) -> Block:
+    """The ancestor of ``block_id`` at ``height``."""
+    return next(
+        block for block in store.iter_ancestors(block_id)
+        if block.height == height
+    )
+
+
+def double_votes(state) -> list:
+    """Rounds with conflicting entries in a ``DurableState``'s vote log
+    (should be empty)."""
+    seen: dict = {}
+    bad = []
+    for round_number, block_id in state.vote_log:
+        prior = seen.setdefault(round_number, block_id)
+        if prior != block_id:
+            bad.append(round_number)
+    return bad
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from repro.types.block import Block
 from repro.types.messages import ProposalMsg
 from repro.types.quorum_cert import QuorumCertificate
 from repro.types.vote import StrongVote
-from tests.conftest import make_isolated_replica, small_experiment
+from tests.conftest import ancestor_at_height, make_isolated_replica, small_experiment
 
 
 def adversarial_qc(registry, block, n):
@@ -82,7 +82,7 @@ class TestDiemBFTOneBlockRevert:
 
         # The adversary certifies ONE conflicting block at a higher
         # round, forking from round 3 (satisfying honest locks).
-        fork_base = replica.store.ancestor_at_height(parent.id(), 3)
+        fork_base = ancestor_at_height(replica.store, parent.id(), 3)
         fork_qc_parent = replica.store.qc_for(fork_base.id())
         fork_block = Block(
             parent_id=fork_base.id(),
@@ -108,9 +108,9 @@ class TestDiemBFTOneBlockRevert:
             sender=config.leader_of(7), round=7, block=extension
         )
         replica.store.add_block(extension)
-        votes_before = replica.metrics.get("votes_sent").value
+        votes_before = replica.metrics.snapshot()["votes_sent"]
         replica._maybe_vote(proposal)
-        assert replica.metrics.get("votes_sent").value == votes_before + 1
+        assert replica.metrics.snapshot()["votes_sent"] == votes_before + 1
 
 
 class TestStreamletNeedsCompetitiveChain:
@@ -138,7 +138,7 @@ class TestStreamletNeedsCompetitiveChain:
     def test_single_fork_block_is_not_votable(self):
         """A 1-block certified fork is shorter than the main chain."""
         replica, registry, config, tip = self._replica_with_main_chain(5)
-        fork_base = replica.store.ancestor_at_height(tip.id(), 2)
+        fork_base = ancestor_at_height(replica.store, tip.id(), 2)
         fork_block = Block(
             parent_id=fork_base.id(),
             qc=replica.store.qc_for(fork_base.id()),
@@ -163,17 +163,17 @@ class TestStreamletNeedsCompetitiveChain:
         proposal = ProposalMsg(
             sender=config.leader_of(8), round=8, block=extension
         )
-        votes_before = replica.metrics.get("votes_sent").value
+        votes_before = replica.metrics.snapshot()["votes_sent"]
         replica._maybe_vote(proposal)
         # Streamlet's longest-chain rule refuses: no vote.
-        assert replica.metrics.get("votes_sent").value == votes_before
+        assert replica.metrics.snapshot()["votes_sent"] == votes_before
 
     def test_competitive_length_fork_is_votable(self):
         """Only after regrowing to the tip height do honest votes flow."""
         replica, registry, config, tip = self._replica_with_main_chain(5)
         # The adversary sustains corruption: certify fork blocks from
         # height 3 all the way to height 5 (matching the main tip).
-        cursor = replica.store.ancestor_at_height(tip.id(), 2)
+        cursor = ancestor_at_height(replica.store, tip.id(), 2)
         for index, round_number in enumerate((7, 8, 9)):
             fork_block = Block(
                 parent_id=cursor.id(),
@@ -200,17 +200,17 @@ class TestStreamletNeedsCompetitiveChain:
         proposal = ProposalMsg(
             sender=config.leader_of(10), round=10, block=extension
         )
-        votes_before = replica.metrics.get("votes_sent").value
+        votes_before = replica.metrics.snapshot()["votes_sent"]
         replica._maybe_vote(proposal)
-        assert replica.metrics.get("votes_sent").value == votes_before + 1
+        assert replica.metrics.snapshot()["votes_sent"] == votes_before + 1
 
     def test_adversary_work_scales_with_depth(self):
         """Quantify D.4: blocks the adversary must certify per depth."""
         for depth in (1, 2, 3):
             replica, registry, config, tip = self._replica_with_main_chain(5)
             fork_from_height = 5 - depth
-            cursor = replica.store.ancestor_at_height(
-                tip.id(), fork_from_height
+            cursor = ancestor_at_height(
+                replica.store, tip.id(), fork_from_height
             )
             blocks_needed = 0
             round_number = 20

@@ -75,16 +75,16 @@ class TestSnapshotJoin:
         # The joiner's snapshot jump removes the partition-era gap from
         # its commit log, so commit *counts* are not comparable across
         # replicas — committed heights are.  Each executor ran on its
-        # replica's commit stream; require identical kvstore hashes
+        # replica's commit stream; require identical kvstore states
         # wherever two replicas ended on the same committed tip height.
         tips = {}
         for replica in cluster.replicas:
             tip =replica.commit_tracker.commit_order[-1].height
             tips.setdefault(tip, set()).add(
-                replica.checkpoint.executor.state_hash().value
+                replica.checkpoint.executor.state.items()
             )
-        for height, digests in tips.items():
-            assert len(digests) == 1, f"divergent state at height {height}"
+        for height, states in tips.items():
+            assert len(states) == 1, f"divergent state at height {height}"
         joiner_tip = cluster.replicas[3].commit_tracker.commit_order[-1].height
         peer_tips = [
             cluster.replicas[rid].commit_tracker.commit_order[-1].height

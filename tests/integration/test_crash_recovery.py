@@ -21,6 +21,7 @@ import pytest
 from repro.experiments import FaultMix, ScenarioSpec
 from repro.fuzz import evaluate_case
 from repro.runtime.config import PROTOCOLS
+from tests.conftest import double_votes
 
 
 def recovery_spec(protocol, fault_kind, count=3, **overrides):
@@ -100,7 +101,7 @@ class TestRestartAndRejoin:
             state = cluster.durable.peek(replica_id)
             if state is None:
                 continue
-            assert state.double_votes() == [], (
+            assert double_votes(state) == [], (
                 f"replica {replica_id} double-voted despite its WAL"
             )
 

@@ -22,7 +22,7 @@ class TestHappyPath:
     def test_rounds_advance_without_timeouts(self):
         cluster = build_cluster(small_experiment(protocol="diembft")).run()
         for replica in cluster.replicas:
-            assert replica.metrics.get("timeouts_sent").value == 0
+            assert replica.metrics.snapshot()["timeouts_sent"] == 0
             assert replica.current_round > 100
 
     def test_commit_latency_about_three_round_trips(self):
@@ -39,7 +39,7 @@ class TestHappyPath:
     def test_leaders_rotate_round_robin(self):
         cluster = build_cluster(small_experiment(protocol="diembft")).run()
         replica = cluster.replicas[0]
-        committed = replica.committed_blocks()
+        committed = replica.commit_tracker.commit_order
         proposers = set()
         for event in committed:
             block = replica.store.get(event.block_id)
@@ -106,7 +106,7 @@ class TestValidation:
             signature=None,
         )
         replica.deliver(3, VoteMsg(sender=3, vote=forged))
-        assert replica.metrics.get("invalid_messages").value == 1
+        assert replica.metrics.snapshot()["invalid_messages"] == 1
 
     def test_wrong_leader_proposal_rejected(self):
         cluster = build_cluster(small_experiment(protocol="diembft")).build()
@@ -122,7 +122,7 @@ class TestValidation:
             proposer=5,  # leader of round 1 is replica 1
         )
         replica.deliver(5, ProposalMsg(sender=5, round=1, block=block))
-        assert replica.metrics.get("invalid_messages").value == 1
+        assert replica.metrics.snapshot()["invalid_messages"] == 1
 
     def test_mismatched_sender_rejected(self):
         cluster = build_cluster(small_experiment(protocol="diembft")).build()
@@ -138,4 +138,4 @@ class TestValidation:
             proposer=1,
         )
         replica.deliver(2, ProposalMsg(sender=1, round=1, block=block))
-        assert replica.metrics.get("invalid_messages").value == 1
+        assert replica.metrics.snapshot()["invalid_messages"] == 1

@@ -62,7 +62,7 @@ class TestCrashFaults:
         cluster = build_cluster(config, crash_schedule=((3, 0.0),)).run()
         survivors = alive(cluster)
         assert any(
-            replica.metrics.get("timeouts_sent").value > 0
+            replica.metrics.snapshot()["timeouts_sent"] > 0
             for replica in survivors
         )
         assert not check_prefix_consistency(survivors)
@@ -108,7 +108,7 @@ class TestByzantineBehaviours:
         forked = [
             replica
             for replica in honest
-            if len(replica.voting_history.voted_tips()) > 1
+            if len(replica.voting_history.tip_keys()) > 1
             or replica.voting_history.marker_for(
                 replica.store.highest_certified_block()
             )

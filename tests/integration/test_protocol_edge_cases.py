@@ -86,7 +86,7 @@ class TestStaleMessageHandling:
                 break
         assert old_block is not None
         round_before = replica.current_round
-        votes_before = replica.metrics.get("votes_sent").value
+        votes_before = replica.metrics.snapshot()["votes_sent"]
         # Rebuild the original proposal message shape.
         proposal = ProposalMsg(
             sender=old_block.proposer, round=old_block.round, block=old_block
@@ -102,7 +102,7 @@ class TestStaleMessageHandling:
         )
         replica.deliver(old_block.proposer, proposal)
         assert replica.current_round == round_before
-        assert replica.metrics.get("votes_sent").value == votes_before
+        assert replica.metrics.snapshot()["votes_sent"] == votes_before
 
 
 class TestReorderingAndOrphans:

@@ -254,7 +254,7 @@ class TestProposeOnce:
 
     @staticmethod
     def _counter(host, name):
-        return host.replica.metrics.get(name).value
+        return host.replica.metrics.snapshot()[name]
 
     @staticmethod
     def _synthetic(payload):

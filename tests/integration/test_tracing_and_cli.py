@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main as cli_main
 from repro.obs import (
+    TraceEvent,
     TraceLog,
     breakdown_from_cluster,
     breakdown_from_trace,
@@ -26,23 +27,20 @@ class TestTracing:
 
     def test_lifecycle_spans_traced(self):
         _, trace = self._traced_run()
-        kinds = trace.kinds()
         # The full causal chain: proposed → votes_collected → qc_formed
         # → endorsed → committed, plus round entries and votes.
         for kind in ("round", "propose", "vote", "votes_collected",
                      "qc_formed", "qc", "endorse", "commit"):
-            assert kinds.get(kind, 0) > 0, f"no {kind} events"
-        assert kinds["round"] > 50
-        assert kinds["vote"] > 50
-        assert kinds["qc"] > 50
-        assert kinds["commit"] > 50
+            assert trace.events(kind=kind), f"no {kind} events"
+        for kind in ("round", "vote", "qc", "commit"):
+            assert len(trace.events(kind=kind)) > 50
 
     def test_round_timeline_monotone(self):
         _, trace = self._traced_run()
-        timeline = trace.round_timeline(0)
-        assert len(timeline) > 50
-        times = [time for time, _round in timeline]
-        rounds = [round_number for _time, round_number in timeline]
+        entries = trace.events(kind="round", replica_id=0)
+        assert len(entries) > 50
+        times = [event.time for event in entries]
+        rounds = [event.round for event in entries]
         assert times == sorted(times)
         assert rounds == sorted(rounds)
 
@@ -90,13 +88,12 @@ class TestTracing:
     def test_full_level_adds_deliveries(self):
         config = small_experiment(duration=2.0, trace_level="full")
         cluster = build_cluster(config).run()
-        kinds = cluster.trace.kinds()
-        assert kinds.get("deliver", 0) > 100
+        assert len(cluster.trace.events(kind="deliver")) > 100
 
     def test_capacity_bound(self):
         trace = TraceLog(capacity=10)
         for index in range(25):
-            trace.record(float(index), 0, "x")
+            trace.append(TraceEvent(time=float(index), replica_id=0, kind="x"))
         assert len(trace) == 10
         assert trace.dropped == 15
         assert len(trace.events(kind="x")) == 10
@@ -252,14 +249,6 @@ class TestTraceCLI:
         save_scenario(spec, path)
         return path
 
-    def test_trace_summarize(self, tmp_path):
-        path = self._scenario_file(tmp_path)
-        code, out, _ = self._run_cli(["trace", "summarize", str(path)])
-        assert code == 0
-        assert "events recorded:" in out
-        assert "latency breakdown" in out
-        assert "proposal_to_qc_s" in out
-
     def test_trace_export_valid_chrome_json(self, tmp_path):
         from repro.obs import validate_chrome_trace
 
@@ -282,7 +271,7 @@ class TestTraceCLI:
         # Scripted specs have no cluster to trace; clean exit, code 2.
         with pytest.raises(SystemExit) as excinfo:
             self._run_cli(
-                ["trace", "summarize",
+                ["trace", "export",
                  "scenarios/fuzz_corpus/appendix_c_naive.json"]
             )
         assert excinfo.value.code == 2
@@ -304,3 +293,22 @@ class TestTraceCLI:
         assert recording["replicas"]
         some_replica = next(iter(recording["replicas"].values()))
         assert some_replica["events"]
+
+    def test_campaign_run_writes_flight_dump(self, tmp_path):
+        # A campaign job that violates an invariant dumps its replicas'
+        # flight-recorder rings under --flight-dir, named by job id.
+        flight_dir = tmp_path / "flight"
+        code, _, err = self._run_cli(
+            ["campaign", "run", _amnesia_spec(tmp_path), "--workers", "1",
+             "--flight-dir", str(flight_dir)]
+        )
+        assert code == 1  # the amnesia job double-votes
+        dump_path = flight_dir / "amnesia_dump_seed=11-flight.json"
+        assert dump_path.exists(), err
+        recording = json.loads(dump_path.read_text())
+        assert "double-vote" in {
+            violation["invariant"] for violation in recording["violations"]
+        }
+        assert sorted(recording["replicas"]) == ["0", "1", "2", "3"]
+        for ring in recording["replicas"].values():
+            assert any(event["kind"] == "vote" for event in ring["events"])

@@ -5,7 +5,7 @@ down, when, and for how long — and for each one asserts the safety
 core of the recovery subsystem:
 
 * the append-only WAL vote log holds at most one block per round for
-  every replica (``DurableState.double_votes()`` is empty — the
+  every replica (``double_votes(state)`` is empty — the
   restart guard consulted it before re-voting);
 * the committed chains of all replicas stay consistent (one block per
   height, single-chain per replica);
@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.invariants import check_prefix_consistency
 from repro.experiments import FaultMix, ScenarioSpec
+from tests.conftest import double_votes
 
 PROTOCOLS = ("diembft", "sft-diembft", "streamlet", "sft-streamlet")
 
@@ -71,9 +72,9 @@ def _run_schedule(schedule):
         state = cluster.durable.peek(replica_id)
         if state is None:
             continue
-        assert state.double_votes() == [], (
+        assert double_votes(state) == [], (
             f"{protocol} replica {replica_id} double-voted: "
-            f"{state.double_votes()} (schedule {schedule})"
+            f"{double_votes(state)} (schedule {schedule})"
         )
     restarted = set(range(spec.n - count, spec.n))
     for replica_id in restarted:

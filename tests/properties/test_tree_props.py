@@ -9,9 +9,14 @@ against brute-force reference implementations.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.endorsement import BruteForceEndorsementOracle, EndorsementTracker
+from repro.core.endorsement import EndorsementTracker
 from repro.core.strong_vote import VotingHistory
-from tests.conftest import ChainBuilder
+from tests.conftest import (
+    BruteForceEndorsementOracle,
+    ChainBuilder,
+    intervals_brute_force,
+    marker_brute_force,
+)
 
 
 @st.composite
@@ -40,7 +45,7 @@ class TestAncestryLaws:
         builder, blocks = build_tree(parents)
         paths = {}
         for block in blocks:
-            path = {b.id() for b in builder.store.path_to_genesis(block.id())}
+            path = {b.id() for b in builder.store.iter_ancestors(block.id())}
             paths[block.id()] = path
         for a in blocks:
             for b in blocks:
@@ -55,10 +60,10 @@ class TestAncestryLaws:
             for b in blocks:
                 ancestor = builder.store.common_ancestor(a.id(), b.id())
                 path_a = [
-                    blk.id() for blk in builder.store.path_to_genesis(a.id())
+                    blk.id() for blk in builder.store.iter_ancestors(a.id())
                 ]
                 path_b = {
-                    blk.id() for blk in builder.store.path_to_genesis(b.id())
+                    blk.id() for blk in builder.store.iter_ancestors(b.id())
                 }
                 shared = [bid for bid in path_a if bid in path_b]
                 assert ancestor.id() == shared[0]  # path is tip-first
@@ -101,8 +106,8 @@ class TestMarkerAgainstBruteForce:
             history = VotingHistory(builder.store, mode=mode)
             for index in vote_indices:
                 block = blocks[index]
-                assert history.marker_for(block) == history.marker_brute_force(
-                    block
+                assert history.marker_for(block) == marker_brute_force(
+                    history, block
                 ), f"mode={mode} at round {block.round}"
                 history.record_vote(block)
 
@@ -114,8 +119,8 @@ class TestMarkerAgainstBruteForce:
         history = VotingHistory(builder.store, mode="round")
         for index in vote_indices:
             block = blocks[index]
-            assert history.intervals_for(block) == history.intervals_brute_force(
-                block
+            assert history.intervals_for(block) == intervals_brute_force(
+                history, block
             )
             history.record_vote(block)
 

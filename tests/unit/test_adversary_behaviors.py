@@ -27,12 +27,12 @@ def run_with_override(replica_id, replica_class, duration=6.0, **overrides):
 class TestSilent:
     def test_silent_replica_never_votes(self):
         cluster = run_with_override(6, make_silent(SFTDiemBFTReplica))
-        assert cluster.replicas[6].metrics.get("votes_sent").value == 0
+        assert cluster.replicas[6].metrics.snapshot()["votes_sent"] == 0
 
     def test_silent_replica_still_proposes(self):
         # Silence attacks strong-commit liveness, not leadership.
         cluster = run_with_override(6, make_silent(SFTDiemBFTReplica))
-        assert cluster.replicas[6].metrics.get("blocks_proposed").value > 0
+        assert cluster.replicas[6].metrics.snapshot()["blocks_proposed"] > 0
 
     def test_factory_names_are_descriptive(self):
         assert "Silent" in make_silent(SFTDiemBFTReplica).__name__
@@ -40,7 +40,7 @@ class TestSilent:
     def test_works_on_plain_diembft_too(self):
         cluster = run_with_override(6, make_silent(DiemBFTReplica),
                                     protocol="diembft")
-        assert cluster.replicas[6].metrics.get("votes_sent").value == 0
+        assert cluster.replicas[6].metrics.snapshot()["votes_sent"] == 0
         assert len(cluster.replicas[0].commit_tracker.commit_order) > 20
 
 
@@ -80,7 +80,7 @@ class TestWithholdingLeader:
             4, make_withholding_leader(SFTDiemBFTReplica, reach=0.3)
         )
         timeouts = sum(
-            replica.metrics.get("timeouts_sent").value
+            replica.metrics.snapshot()["timeouts_sent"]
             for index, replica in enumerate(cluster.replicas)
             if index != 4
         )
@@ -93,7 +93,7 @@ class TestWithholdingLeader:
         )
         honest = [r for i, r in enumerate(cluster.replicas) if i != 4]
         assert all(
-            replica.metrics.get("timeouts_sent").value == 0 for replica in honest
+            replica.metrics.snapshot()["timeouts_sent"] == 0 for replica in honest
         )
 
 
@@ -115,7 +115,7 @@ class TestLeaderFactoriesOnTheWire:
             factory(replica_class), config, replica_id=1
         )
         leader._propose(1, "start")
-        assert leader.metrics.get("blocks_proposed").value == 1
+        assert leader.metrics.snapshot()["blocks_proposed"] == 1
         assert all(msg.signature is not None and msg.tc is None for _, msg in sent)
         return [(dst, msg.block) for dst, msg in sent]
 
@@ -145,7 +145,7 @@ class TestLazyVoter:
             6, make_lazy_voter(SFTDiemBFTReplica, delay=0.2), duration=6.0
         )
         lazy = cluster.replicas[6]
-        assert lazy.metrics.get("votes_sent").value > 0
+        assert lazy.metrics.snapshot()["votes_sent"] > 0
         # Its votes arrive too late for QCs: never among the endorsers
         # of fresh blocks at other replicas.
         observer = cluster.replicas[0]

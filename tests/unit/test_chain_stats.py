@@ -13,7 +13,7 @@ class TestChainStats:
         assert stats.blocks_total >= stats.blocks_committed
         assert stats.skipped_rounds == 0
         assert stats.fork_blocks == 0  # fresh tip blocks are not forks
-        assert stats.round_utilization() > 0.9
+        assert stats.committed_rounds > 0.9 * stats.max_round
         assert 0.0 <= stats.qc_diversity <= 1.0
         # Quorum is 5 of 7 and extra votes are not folded in.
         assert 5.0 <= stats.mean_qc_size <= 7.0
@@ -24,7 +24,7 @@ class TestChainStats:
         ).run()
         stats = collect_chain_stats(cluster.replicas[0])
         assert stats.skipped_rounds > 0
-        assert stats.round_utilization() < 1.0
+        assert stats.committed_rounds < stats.max_round
 
     def test_diversity_increases_with_jitter(self):
         still = build_cluster(small_experiment(duration=6.0, jitter=0.0)).run()

@@ -4,7 +4,7 @@ import pytest
 
 from repro.types.block import Block, make_genesis
 from repro.types.chain import BlockStore, ChainError
-from tests.conftest import ChainBuilder
+from tests.conftest import ChainBuilder, store_root
 
 
 class TestInsertion:
@@ -149,20 +149,6 @@ class TestAncestry:
             blocks[0].id(), blocks[2].id()
         )
         assert ancestor.id() == blocks[0].id()
-
-    def test_ancestor_at_height(self, builder):
-        blocks = builder.chain(builder.genesis, [1, 2, 3])
-        assert (
-            builder.store.ancestor_at_height(blocks[2].id(), 1).id()
-            == blocks[0].id()
-        )
-        with pytest.raises(ChainError):
-            builder.store.ancestor_at_height(blocks[0].id(), 5)
-
-    def test_path_to_genesis(self, builder):
-        blocks = builder.chain(builder.genesis, [1, 2])
-        path = builder.store.path_to_genesis(blocks[1].id())
-        assert [b.round for b in path] == [2, 1, 0]
 
     def test_iter_ancestors(self, builder):
         blocks = builder.chain(builder.genesis, [1, 2])
@@ -309,7 +295,7 @@ class TestTruncation:
         assert pruned == {builder.genesis.id(), a.id(), fork.id()}
         for survivor in (b, c, d):
             assert survivor.id() in builder.store
-        assert builder.store.root_block().id() == b.id()
+        assert store_root(builder.store).id() == b.id()
         assert builder.store.truncated_height == b.height - 1
 
     def test_truncation_never_removes_at_or_above_root(self, builder):
@@ -431,7 +417,7 @@ class TestAdoptRoot:
         )
         pruned, flushed = builder.store.adopt_root(distant)
         assert distant.id() in builder.store
-        assert builder.store.root_block().id() == distant.id()
+        assert store_root(builder.store).id() == distant.id()
         # Only blocks the store actually held get pruned; the foreign
         # parent was never stored in the first place.
         assert pruned == {builder.genesis.id(), a.id(), b.id()}
@@ -458,7 +444,7 @@ class TestAdoptRoot:
         pruned, flushed = builder.store.adopt_root(b)
         assert pruned == {builder.genesis.id(), a.id()}
         assert flushed == []
-        assert builder.store.root_block().id() == b.id()
+        assert store_root(builder.store).id() == b.id()
 
 
 def test_chain_builder_uses_distinct_payload_tags():

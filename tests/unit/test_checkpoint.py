@@ -19,6 +19,7 @@ from repro.types.messages import (
     SnapshotRequestMsg,
     SnapshotResponseMsg,
 )
+from tests.conftest import store_root
 
 
 def checkpoint_cluster(**overrides):
@@ -81,17 +82,17 @@ class TestCertificatesAndTruncation:
     def test_certificates_form_and_truncate(self, cluster):
         for replica in cluster.replicas:
             manager = replica.checkpoint
-            assert replica.metrics.get("checkpoint.signed").value > 0
-            assert replica.metrics.get("checkpoint.certificates").value > 0
+            assert replica.metrics.snapshot()["checkpoint.signed"] > 0
+            assert replica.metrics.snapshot()["checkpoint.certificates"] > 0
             assert manager.stable is not None
             assert manager.stable.height % manager.interval == 0
             assert len(manager.stable.signers) >= replica.config.quorum()
-            assert replica.metrics.get("checkpoint.blocks_truncated").value > 0
+            assert replica.metrics.snapshot()["checkpoint.blocks_truncated"] > 0
 
     def test_store_rooted_at_stable_checkpoint(self, cluster):
         for replica in cluster.replicas:
             manager = replica.checkpoint
-            root = replica.store.root_block()
+            root = store_root(replica.store)
             assert root.id() == manager.stable.block_id
             assert replica.store.truncated_height == root.height - 1
 
@@ -285,10 +286,11 @@ class TestServeSnapshot:
         signature = cluster.replicas[0].context.signing_key.sign(
             request.signing_payload()
         )
-        served = server.metrics.get("checkpoint.snapshots_served")
-        served_before = served.value
+        served_before = server.metrics.snapshot()["checkpoint.snapshots_served"]
         manager.serve_snapshot(0, replace(request, signature=signature))
-        assert served.value == served_before
+        assert server.metrics.snapshot()["checkpoint.snapshots_served"] == (
+            served_before
+        )
         assert len(sent) == 1
         response = sent[0]
         assert response.cert_signers == ()

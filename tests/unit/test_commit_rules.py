@@ -12,8 +12,8 @@ class TestDiemBFTRegularCommit:
         committed_rounds = [event.round for event in newly]
         # Head B_1 commits (plus genesis as its ancestor).
         assert committed_rounds == [0, 1]
-        assert tracker.is_committed(blocks[0].id())
-        assert not tracker.is_committed(blocks[1].id())
+        assert blocks[0].id() in tracker.committed
+        assert blocks[1].id() not in tracker.committed
 
     def test_non_consecutive_rounds_do_not_commit(self, builder):
         tracker = CommitTracker(builder.store, f=1, rule="diembft")
@@ -27,9 +27,9 @@ class TestDiemBFTRegularCommit:
         for block in blocks:
             tracker.on_new_qc(builder.store.qc_for(block.id()), now=1.0)
         # 3-chain (5, 6, 7) commits B_5 and all its ancestors.
-        assert tracker.is_committed(blocks[2].id())
-        assert tracker.is_committed(blocks[1].id())
-        assert tracker.is_committed(blocks[0].id())
+        assert blocks[2].id() in tracker.committed
+        assert blocks[1].id() in tracker.committed
+        assert blocks[0].id() in tracker.committed
 
     def test_commit_latency_uses_creation_time(self, builder):
         tracker = CommitTracker(builder.store, f=1, rule="diembft")
@@ -50,7 +50,7 @@ class TestDiemBFTRegularCommit:
         first = tracker.on_new_qc(qc, now=5.0)
         second = tracker.on_new_qc(qc, now=6.0)
         assert first and second == []
-        assert tracker.commit_count() == len(first)
+        assert len(tracker.commit_order) == len(first)
 
 
 class TestStreamletRegularCommit:
@@ -60,8 +60,8 @@ class TestStreamletRegularCommit:
         newly = tracker.on_new_qc(builder.store.qc_for(blocks[2].id()), now=5.0)
         committed_rounds = [event.round for event in newly]
         assert committed_rounds == [0, 1, 2]
-        assert tracker.is_committed(blocks[1].id())
-        assert not tracker.is_committed(blocks[2].id())
+        assert blocks[1].id() in tracker.committed
+        assert blocks[2].id() not in tracker.committed
 
     def test_gap_prevents_commit(self, builder):
         tracker = CommitTracker(builder.store, f=1, rule="streamlet")

@@ -1,6 +1,7 @@
 """Endorsement tracking: definitions, early-stop walks, k-endorsements."""
 
-from repro.core.endorsement import BruteForceEndorsementOracle, EndorsementTracker
+from repro.core.endorsement import EndorsementTracker
+from tests.conftest import BruteForceEndorsementOracle
 
 
 class TestDirectEndorsement:

@@ -189,7 +189,8 @@ class TestFaultMix:
 
     def test_byzantine_ids_exclude_crashes(self):
         mix = FaultMix(crash=1, silent=1)
-        assert mix.byzantine_ids(7) == (6,)
+        cluster = ScenarioSpec(n=7, faults=mix).build(0).build()
+        assert cluster.byzantine_ids == {6}
         assert mix.crash_schedule(7) == ((5, 0.0),)
 
 
@@ -380,7 +381,8 @@ class TestMarkerLieMix:
         assigned = mix.assignments(10)
         assert assigned["marker_lie"] == (9, 8)
         assert assigned["crash"] == (7,)
-        assert set(mix.byzantine_ids(10)) == {9, 8}
+        cluster = ScenarioSpec(n=10, faults=mix).build(0).build()
+        assert cluster.byzantine_ids == {9, 8}
         assert mix.byzantine_total() == 3
 
     def test_lazy_excluded_from_byzantine_total(self):

@@ -122,7 +122,7 @@ class Harness:
         return [dst for dst, _ in self.requests()]
 
     def rotations(self):
-        return self.replica.metrics.get(self.setting.rotations).value
+        return self.replica.metrics.snapshot()[self.setting.rotations]
 
     def miss(self, peer, nonce):
         self.replica.deliver(

@@ -54,14 +54,19 @@ class TestDiagnosis:
         monitor = self._monitor_with(
             builder, [(0, 1, 2), (0, 1, 2), (0, 1, 2)]
         )
-        outcasts = {health.replica_id for health in monitor.outcasts()}
+        outcasts = {
+            health.replica_id for health in monitor.report()
+            if health.is_outcast()
+        }
         assert outcasts == {3}
 
     def test_stragglers_by_rate(self, builder):
         monitor = self._monitor_with(
             builder, [(0, 1, 2), (0, 1, 2), (0, 1, 3)]
         )
-        stragglers = {h.replica_id for h in monitor.stragglers(0.5)}
+        stragglers = {
+            h.replica_id for h in monitor.report() if h.appearance_rate < 0.5
+        }
         assert stragglers == {3}
 
     def test_report_sorted_worst_first(self, builder):

@@ -19,8 +19,9 @@ import random
 import pytest
 
 from repro.core.commit_rules import CommitTracker
-from repro.core.endorsement import BruteForceEndorsementOracle, EndorsementTracker
+from repro.core.endorsement import EndorsementTracker
 from repro.core.resilience import max_strength
+from tests.conftest import BruteForceEndorsementOracle
 
 SEEDS = (0, 1, 2, 3, 4)
 

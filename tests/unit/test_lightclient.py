@@ -60,7 +60,7 @@ class TestLightClient:
         )
         accepted = self.client.verify(StrongCommitProof(block=block, qc=qc))
         assert accepted == (target,)
-        assert self.client.proven_strength(b"\x01" * 32) == 2
+        assert self.client.proven_levels[b"\x01" * 32] == 2
 
     def test_highest_level_retained(self):
         low = (b"\x01" * 32, 1)
@@ -69,7 +69,7 @@ class TestLightClient:
             self.registry, 4, 3, commit_log=(high, low)
         )
         self.client.verify(StrongCommitProof(block=block, qc=qc))
-        assert self.client.proven_strength(b"\x01" * 32) == 2
+        assert self.client.proven_levels[b"\x01" * 32] == 2
 
     def test_mismatched_certificate_rejected(self):
         _, block, qc = certified_log_block(
@@ -141,7 +141,7 @@ class TestBuildProof:
         store.record_qc(qc)
         proof = build_proof(store, block.id())
         assert proof is not None
-        assert proof.entries() == ((b"\x01" * 32, 2),)
+        assert proof.block.commit_log == ((b"\x01" * 32, 2),)
 
     def test_no_proof_without_qc(self):
         registry = KeyRegistry(4)

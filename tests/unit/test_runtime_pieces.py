@@ -286,20 +286,6 @@ class TestPercentile:
             assert percentile(samples, quantile) in samples
 
 
-class TestLatencyReport:
-    def test_reached_fraction(self):
-        report = LatencyReport(
-            ratio=1.5, level=49, mean_latency=2.0, samples=30, eligible=40
-        )
-        assert report.reached_fraction() == 0.75
-
-    def test_reached_fraction_empty(self):
-        report = LatencyReport(
-            ratio=1.5, level=49, mean_latency=None, samples=0, eligible=0
-        )
-        assert report.reached_fraction() == 0.0
-
-
 class TestReportFormatting:
     def test_simple_table_alignment(self):
         table = format_simple_table(

@@ -48,7 +48,7 @@ def diembft_replica(replica_class=DiemBFTReplica, replica_id=0):
 
 
 def invalid_messages(replica):
-    return replica.metrics.get("invalid_messages").value
+    return replica.metrics.snapshot()["invalid_messages"]
 
 
 def signed(registry, message, key):
@@ -432,9 +432,9 @@ ENTRIES = (
     Entry(
         "snapshot-response", ALL, fetching_snapshot,
         deliver_snapshot_response,
-        lambda replica, state, sent: replica.metrics.get(
-            "checkpoint.snapshots_installed"
-        ).value == 1,
+        lambda replica, state, sent: counter_value(
+            replica, "checkpoint.snapshots_installed"
+        ) == 1,
         "checkpoint.invalid_snapshots", ALL, counts_src=False,
     ),
 )
@@ -443,7 +443,7 @@ CASES = [(entry, family) for entry in ENTRIES for family in entry.families]
 
 
 def counter_value(replica, name):
-    return replica.metrics.get(name).value
+    return replica.metrics.snapshot()[name]
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from repro.core.intervals import IntervalSet
 from repro.core.strong_vote import VotingHistory
+from tests.conftest import intervals_brute_force, marker_brute_force
 
 
 class TestMarkerComputation:
@@ -53,8 +54,8 @@ class TestMarkerComputation:
         history = VotingHistory(builder.store, mode="round")
         for block in (base, fork_a, fork_b, fork_b2):
             history.record_vote(block)
-        assert history.marker_for(candidate) == history.marker_brute_force(
-            candidate
+        assert history.marker_for(candidate) == marker_brute_force(
+            history, candidate
         )
 
     def test_height_mode_uses_heights(self, builder):
@@ -73,7 +74,7 @@ class TestMarkerComputation:
         history = VotingHistory(builder.store, mode="round")
         for block in blocks:
             history.record_vote(block)
-        assert history.voted_tips() == (blocks[-1].id(),)
+        assert history.tip_keys() == ((blocks[-1].id(), 3),)
 
     def test_tips_keep_one_per_fork(self, builder):
         base = builder.block(builder.genesis, 1)
@@ -83,7 +84,7 @@ class TestMarkerComputation:
         history.record_vote(base)
         history.record_vote(fork_a)
         history.record_vote(fork_b)
-        assert set(history.voted_tips()) == {fork_a.id(), fork_b.id()}
+        assert set(history.tip_keys()) == {(fork_a.id(), 2), (fork_b.id(), 3)}
 
     def test_highest_voted_round_tracked(self, builder):
         blocks = builder.chain(builder.genesis, [1, 5])
@@ -141,8 +142,8 @@ class TestIntervalComputation:
         history = VotingHistory(builder.store, mode="round")
         for block in (base, fork_a, fork_b, fork_b2):
             history.record_vote(block)
-        assert history.intervals_for(main) == history.intervals_brute_force(
-            main
+        assert history.intervals_for(main) == intervals_brute_force(
+            history, main
         )
 
     def test_marker_is_special_case_of_intervals(self, builder):

@@ -182,7 +182,7 @@ class TestResponseValidation:
         )
         replica.deliver(1, response)
         assert len(replica.store) == before
-        assert replica.metrics.get("sync.invalid_responses").value == 1
+        assert replica.metrics.snapshot()["sync.invalid_responses"] == 1
 
     def test_invalid_tip_qc_rejected_without_store_mutation(self, donor):
         cluster = build_cluster()
@@ -203,7 +203,7 @@ class TestResponseValidation:
         )
         replica.deliver(1, response)
         assert len(replica.store) == before
-        assert replica.metrics.get("sync.invalid_responses").value == 1
+        assert replica.metrics.snapshot()["sync.invalid_responses"] == 1
 
     def test_broken_linkage_rejected(self, donor):
         cluster = build_cluster()
@@ -219,7 +219,7 @@ class TestResponseValidation:
         )
         replica.deliver(1, response)
         assert len(replica.store) == before
-        assert replica.metrics.get("sync.invalid_responses").value == 1
+        assert replica.metrics.snapshot()["sync.invalid_responses"] == 1
 
     def test_unsolicited_response_is_dropped(self, donor):
         cluster = build_cluster()
@@ -228,7 +228,7 @@ class TestResponseValidation:
         before = len(replica.store)
         replica.deliver(1, signed_response(cluster, 1, nonce=99, blocks=chain))
         assert len(replica.store) == before
-        assert replica.metrics.get("sync.responses_applied").value == 0
+        assert replica.metrics.snapshot()["sync.responses_applied"] == 0
 
 
 class TestRetryAndRotation:
@@ -243,7 +243,7 @@ class TestRetryAndRotation:
         cluster.simulator.run_until(SYNC_RETRY * 2.5)
         peers = [dst for dst, _ in sent]
         assert peers[:3] == [1, 2, 3]
-        assert replica.metrics.get("sync.peer_rotations").value >= 2
+        assert replica.metrics.snapshot()["sync.peer_rotations"] >= 2
 
     def test_rotation_skips_self(self, donor):
         cluster = build_cluster()
@@ -261,7 +261,7 @@ class TestRetryAndRotation:
         (_, request), = sent
         replica.deliver(1, signed_response(cluster, 1, request.nonce, ()))
         assert [dst for dst, _ in sent] == [1, 2]
-        assert replica.metrics.get("sync.peer_rotations").value == 1
+        assert replica.metrics.snapshot()["sync.peer_rotations"] == 1
 
     def test_gives_up_after_attempt_budget(self, donor):
         cluster = build_cluster()
@@ -270,7 +270,7 @@ class TestRetryAndRotation:
         replica.sync.note_missing(donor_chain(donor, 1)[0].id())
         cluster.simulator.run_until(60.0)
         assert replica.sync.inflight() == 0
-        assert replica.metrics.get("sync.requests_sent").value == 3 * (
+        assert replica.metrics.snapshot()["sync.requests_sent"] == 3 * (
             replica.config.n - 1
         )
 
@@ -292,7 +292,7 @@ class TestApply:
         assert full[0].id() in replica.store
         assert replica.store.is_certified(full[0].id())
         assert replica.sync.inflight() == 0
-        assert replica.metrics.get("sync.blocks_synced").value == len(full)
+        assert replica.metrics.snapshot()["sync.blocks_synced"] == len(full)
 
     def test_deep_gap_chases_missing_parent(self, donor, monkeypatch):
         monkeypatch.setattr(sync_manager, "SYNC_MAX_BLOCKS", 2)

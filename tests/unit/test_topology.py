@@ -30,13 +30,12 @@ class TestSymmetric:
         assert topology.n == 100
 
     def test_regions_assigned_contiguously(self):
-        topology = SymmetricTopology(100, delta=0.1)
-        assert topology.region_of(0) == 0
-        assert topology.region_of(33) == 0
-        assert topology.region_of(34) == 1
-        assert topology.region_of(66) == 1
-        assert topology.region_of(67) == 2
-        assert topology.region_of(99) == 2
+        topology = SymmetricTopology(100, delta=0.1, intra_delay=0.001)
+        # Regions are [0, 33], [34, 66] and [67, 99].
+        for a, b in ((0, 33), (34, 66), (67, 99)):
+            assert topology.delay(a, b) == 0.001
+        for a, b in ((33, 34), (66, 67)):
+            assert topology.delay(a, b) == 0.1
 
     def test_cross_region_delay_is_delta(self):
         topology = SymmetricTopology(100, delta=0.1, intra_delay=0.001)
@@ -78,8 +77,8 @@ class TestAsymmetric:
 
     def test_replicas_in_region(self):
         topology = AsymmetricTopology(delta=0.1)
-        region_c = topology.replicas_in_region(2)
-        assert region_c == tuple(range(90, 100))
+        assert sum(topology.region_sizes[:2]) == 90
+        assert topology.region_sizes[2] == 10
 
 
 class TestRegionTopology:

@@ -157,27 +157,6 @@ class TestVotes:
         plain, _ = self._vote_pair()
         assert plain.conflicts_marker() == 0
 
-    def test_strong_vote_endorses_round_above_marker(self):
-        _, strong = self._vote_pair()
-        assert strong.endorses_round(4)
-        assert not strong.endorses_round(3)
-        assert not strong.endorses_round(2)
-
-    def test_interval_vote_endorsement(self):
-        genesis, _ = make_genesis()
-        vote = StrongVote(
-            block_id=genesis.id(),
-            block_round=10,
-            height=10,
-            voter=0,
-            marker=9,
-            intervals=((1, 3), (7, 10)),
-        )
-        assert vote.uses_intervals()
-        assert vote.endorses_round(2)
-        assert not vote.endorses_round(5)
-        assert vote.endorses_round(8)
-
     def test_signing_payload_covers_marker(self):
         genesis, _ = make_genesis()
         vote_a = StrongVote(
@@ -221,30 +200,6 @@ class TestQuorumCertificate:
             block_id=genesis.id(), round=1, height=1, votes=(vote, vote)
         )
         assert qc.voters() == frozenset({1})
-
-    def test_ranking_by_round(self):
-        genesis, _ = make_genesis()
-        low = QuorumCertificate(block_id=genesis.id(), round=1, height=1)
-        high = QuorumCertificate(block_id=genesis.id(), round=2, height=2)
-        assert high.ranks_higher_than(low)
-        assert not low.ranks_higher_than(high)
-
-    def test_strongness_detection(self):
-        genesis, _ = make_genesis()
-        strong_vote = StrongVote(
-            block_id=genesis.id(), block_round=1, height=1, voter=0
-        )
-        plain_vote = Vote(
-            block_id=genesis.id(), block_round=1, height=1, voter=0
-        )
-        strong_qc = QuorumCertificate(
-            block_id=genesis.id(), round=1, height=1, votes=(strong_vote,)
-        )
-        plain_qc = QuorumCertificate(
-            block_id=genesis.id(), round=1, height=1, votes=(plain_vote,)
-        )
-        assert strong_qc.is_strong()
-        assert not plain_qc.is_strong()
 
 
 class TestQuorumCertificateValidation:

@@ -79,7 +79,7 @@ def cast(replica, vote):
 
 
 def invalid_messages(replica):
-    return replica.metrics.get("invalid_messages").value
+    return replica.metrics.snapshot()["invalid_messages"]
 
 
 @pytest.mark.parametrize("replica_class", ALL_CLASSES)

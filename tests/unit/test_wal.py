@@ -2,6 +2,7 @@
 
 from repro.types.block import make_genesis
 from repro.types.wal import DurableDisk, DurableState
+from tests.conftest import double_votes
 
 
 def block_id(tag: int):
@@ -26,9 +27,9 @@ class TestDurableState:
         state = DurableState(replica_id=0)
         state.record_vote(2, block_id(0))
         state.record_vote(2, block_id(0))  # idempotent re-fsync: same block
-        assert state.double_votes() == []
+        assert double_votes(state) == []
         state.record_vote(2, block_id(1))  # conflicting write
-        assert state.double_votes() == [2]
+        assert double_votes(state) == [2]
         # The map keeps the latest, the log keeps the evidence.
         assert len(state.vote_log) == 3
 
