@@ -276,6 +276,21 @@ class TestTraceCLI:
             )
         assert excinfo.value.code == 2
 
+    def test_trace_summarize_removed(self, tmp_path):
+        # `trace export` is the one trace view; the text summary is gone.
+        path = self._scenario_file(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            self._run_cli(["trace", "summarize", str(path)])
+        assert excinfo.value.code == 2
+
+    def test_fuzz_replay_committed_corpus_entry(self):
+        # The fuzz-smoke CI job replays this corpus entry.
+        code, out, _ = self._run_cli(
+            ["fuzz", "replay", "scenarios/fuzz_corpus/appendix_c_naive.json"]
+        )
+        assert code == 0
+        assert "expected counterexample" in out
+
     def test_fuzz_replay_writes_flight_dump(self, tmp_path):
         # The amnesia replay must exit non-zero and dump every replica's
         # flight-recorder ring.  (This used to replay lazy_quorum_stall,

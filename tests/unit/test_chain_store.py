@@ -4,7 +4,7 @@ import pytest
 
 from repro.types.block import Block, make_genesis
 from repro.types.chain import BlockStore, ChainError
-from tests.conftest import ChainBuilder, store_root
+from tests.conftest import ChainBuilder, ancestor_at_height, store_root
 
 
 class TestInsertion:
@@ -155,6 +155,15 @@ class TestAncestry:
         rounds = [b.round for b in builder.store.iter_ancestors(blocks[1].id())]
         assert rounds == [2, 1, 0]
 
+    def test_ancestor_at_height(self, builder):
+        blocks = builder.chain(builder.genesis, [1, 2, 3])
+        store = builder.store
+        assert ancestor_at_height(store, blocks[2].id(), 1).id() == blocks[0].id()
+        assert ancestor_at_height(store, blocks[2].id(), 3).id() == blocks[2].id()
+        assert ancestor_at_height(store, blocks[2].id(), 0).id() == (
+            builder.genesis.id()
+        )
+
 
 class TestCertification:
     def test_record_qc_marks_certified(self, builder):
@@ -168,6 +177,21 @@ class TestCertification:
         builder.certify(low)
         high = builder.block(low, 5)
         builder.certify(high)
+        assert builder.store.highest_certified_block().id() == high.id()
+
+    def test_record_qc_twice_is_noop(self, builder):
+        block = builder.block(builder.genesis, 1)
+        qc = builder.certify(block)
+        assert not builder.store.record_qc(qc)
+        assert builder.store.qc_for(block.id()) is qc
+
+    def test_lower_round_qc_keeps_highest(self, builder):
+        base = builder.block(builder.genesis, 1)
+        high = builder.block(base, 5)
+        low = builder.block(base, 2, proposer=3)
+        builder.certify(high)
+        builder.certify(low)
+        assert builder.store.is_certified(low.id())
         assert builder.store.highest_certified_block().id() == high.id()
 
     def test_qc_for_unknown_block_not_recorded(self, builder):
@@ -297,6 +321,16 @@ class TestTruncation:
             assert survivor.id() in builder.store
         assert store_root(builder.store).id() == b.id()
         assert builder.store.truncated_height == b.height - 1
+
+    def test_root_is_genesis_before_truncation(self, builder):
+        self._forked_store(builder)
+        assert store_root(builder.store).id() == builder.genesis.id()
+
+    def test_iter_ancestors_stops_at_truncation_root(self, builder):
+        a, fork, b, c, d = self._forked_store(builder)
+        builder.store.truncate_below(b.id())
+        path = list(builder.store.iter_ancestors(d.id()))
+        assert [block.id() for block in path] == [d.id(), c.id(), b.id()]
 
     def test_truncation_never_removes_at_or_above_root(self, builder):
         # Property over every choice of checkpoint block on the main

@@ -7,6 +7,7 @@ import pytest
 
 from repro.app import KVCommand, KVStateMachine
 from repro.app.kvstore import PAYLOAD_BYTES
+from repro.types.transaction import Transaction
 
 
 class TestTrafficMix:
@@ -117,3 +118,49 @@ class TestStateMachine:
         machine_b.apply(KVCommand(op="set", key="b", value="2"))
         machine_b.apply(KVCommand(op="set", key="a", value="1"))
         assert machine_a.items() == machine_b.items()
+
+    def test_items_sensitive_to_values(self):
+        machine_a = KVStateMachine()
+        machine_a.apply(KVCommand(op="set", key="a", value="1"))
+        machine_b = KVStateMachine()
+        machine_b.apply(KVCommand(op="set", key="a", value="2"))
+        assert machine_a.items() != machine_b.items()
+
+    def test_items_is_a_snapshot(self):
+        machine = KVStateMachine()
+        machine.apply(KVCommand(op="set", key="a", value="1"))
+        before = machine.items()
+        machine.apply(KVCommand(op="set", key="a", value="2"))
+        assert before == (("a", "1"),)
+        assert machine.items() == (("a", "2"),)
+
+    def test_transfer_from_non_numeric_value_rejected(self):
+        # set and transfer share a key space, so a transfer can meet a
+        # non-numeric balance; it is externally invalid, not a crash.
+        machine = KVStateMachine()
+        machine.apply(KVCommand(op="set", key="alice", value="abc"))
+        assert not machine.apply(
+            KVCommand(op="transfer", key="alice", key2="bob", amount=0)
+        )
+        assert machine.items() == (("alice", "abc"),)
+        assert machine.rejected == 1
+
+    def test_undecodable_transaction_rejected(self):
+        machine = KVStateMachine()
+        transaction = Transaction(client_id=1, sequence=0, payload=b"\xff")
+        assert not machine.apply_transaction(transaction)
+        assert machine.rejected == 1
+        assert machine.applied == 0
+
+    def test_transaction_round_trip_applies(self):
+        machine = KVStateMachine()
+        command = KVCommand(op="set", key="k", value="v")
+        assert machine.apply_transaction(command.to_transaction(1, 0))
+        assert machine.items() == (("k", "v"),)
+        assert machine.applied == 1
+
+    def test_del_of_missing_key_applies(self):
+        machine = KVStateMachine()
+        assert machine.apply(KVCommand(op="del", key="absent"))
+        assert machine.items() == ()
+        assert machine.applied == 1

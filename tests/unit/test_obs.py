@@ -44,6 +44,14 @@ class TestMetricsRegistry:
         registry.counter("present")
         assert registry.snapshot() == {"present": 0}
 
+    def test_snapshot_is_detached(self):
+        registry = MetricsRegistry()
+        registry.counter("votes").inc(2)
+        snapshot = registry.snapshot()
+        registry.counter("votes").inc()
+        snapshot["votes"] = 99
+        assert registry.snapshot() == {"votes": 3}
+
 
 class TestTraceLog:
     def test_per_kind_index_survives_eviction(self):
@@ -64,6 +72,17 @@ class TestTraceLog:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             TraceLog(capacity=0)
+
+    def test_events_filter_by_replica_and_kind(self):
+        log = TraceLog()
+        for index in range(6):
+            log.append(TraceEvent(time=float(index), replica_id=index % 3,
+                                  kind="vote" if index < 4 else "qc"))
+        assert [event.time for event in log.events(replica_id=1)] == [1.0, 4.0]
+        assert [
+            event.time for event in log.events(kind="vote", replica_id=1)
+        ] == [1.0]
+        assert log.events(kind="commit") == []
 
     def test_event_to_dict_omits_defaults(self):
         bare = event_to_dict(TraceEvent(time=1.5, replica_id=2, kind="round"))
@@ -86,6 +105,16 @@ class TestTraceLog:
         assert len(flight.events()) == 1
         assert log.events()[0].replica_id == 3
         assert not tracer.full
+
+    def test_flight_only_tracer_materializes_events(self):
+        # The default configuration: no span log, the ring stores raw
+        # field tuples and turns them into TraceEvents on the way out.
+        flight = FlightRecorder(capacity=4)
+        tracer = Tracer(2, flight=flight)
+        tracer.emit(1.25, "commit", round=4, height=3, block="b4", count=1)
+        (event,) = flight.events()
+        assert event == TraceEvent(time=1.25, replica_id=2, kind="commit",
+                                   round=4, height=3, block="b4", count=1)
 
 
 class TestFlightRecorder:
