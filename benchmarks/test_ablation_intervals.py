@@ -17,7 +17,6 @@ from repro.adversary import make_equivocating_leader
 from repro.analysis.invariants import check_prefix_consistency
 from repro.experiments.spec import ScenarioSpec
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
-from repro.runtime.config import build_cluster
 
 N, F = 7, 2
 BYZANTINE_ID = 3
@@ -38,14 +37,11 @@ def run_mode(generalized: bool, window: int | None = None):
         block_batch_count=10,
         block_batch_bytes=1_000,
     )
-    cluster = build_cluster(spec)
-    cluster.build(
+    return spec.build(
         replica_overrides={
             BYZANTINE_ID: make_equivocating_leader(SFTDiemBFTReplica)
         }
-    )
-    cluster.run()
-    return cluster
+    ).run()
 
 
 def reach_stats(cluster, level: int):

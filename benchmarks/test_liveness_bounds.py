@@ -11,7 +11,6 @@ from repro.adversary import make_silent
 from repro.analysis.invariants import check_prefix_consistency
 from repro.experiments.spec import FaultMix, ScenarioSpec
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
-from repro.runtime.config import build_cluster
 
 N, F = 10, 3
 
@@ -32,14 +31,11 @@ def run_with_faults(fault_count: int, byzantine: bool, generalized: bool):
         block_batch_bytes=1_000,
         faults=FaultMix(crash=0 if byzantine else fault_count),
     )
-    cluster = build_cluster(spec)
     overrides = {}
     if byzantine:
         for index in range(fault_count):
             overrides[N - 1 - index] = make_silent(SFTDiemBFTReplica)
-    cluster.build(replica_overrides=overrides)
-    cluster.run()
-    return cluster
+    return spec.build(replica_overrides=overrides).run()
 
 
 def strength_stats(cluster, target: int):

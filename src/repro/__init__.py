@@ -57,7 +57,6 @@ from repro.protocols.streamlet import StreamletConfig, StreamletReplica
 from repro.runtime import (
     Cluster,
     LatencyReport,
-    build_cluster,
     regular_commit_latency,
     strong_commit_latency,
     strong_latency_series,
@@ -116,7 +115,6 @@ __all__ = [
     "run_campaign",
     "load_scenario",
     # runtime
-    "build_cluster",
     "Cluster",
     "LatencyReport",
     "regular_commit_latency",

@@ -8,7 +8,7 @@ hands it nothing else), matching the simulation's unforgeability
 assumption.
 
 Crash faults are built into the runtime (``FaultMix.crash``, or
-``build_cluster``'s ``crash_schedule`` keyword for explicit ids).
+``ScenarioSpec.build``'s ``crash_schedule`` keyword for explicit ids).
 """
 
 from repro.adversary.behaviors import (

@@ -22,9 +22,6 @@ blocks.  Tips suffice for both computations:
 * the fork interval ``D_F`` of the paper is exactly
   ``[key(common_ancestor(B, T)) + 1, key(T)]`` for the conflicting tip
   ``T`` of that fork.
-
-The full vote log is kept too: the test suite's brute-force
-recomputation over it cross-checks both computations.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ class VotingHistory:
         self._store = store
         self._mode = mode
         self._tips: list[BlockId] = []
-        self._all_votes: list[BlockId] = []
         self.highest_voted_round = 0
         # Crash-recovery: tips reloaded from the WAL as (id, key) pairs.
         # Their blocks may be absent from the fresh post-restart store,
@@ -70,7 +66,6 @@ class VotingHistory:
         by ``block``.
         """
         block_id = block.id()
-        self._all_votes.append(block_id)
         self.highest_voted_round = max(self.highest_voted_round, block.round)
         surviving = [
             tip
@@ -125,9 +120,6 @@ class VotingHistory:
         marker contribution is safely forgotten.
         """
         self._tips = [tip for tip in self._tips if tip not in pruned]
-        self._all_votes = [
-            voted for voted in self._all_votes if voted not in pruned
-        ]
         for block_id in pruned:
             self._restored.pop(block_id, None)
 

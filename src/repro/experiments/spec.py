@@ -4,8 +4,8 @@ A :class:`ScenarioSpec` is the portable description of one experiment:
 protocol, cluster size, fault mix, topology preset, latency model, and
 seed list.  Specs are plain data — loadable from TOML or JSON, hashable
 into job ids, and picklable across process boundaries — and they
-resolve into runnable clusters through the single
-:func:`~repro.runtime.config.build_cluster` factory path.
+resolve into runnable clusters through one factory,
+:meth:`ScenarioSpec.build`.
 
 The fault mix assigns behaviours to concrete replica ids
 deterministically (from the highest id downwards, Byzantine behaviours
@@ -32,7 +32,7 @@ from repro.net.topology import (
 )
 from repro.protocols.base import ReplicaConfig
 from repro.protocols.streamlet.replica import StreamletConfig
-from repro.runtime.config import PROTOCOLS, build_cluster
+from repro.runtime.cluster import PROTOCOL_CLASSES, Cluster
 
 #: Scripted (non-cluster) scenario kinds the fuzz engine knows how to
 #: run.  ``"appendix_c"`` replays the paper's Appendix C construction
@@ -319,9 +319,10 @@ class ScenarioSpec:
     series_observers: tuple | None = None
 
     def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
+        if self.protocol not in PROTOCOL_CLASSES:
             raise ValueError(
-                f"unknown protocol {self.protocol!r}; expected one of {PROTOCOLS}"
+                f"unknown protocol {self.protocol!r}; "
+                f"expected one of {tuple(PROTOCOL_CLASSES)}"
             )
         if self.script not in SCRIPTS:
             raise ValueError(
@@ -479,21 +480,26 @@ class ScenarioSpec:
             return self.streamlet_round_duration
         return 2.0 * (self.max_delay() + self.jitter) + 0.005
 
-    def replica_overrides(self) -> dict[int, type]:
-        from repro.runtime.cluster import _PROTOCOL_CLASSES
-
-        base_class = _PROTOCOL_CLASSES[self.protocol]
-        return self.faults.replica_overrides(self.n, base_class)
-
-    def build(self, seed: int | None = None):
-        """A ready-to-run cluster for one seed (the factory path)."""
+    def build(
+        self,
+        seed: int | None = None,
+        *,
+        replica_overrides: dict | None = None,
+        crash_schedule: tuple | None = None,
+    ) -> Cluster:
+        """A ready-to-run cluster for one seed (default: the first) —
+        the one factory.  ``replica_overrides`` maps replica ids to
+        behaviour classes and ``crash_schedule`` lists
+        ``(replica_id, time)`` crashes; left ``None`` both resolve from
+        ``faults`` (top ids first).
+        """
         if self.script:
             raise ValueError(
                 f"scenario {self.name!r} is scripted ({self.script!r}); "
                 "it has no cluster — run it through the fuzz engine "
                 "(repro.experiments.runner handles it transparently)"
             )
-        return build_cluster(self, seed)
+        return Cluster(self, seed, replica_overrides, crash_schedule)
 
 
 # ----------------------------------------------------------------------

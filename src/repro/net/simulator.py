@@ -22,11 +22,10 @@ import heapq
 class TimerHandle:
     """Cancellation token for a scheduled event."""
 
-    __slots__ = ("cancelled", "fire_at", "_simulator", "_queued")
+    __slots__ = ("cancelled", "_simulator", "_queued")
 
-    def __init__(self, fire_at: float, simulator: "Simulator | None" = None) -> None:
+    def __init__(self, simulator: "Simulator | None" = None) -> None:
         self.cancelled = False
-        self.fire_at = fire_at
         self._simulator = simulator
         self._queued = simulator is not None
 
@@ -45,7 +44,7 @@ class TimerHandle:
 #: path.  Heap entries keep the exact ``(time, seq, handle, callback,
 #: args)`` tuple layout, and ``(time, seq)`` stays a unique sort key,
 #: so event order is byte-identical to cancellable scheduling.
-_FIRE_HANDLE = TimerHandle(0.0)
+_FIRE_HANDLE = TimerHandle()
 
 
 class Simulator:
@@ -62,7 +61,7 @@ class Simulator:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        handle = TimerHandle(time, self)
+        handle = TimerHandle(self)
         self._seq += 1
         heapq.heappush(self._queue, (time, self._seq, handle, callback, args))
         return handle

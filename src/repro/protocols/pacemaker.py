@@ -42,7 +42,6 @@ class Pacemaker:
         self.config = config
         self.context = context
         self.current_round = 0
-        self.round_entered_at = 0.0
         self.consecutive_timeouts = 0
         self._timer = None
         self._timed_out_rounds: set[int] = set()
@@ -67,7 +66,6 @@ class Pacemaker:
 
     def _enter_round(self, round_number: int, reason: str) -> None:
         self.current_round = round_number
-        self.round_entered_at = self.context.now
         self.context.cancel_timer(self._timer)
         self._timer = self.context.set_timer(
             self.current_timeout(), self._timer_fired, round_number

@@ -88,12 +88,11 @@ class RuntimeReport:
     """Everything the stopped cluster left behind."""
 
     def __init__(self, spec: ScenarioSpec, seed: int, results: dict,
-                 log_paths: dict, wall_seconds: float) -> None:
+                 wall_seconds: float) -> None:
         self.spec = spec
         self.seed = seed
         #: replica id -> result-JSON dict (missing ids crashed uncleanly).
         self.results = results
-        self.log_paths = log_paths
         self.wall_seconds = wall_seconds
 
     def chains(self) -> dict[int, list[str]]:
@@ -306,13 +305,7 @@ class RuntimeManager:
             time.monotonic() - self._started_at
             if self._started_at is not None else 0.0
         )
-        return RuntimeReport(
-            self.spec,
-            self.seed,
-            results,
-            {rid: p.log_path for rid, p in self.processes.items()},
-            wall,
-        )
+        return RuntimeReport(self.spec, self.seed, results, wall)
 
     def run(self, duration: float | None = None) -> RuntimeReport:
         """Convenience: start, wait ready, run for ``duration``, stop."""

@@ -1,7 +1,8 @@
 """Per-replica OS process entry point for the real-network runtime.
 
 ``python -m repro.rt_net.replica_proc <config.json> <replica_id>``
-builds exactly the replica the simulator tier would build for the same
+builds, through :func:`~repro.runtime.cluster.build_replica`, exactly
+the replica the simulator tier would build for the same
 ``ScenarioSpec`` and seed — same protocol class, same
 :class:`~repro.protocols.base.ReplicaConfig`, same deterministic
 :class:`~repro.crypto.registry.KeyRegistry` — but binds it to
@@ -49,9 +50,8 @@ from pathlib import Path
 
 from repro.crypto.registry import KeyRegistry
 from repro.experiments.spec import spec_from_mapping
-from repro.protocols.base import ReplicaContext
 from repro.runtime.client import Mempool, attach, chain_walk
-from repro.runtime.cluster import _PROTOCOL_CLASSES
+from repro.runtime.cluster import build_replica
 from repro.rt_net.transport import TcpTransport, WallClock
 from repro.types.messages import ClientReplyMsg, ClientRequestMsg
 
@@ -86,11 +86,9 @@ class ReplicaHost:
             on_client_message=self._on_client_message,
             loop=self.loop,
         )
-        registry = KeyRegistry(self.spec.n)
-        context = ReplicaContext(replica_id, self.transport, self.clock, registry)
-        replica_class = _PROTOCOL_CLASSES[self.spec.protocol]
-        self.replica = replica_class(
-            self.spec.replica_config(replica_id), context
+        self.replica = build_replica(
+            self.spec, replica_id, self.transport, self.clock,
+            KeyRegistry(self.spec.n),
         )
 
         #: The replica's built-in synthetic-batch source, kept as the

@@ -2,7 +2,6 @@
 
 from repro.runtime.client import Mempool
 from repro.runtime.cluster import Cluster
-from repro.runtime.config import build_cluster
 from repro.runtime.conflict_policy import ConflictAwareMempool
 from repro.runtime.metrics import (
     LatencyReport,
@@ -14,7 +13,6 @@ from repro.runtime.metrics import (
 from repro.obs import TraceLog
 
 __all__ = [
-    "build_cluster",
     "Cluster",
     "Mempool",
     "ConflictAwareMempool",

@@ -213,7 +213,6 @@ class KVWorkload:
         if rate <= 0:
             raise ValueError(f"workload rate must be positive, got {rate!r}")
         self.cluster = cluster
-        self.rate = rate
         self.rng = random.Random(f"kv-workload:{seed}")
         self.sequence = 0
         self.submitted = 0

@@ -1,8 +1,18 @@
-"""A simulated cluster of replicas plus fault-injection hooks."""
+"""A simulated cluster of replicas plus fault-injection hooks.
+
+:func:`build_replica` is the one place a replica is assembled, on both
+tiers: the simulator's :class:`Cluster` (at build and at every
+restart) and the TCP tier's per-process host call it with their own
+transport and clock.  :data:`PROTOCOL_CLASSES` is the one place a
+protocol name is spelled.
+"""
 
 from __future__ import annotations
 
+from repro.crypto.registry import KeyRegistry
+from repro.net.network import Network
 from repro.net.sim import SimClock, SimTransport
+from repro.net.simulator import Simulator
 from repro.protocols.base import ReplicaContext
 from repro.protocols.diembft.replica import DiemBFTReplica
 from repro.protocols.fbft.replica import FBFTDiemBFTReplica
@@ -10,7 +20,8 @@ from repro.protocols.sft_diembft.replica import SFTDiemBFTReplica
 from repro.protocols.sft_streamlet.replica import SFTStreamletReplica
 from repro.protocols.streamlet.replica import StreamletReplica
 
-_PROTOCOL_CLASSES = {
+#: Protocol name (``ScenarioSpec.protocol``) -> its honest replica class.
+PROTOCOL_CLASSES = {
     "diembft": DiemBFTReplica,
     "sft-diembft": SFTDiemBFTReplica,
     "fbft": FBFTDiemBFTReplica,
@@ -19,50 +30,77 @@ _PROTOCOL_CLASSES = {
 }
 
 
+def build_replica(
+    spec,
+    replica_id: int,
+    transport,
+    clock,
+    registry: KeyRegistry,
+    *,
+    replica_class=None,
+    trace=None,
+    durable=None,
+):
+    """One replica of ``spec`` bound to ``transport`` and ``clock``.
+
+    ``replica_class`` defaults to the spec's protocol class; an
+    override (an adversarial behaviour from :mod:`repro.adversary`)
+    takes the same ``(config, context)`` arguments.  ``trace`` is the
+    shared span log and ``durable`` the replica's WAL record, both
+    ``None`` when off.
+    """
+    if replica_class is None:
+        replica_class = PROTOCOL_CLASSES[spec.protocol]
+    context = ReplicaContext(
+        replica_id, transport, clock, registry, trace=trace, durable=durable
+    )
+    return replica_class(spec.replica_config(replica_id), context)
+
+
 class Cluster:
     """Replicas, network, and simulator wired together.
 
-    ``config`` *is* the run's
-    :class:`~repro.experiments.spec.ScenarioSpec` — read, never
-    written; ``seed`` is the one seed of its list this cluster runs.
-    ``replica_overrides`` maps replica ids to alternative replica
-    classes (adversarial behaviours from :mod:`repro.adversary`);
-    they receive the same ``(config, context)`` constructor arguments.
-    Overrides may be supplied at construction time (the
-    :func:`~repro.runtime.config.build_cluster` factory path) or to
-    :meth:`build` directly; the ``build`` argument wins.
-    ``crash_schedule`` holds the ``(replica_id, time)`` crashes to
-    inject; recovery and partition schedules resolve from the spec.
+    Made only by :meth:`~repro.experiments.spec.ScenarioSpec.build`,
+    whose arguments it takes.  ``config`` *is* that spec — read, never
+    written.  The replica overrides hold for the cluster's whole life:
+    a restarted replica is rebuilt with the class it had.
     """
 
     def __init__(
         self,
-        config,
-        seed: int,
-        simulator,
-        topology,
-        network,
-        registry,
-        replica_overrides: dict | None = None,
-        crash_schedule: tuple = (),
+        spec,
+        seed: int | None,
+        replica_overrides: dict | None,
+        crash_schedule: tuple | None,
     ):
-        self.config = config
-        self.seed = seed
-        self.crash_schedule = tuple(crash_schedule)
+        self.config = spec
+        self.seed = spec.seeds[0] if seed is None else seed
+        self.replica_overrides = (
+            spec.faults.replica_overrides(
+                spec.n, PROTOCOL_CLASSES[spec.protocol]
+            )
+            if replica_overrides is None
+            else dict(replica_overrides)
+        )
+        self.byzantine_ids = frozenset(self.replica_overrides)
+        self.crash_schedule = (
+            spec.faults.crash_schedule(spec.n)
+            if crash_schedule is None
+            else tuple(crash_schedule)
+        )
         # (replica_id, crash_time, restart_time) triples; non-empty
         # turns on the durable WAL disk and the restart machinery.
-        self.recovery_schedule = config.faults.recovery_schedule(config.n)
-        self.simulator = simulator
-        self.topology = topology
-        self.network = network
-        self.registry = registry
+        self.recovery_schedule = spec.faults.recovery_schedule(spec.n)
+        self.simulator = Simulator()
+        self.network = Network(
+            self.simulator, spec.build_topology(), spec.network_config(self.seed)
+        )
+        self.registry = KeyRegistry(spec.n)
         # The replica-facing seam: replicas only ever see these two
         # adapters, never the Network/Simulator pair directly.
-        self.transport = SimTransport(network)
-        self.clock = SimClock(simulator)
+        self.transport = SimTransport(self.network)
+        self.clock = SimClock(self.simulator)
         self.replicas: list = []
-        self.replica_overrides = dict(replica_overrides or {})
-        self.byzantine_ids: frozenset = frozenset()
         self.workload = None  # KVWorkload when workload_rate > 0
         self.trace = None  # shared TraceLog when trace_level != "off"
         # Crash-recovery: the simulated stable storage (DurableDisk)
@@ -77,16 +115,10 @@ class Cluster:
     # construction
     # ------------------------------------------------------------------
 
-    def build(self, replica_overrides: dict | None = None) -> "Cluster":
+    def build(self) -> "Cluster":
         """Instantiate and register every replica (idempotent)."""
         if self._built:
             return self
-        overrides = (
-            self.replica_overrides
-            if replica_overrides is None
-            else dict(replica_overrides)
-        )
-        self.byzantine_ids = frozenset(overrides)
         if self.config.trace_level != "off":
             from repro.obs import TraceLog
 
@@ -95,10 +127,11 @@ class Cluster:
             from repro.types.wal import DurableDisk
 
             self.durable = DurableDisk()
-        default_class = _PROTOCOL_CLASSES[self.config.protocol]
         for replica_id in range(self.config.n):
-            context = ReplicaContext(
-                replica_id, self.transport, self.clock, self.registry,
+            replica = build_replica(
+                self.config, replica_id, self.transport, self.clock,
+                self.registry,
+                replica_class=self.replica_overrides.get(replica_id),
                 trace=self.trace,
                 durable=(
                     self.durable.state_for(replica_id)
@@ -106,8 +139,6 @@ class Cluster:
                     else None
                 ),
             )
-            replica_class = overrides.get(replica_id, default_class)
-            replica = replica_class(self.config.replica_config(replica_id), context)
             self.replicas.append(replica)
             self.network.register(replica_id, replica)
         for window in self.config.partitions:
@@ -176,20 +207,19 @@ class Cluster:
                 "restart_replica needs a recovery schedule (durable disk)"
             )
         replica_class = self.replica_overrides.get(
-            replica_id, _PROTOCOL_CLASSES[self.config.protocol]
+            replica_id, PROTOCOL_CLASSES[self.config.protocol]
         )
         restores = getattr(replica_class, "wal_restore", True)
-        context = ReplicaContext(
-            replica_id, self.transport, self.clock, self.registry,
+        replica = build_replica(
+            self.config, replica_id, self.transport, self.clock,
+            self.registry,
+            replica_class=replica_class,
             trace=self.trace,
             # An amnesiac lost the disk: its rebirth neither reads nor
             # writes the WAL, so it behaves exactly like a pre-WAL node.
             durable=(
                 self.durable.state_for(replica_id) if restores else None
             ),
-        )
-        replica = replica_class(
-            self.config.replica_config(replica_id), context
         )
         self.replicas[replica_id] = replica
         self.network.register(replica_id, replica)

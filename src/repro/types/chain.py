@@ -55,8 +55,6 @@ class BlockStore:
         self._children: dict[BlockId, list[BlockId]] = {self.genesis_id: []}
         self._qcs: dict[BlockId, QuorumCertificate] = {self.genesis_id: genesis_qc}
         self._orphans: dict[BlockId, list[Block]] = {}
-        self._by_round: dict[int, list[BlockId]] = {genesis.round: [self.genesis_id]}
-        self._by_height: dict[int, list[BlockId]] = {genesis.height: [self.genesis_id]}
         self.highest_certified_id: BlockId = self.genesis_id
         self.max_orphans = max_orphans
         self._orphan_total = 0
@@ -138,8 +136,6 @@ class BlockStore:
         self._blocks[block_id] = block
         self._children[block_id] = []
         self._children[block.parent_id].append(block_id)
-        self._by_round.setdefault(block.round, []).append(block_id)
-        self._by_height.setdefault(block.height, []).append(block_id)
         if len(self._blocks) > self.peak_live_blocks:
             self.peak_live_blocks = len(self._blocks)
         # A block embeds its parent's QC; record it.
@@ -209,12 +205,6 @@ class BlockStore:
         """Child ids without the defensive copy (read-only callers)."""
         return self._children.get(block_id, ())
 
-    def blocks_at_round(self, round_number: int) -> tuple:
-        return tuple(self._by_round.get(round_number, ()))
-
-    def blocks_at_height(self, height: int) -> tuple:
-        return tuple(self._by_height.get(height, ()))
-
     def parent(self, block_id: BlockId) -> Block | None:
         block = self.get(block_id)
         if block.parent_id is None:
@@ -258,19 +248,9 @@ class BlockStore:
             frontier.extend(self._children.get(cursor, ()))
         pruned = frozenset(self._blocks) - keep
         for block_id in pruned:
-            block = self._blocks.pop(block_id)
+            del self._blocks[block_id]
             self._children.pop(block_id, None)
             self._qcs.pop(block_id, None)
-            siblings = self._by_round.get(block.round)
-            if siblings is not None:
-                siblings.remove(block_id)
-                if not siblings:
-                    del self._by_round[block.round]
-            cohort = self._by_height.get(block.height)
-            if cohort is not None:
-                cohort.remove(block_id)
-                if not cohort:
-                    del self._by_height[block.height]
         self.truncated_height = max(self.truncated_height, root.height - 1)
         # Stale orphans: anything at or below the checkpoint height can
         # never re-attach (its parent chain is gone for good).  Swept
@@ -317,8 +297,6 @@ class BlockStore:
         if block_id not in self._blocks:
             self._blocks[block_id] = block
             self._children.setdefault(block_id, [])
-            self._by_round.setdefault(block.round, []).append(block_id)
-            self._by_height.setdefault(block.height, []).append(block_id)
             if len(self._blocks) > self.peak_live_blocks:
                 self.peak_live_blocks = len(self._blocks)
             if block.qc is not None and block.parent_id in self._blocks:

@@ -151,40 +151,40 @@ class BruteForceEndorsementOracle:
         return len(self.endorsers(block_id, k))
 
 
-def marker_brute_force(history, block: Block) -> int:
-    """Oracle: recompute ``history``'s marker from its full vote log."""
+def marker_brute_force(
+    store: BlockStore, voted_ids, block: Block, mode: str = "round"
+) -> int:
+    """Oracle: the marker for ``block`` from every voted block id, in
+    ``store``, that the caller has recorded (not just the tips)."""
     block_id = block.id()
     marker = 0
-    for voted_id in history._all_votes:
-        if history._store.conflicts(voted_id, block_id):
-            marker = max(
-                marker, _key_of(history._store.get(voted_id), history._mode)
-            )
+    for voted_id in voted_ids:
+        if store.conflicts(voted_id, block_id):
+            marker = max(marker, _key_of(store.get(voted_id), mode))
     return marker
 
 
 def intervals_brute_force(
-    history, block: Block, window: int | None = None
+    store: BlockStore, voted_ids, block: Block, mode: str = "round",
+    window: int | None = None,
 ) -> IntervalSet:
-    """Oracle: intervals from the full vote log, one D per voted block.
+    """Oracle: intervals from every voted block id, one D per block.
 
     Uses every voted conflicting block (not just tips); the result
     must equal :meth:`VotingHistory.intervals_for` because each voted
     block's exclusion interval is contained in its tip's.
     """
     block_id = block.id()
-    r = _key_of(block, history._mode)
+    r = _key_of(block, mode)
     lo = 1 if window is None else max(1, r - window)
     base = IntervalSet.single(lo, r)
     excluded = []
-    for voted_id in history._all_votes:
-        if not history._store.conflicts(voted_id, block_id):
+    for voted_id in voted_ids:
+        if not store.conflicts(voted_id, block_id):
             continue
-        voted = history._store.get(voted_id)
-        ancestor = history._store.common_ancestor(block_id, voted_id)
-        excluded.append(
-            (_key_of(ancestor, history._mode) + 1, _key_of(voted, history._mode))
-        )
+        voted = store.get(voted_id)
+        ancestor = store.common_ancestor(block_id, voted_id)
+        excluded.append((_key_of(ancestor, mode) + 1, _key_of(voted, mode)))
     return base.subtract(IntervalSet.from_pairs(excluded))
 
 

@@ -17,7 +17,6 @@ from repro.protocols.base import ReplicaConfig
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
 from repro.protocols.sft_streamlet import SFTStreamletReplica
 from repro.protocols.streamlet import StreamletConfig
-from repro.runtime.config import build_cluster
 from repro.types.block import Block
 from repro.types.messages import ProposalMsg
 from repro.types.quorum_cert import QuorumCertificate
@@ -236,10 +235,10 @@ class TestStreamletNeedsCompetitiveChain:
 class TestLiveComparison:
     def test_diembft_vs_streamlet_fork_exposure(self):
         """In live runs both stay safe; the asymmetry is rule-level."""
-        diembft = build_cluster(small_experiment(duration=4.0)).run()
-        streamlet = build_cluster(
-            small_experiment(protocol="sft-streamlet", duration=4.0)
-        ).run()
+        diembft = small_experiment(duration=4.0).build().run()
+        streamlet = small_experiment(
+            protocol="sft-streamlet", duration=4.0
+        ).build().run()
         from repro.analysis.invariants import check_prefix_consistency
 
         assert not check_prefix_consistency(diembft.replicas)

@@ -14,8 +14,7 @@ from repro.experiments.spec import FaultMix, PartitionWindow, ScenarioSpec
 
 
 def run_spec(spec):
-    cluster = spec.build(spec.seeds[0])
-    cluster.run()
+    cluster = spec.build().run()
     return cluster
 
 

@@ -44,8 +44,7 @@ def join_spec(**overrides):
 
 
 def run_spec(spec):
-    cluster = spec.build(spec.seeds[0])
-    cluster.run()
+    cluster = spec.build().run()
     return cluster
 
 

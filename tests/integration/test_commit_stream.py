@@ -51,8 +51,7 @@ def _record_commits(replica) -> list:
 @pytest.fixture(scope="module")
 def checkpointing_run():
     spec = _checkpointing_spec()
-    cluster = spec.build(spec.seeds[0])
-    cluster.build()
+    cluster = spec.build().build()
     streams = {r.replica_id: _record_commits(r) for r in cluster.replicas}
     cluster.run()
     return spec, cluster, streams
@@ -111,8 +110,7 @@ class TestCheckpointingRun:
 class TestListeners:
     def test_once_per_block_oldest_first_and_not_for_a_snapshot(self):
         spec = load_scenario(CORPUS / "snapshot_join_lag.json")
-        cluster = spec.build(spec.seeds[0])
-        cluster.build()
+        cluster = spec.build().build()
         streams = {r.replica_id: _record_commits(r) for r in cluster.replicas}
         cluster.run()
         joiners = 0
@@ -145,7 +143,7 @@ class TestRestart:
             checkpoint_interval=0,
             faults=FaultMix(recover=2, recover_at=2.0, downtime=1.0),
         )
-        cluster = spec.build(spec.seeds[0]).run()
+        cluster = spec.build().run()
         reborn = [rid for rid, _crash, _restart in cluster.recovery_schedule]
         assert reborn and cluster.restarts == len(reborn)
         for replica_id in reborn:

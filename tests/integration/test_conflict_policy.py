@@ -1,7 +1,6 @@
 """Section 5 conflicting-transaction deferral, end to end."""
 
 from repro.core.resilience import max_strength
-from repro.runtime.config import build_cluster
 from repro.runtime.conflict_policy import ConflictAwareMempool
 from repro.types.transaction import Transaction
 from tests.conftest import small_experiment
@@ -13,7 +12,7 @@ def run_with_policy(transactions, duration=8.0):
     All replicas share the submitted transactions (every leader should
     be able to propose them, as the paper assumes client broadcast).
     """
-    cluster = build_cluster(small_experiment(duration=duration)).build()
+    cluster = small_experiment(duration=duration).build().build()
     mempools = []
     for replica in cluster.replicas:
         mempool = ConflictAwareMempool().bind(replica)

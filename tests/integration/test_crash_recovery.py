@@ -18,9 +18,11 @@ import functools
 
 import pytest
 
+from repro.adversary import make_silent
 from repro.experiments import FaultMix, ScenarioSpec
 from repro.fuzz import evaluate_case
-from repro.runtime.config import PROTOCOLS
+from repro.protocols.sft_diembft import SFTDiemBFTReplica
+from repro.runtime.cluster import PROTOCOL_CLASSES
 from tests.conftest import double_votes
 
 
@@ -49,11 +51,10 @@ def _replay(protocol, fault_kind):
 class TestRestartAndRejoin:
     """Every protocol survives a single crash-recovery replica."""
 
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
+    @pytest.mark.parametrize("protocol", PROTOCOL_CLASSES)
     def test_reborn_replica_catches_up(self, protocol):
         spec = recovery_spec(protocol, "recover", count=1)
-        cluster = spec.build(spec.seeds[0])
-        cluster.run()
+        cluster = spec.build().run()
         assert cluster.restarts == 1
         assert cluster.amnesia_restarts == 0
         # The victim (highest id under the assignment order) restarted,
@@ -95,8 +96,7 @@ class TestRestartAndRejoin:
     @pytest.mark.parametrize("protocol", ("diembft", "sft-diembft"))
     def test_wal_refuses_revotes_after_restart(self, protocol):
         spec = recovery_spec(protocol, "recover")
-        cluster = spec.build(spec.seeds[0])
-        cluster.run()
+        cluster = spec.build().run()
         for replica_id in range(spec.n):
             state = cluster.durable.peek(replica_id)
             if state is None:
@@ -104,6 +104,28 @@ class TestRestartAndRejoin:
             assert double_votes(state) == [], (
                 f"replica {replica_id} double-voted despite its WAL"
             )
+
+    def test_restart_keeps_an_explicit_override(self):
+        # An override given to spec.build holds for the cluster's whole
+        # life: the reborn replica is rebuilt with the class it had, so
+        # byzantine_ids still names what is running.
+        silent = make_silent(SFTDiemBFTReplica)
+        spec = ScenarioSpec(
+            n=7,
+            duration=6.0,
+            faults=FaultMix(recover=1, recover_at=2.0, downtime=1.0),
+        )
+        cluster = spec.build(replica_overrides={6: silent}).run()
+        assert cluster.restarts == 1
+        assert type(cluster.replicas[6]) is silent
+        overridden = {
+            replica.replica_id
+            for replica in cluster.replicas
+            if type(replica) is not SFTDiemBFTReplica
+        }
+        assert cluster.byzantine_ids == overridden == {6}
+        correct = {replica.replica_id for replica in cluster.correct_replicas()}
+        assert correct == set(range(spec.n)) - overridden
 
 
 class TestAmnesiaDifferential:

@@ -1,7 +1,6 @@
 """DiemBFT end-to-end over the simulated network."""
 
 from repro.analysis.invariants import check_prefix_consistency
-from repro.runtime.config import build_cluster
 from repro.runtime.metrics import (
     regular_commit_latency,
     throughput_txps,
@@ -11,33 +10,33 @@ from tests.conftest import small_experiment
 
 class TestHappyPath:
     def test_commits_progress_on_all_replicas(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).run()
+        cluster = small_experiment(protocol="diembft").build().run()
         for replica in cluster.replicas:
             assert len(replica.commit_tracker.commit_order) > 50
 
     def test_safety_across_replicas(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).run()
+        cluster = small_experiment(protocol="diembft").build().run()
         assert not check_prefix_consistency(cluster.replicas)
 
     def test_rounds_advance_without_timeouts(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).run()
+        cluster = small_experiment(protocol="diembft").build().run()
         for replica in cluster.replicas:
             assert replica.metrics.snapshot()["timeouts_sent"] == 0
             assert replica.current_round > 100
 
     def test_commit_latency_about_three_round_trips(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).run()
+        cluster = small_experiment(protocol="diembft").build().run()
         mean, count = regular_commit_latency(cluster)
         assert count > 100
         # Round ≈ 2 × 10 ms + jitter; 3-chain + QC dissemination ≈ 4 rounds.
         assert 0.04 < mean < 0.2
 
     def test_throughput_positive(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).run()
+        cluster = small_experiment(protocol="diembft").build().run()
         assert throughput_txps(cluster) > 100
 
     def test_leaders_rotate_round_robin(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).run()
+        cluster = small_experiment(protocol="diembft").build().run()
         replica = cluster.replicas[0]
         committed = replica.commit_tracker.commit_order
         proposers = set()
@@ -49,7 +48,7 @@ class TestHappyPath:
         assert proposers == set(range(cluster.config.n))
 
     def test_chains_are_consistent_prefixes(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).run()
+        cluster = small_experiment(protocol="diembft").build().run()
         sequences = []
         for replica in cluster.replicas:
             sequences.append(
@@ -61,8 +60,8 @@ class TestHappyPath:
             assert sequence[:shortest] == reference
 
     def test_deterministic_given_seed(self):
-        run_a = build_cluster(small_experiment(protocol="diembft")).run()
-        run_b = build_cluster(small_experiment(protocol="diembft")).run()
+        run_a = small_experiment(protocol="diembft").build().run()
+        run_b = small_experiment(protocol="diembft").build().run()
         commits_a = [
             event.block_id
             for event in run_a.replicas[0].commit_tracker.commit_order
@@ -74,8 +73,8 @@ class TestHappyPath:
         assert commits_a == commits_b
 
     def test_different_seed_changes_schedule(self):
-        run_a = build_cluster(small_experiment(protocol="diembft", seed=1)).run()
-        run_b = build_cluster(small_experiment(protocol="diembft", seed=2)).run()
+        run_a = small_experiment(protocol="diembft", seed=1).build().run()
+        run_b = small_experiment(protocol="diembft", seed=2).build().run()
         # Jitter reshuffles vote-arrival races, so QC membership across
         # the run differs even though block contents do not.
         def memberships(cluster):
@@ -93,7 +92,7 @@ class TestHappyPath:
 class TestValidation:
     def test_invalid_signatures_rejected(self):
         # Run with signature verification on and a forged message inject.
-        cluster = build_cluster(small_experiment(protocol="diembft")).build()
+        cluster = small_experiment(protocol="diembft").build().build()
         replica = cluster.replicas[0]
         from repro.types.messages import VoteMsg
         from repro.types.vote import Vote
@@ -109,7 +108,7 @@ class TestValidation:
         assert replica.metrics.snapshot()["invalid_messages"] == 1
 
     def test_wrong_leader_proposal_rejected(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).build()
+        cluster = small_experiment(protocol="diembft").build().build()
         replica = cluster.replicas[0]
         from repro.types.block import Block
         from repro.types.messages import ProposalMsg
@@ -125,7 +124,7 @@ class TestValidation:
         assert replica.metrics.snapshot()["invalid_messages"] == 1
 
     def test_mismatched_sender_rejected(self):
-        cluster = build_cluster(small_experiment(protocol="diembft")).build()
+        cluster = small_experiment(protocol="diembft").build().build()
         replica = cluster.replicas[0]
         from repro.types.block import Block
         from repro.types.messages import ProposalMsg

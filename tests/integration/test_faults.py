@@ -9,7 +9,6 @@ from repro.adversary import (
 from repro.analysis.invariants import check_prefix_consistency
 from repro.core.resilience import max_strength
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
-from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
 
 
@@ -21,9 +20,7 @@ class TestCrashFaults:
     def test_liveness_with_f_crashes(self):
         # n = 7, f = 2: two crashed replicas must not stop progress.
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(
-            config, crash_schedule=((5, 0.0), (6, 0.0))
-        ).run()
+        cluster = config.build(crash_schedule=((5, 0.0), (6, 0.0))).run()
         survivors = alive(cluster)
         assert all(
             len(replica.commit_tracker.commit_order) > 10
@@ -34,7 +31,7 @@ class TestCrashFaults:
     def test_strength_capped_at_2f_minus_c(self):
         # Theorem 2: with c benign faults the cap is (2f - c)-strong.
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config, crash_schedule=((6, 0.0),)).run()
+        cluster = config.build(crash_schedule=((6, 0.0),)).run()
         f = cluster.config.resolved_f()
         best = -1
         for replica in alive(cluster):
@@ -44,7 +41,7 @@ class TestCrashFaults:
 
     def test_crash_mid_run_prefix_stays_strong(self):
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config, crash_schedule=((6, 4.0),)).run()
+        cluster = config.build(crash_schedule=((6, 4.0),)).run()
         f = cluster.config.resolved_f()
         replica = cluster.replicas[0]
         # Blocks committed before the crash reached full 2f strength.
@@ -59,7 +56,7 @@ class TestCrashFaults:
 
     def test_crashed_leader_rounds_time_out(self):
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config, crash_schedule=((3, 0.0),)).run()
+        cluster = config.build(crash_schedule=((3, 0.0),)).run()
         survivors = alive(cluster)
         assert any(
             replica.metrics.snapshot()["timeouts_sent"] > 0
@@ -75,9 +72,8 @@ class TestCrashFaults:
 class TestByzantineBehaviours:
     def test_silent_replicas_slow_strong_commits_only(self):
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config)
         overrides = {6: make_silent(SFTDiemBFTReplica)}
-        cluster.build(replica_overrides=overrides).run()
+        cluster = config.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 6]
         assert not check_prefix_consistency(honest)
         f = cluster.config.resolved_f()
@@ -91,18 +87,16 @@ class TestByzantineBehaviours:
 
     def test_equivocating_leader_cannot_break_safety(self):
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config)
         overrides = {2: make_equivocating_leader(SFTDiemBFTReplica)}
-        cluster.build(replica_overrides=overrides).run()
+        cluster = config.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 2]
         assert not check_prefix_consistency(honest)
         assert len(honest[0].commit_tracker.commit_order) > 20
 
     def test_equivocation_raises_markers(self):
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config)
         overrides = {2: make_equivocating_leader(SFTDiemBFTReplica)}
-        cluster.build(replica_overrides=overrides).run()
+        cluster = config.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 2]
         # Some honest replica voted across the fork and carries a marker.
         forked = [
@@ -118,18 +112,16 @@ class TestByzantineBehaviours:
 
     def test_withholding_leader_triggers_timeouts_but_progress(self):
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config)
         overrides = {4: make_withholding_leader(SFTDiemBFTReplica, reach=0.3)}
-        cluster.build(replica_overrides=overrides).run()
+        cluster = config.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 4]
         assert not check_prefix_consistency(honest)
         assert len(honest[0].commit_tracker.commit_order) > 10
 
     def test_lazy_voter_excluded_from_qcs(self):
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config)
         overrides = {6: make_lazy_voter(SFTDiemBFTReplica, delay=1.0)}
-        cluster.build(replica_overrides=overrides).run()
+        cluster = config.build(replica_overrides=overrides).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i != 6]
         assert not check_prefix_consistency(honest)
         # The straggler's votes arrive after QCs form, so high-strength
@@ -145,9 +137,8 @@ class TestByzantineBehaviours:
 
     def test_two_silent_replicas_cap_at_2f_minus_2(self):
         config = small_experiment(duration=14.0)
-        cluster = build_cluster(config)
         silent = make_silent(SFTDiemBFTReplica)
-        cluster.build(replica_overrides={5: silent, 6: silent}).run()
+        cluster = config.build(replica_overrides={5: silent, 6: silent}).run()
         honest = [r for i, r in enumerate(cluster.replicas) if i not in (5, 6)]
         f = cluster.config.resolved_f()
         best = -1

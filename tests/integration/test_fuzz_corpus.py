@@ -130,7 +130,7 @@ class TestStarvationEntries:
         entry = evaluate_case(synced, synced.seeds[0])
         assert entry["metrics"]["commits"] > 0
         assert entry["metrics"]["invariants"]["ok"]
-        cluster = synced.build(synced.seeds[0]).run()
+        cluster = synced.build().run()
         for replica in cluster.correct_replicas():
             assert replica.commit_tracker.commit_order, replica.replica_id
 
@@ -140,7 +140,7 @@ class TestStarvationEntries:
         spec, entry = _replay(CORPUS_DIR / "withhold_outcast.json")
         assert spec.sync_enabled is False
         assert entry["metrics"]["commits"] > 0
-        cluster = spec.build(spec.seeds[0]).run()
+        cluster = spec.build().run()
         commit_counts = {
             replica.replica_id: len(replica.commit_tracker.commit_order)
             for replica in cluster.replicas
@@ -157,7 +157,7 @@ class TestStarvationEntries:
         entry = evaluate_case(synced, synced.seeds[0])
         assert entry["metrics"]["invariants"]["ok"]
         assert entry["metrics"]["sync"]["blocks_synced"] > 0
-        cluster = synced.build(synced.seeds[0]).run()
+        cluster = synced.build().run()
         for replica in cluster.correct_replicas():
             assert replica.commit_tracker.commit_order, replica.replica_id
 
@@ -176,7 +176,7 @@ class TestStarvationEntries:
         assert not liveness_applicable(spec)
         assert entry["metrics"]["commits"] > 0  # pre-crash commits only
         assert entry["metrics"]["invariants"]["ok"]
-        cluster = spec.build(spec.seeds[0]).run()
+        cluster = spec.build().run()
         reference = cluster.correct_replicas()[0]
         committed_rounds = [
             reference.store.maybe_get(event.block_id).round

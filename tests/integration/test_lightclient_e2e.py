@@ -1,13 +1,12 @@
 """Light client against a live SFT-DiemBFT run (Section 5 end to end)."""
 
 from repro.lightclient import LightClient, StrongCommitProof, build_proof
-from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
 
 
 class TestLightClientEndToEnd:
     def _run(self):
-        cluster = build_cluster(small_experiment(duration=8.0)).run()
+        cluster = small_experiment(duration=8.0).build().run()
         client = LightClient(
             cluster.registry, n=cluster.config.n, f=cluster.config.resolved_f()
         )

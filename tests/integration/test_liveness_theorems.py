@@ -2,7 +2,6 @@
 
 from repro.adversary import make_silent
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
-from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
 
 
@@ -31,7 +30,7 @@ class TestTheorem2CrashFaults:
         # leadership slot embeds its vote, which the adjacent-crash slot
         # cannot, hence a small randomized-inclusion slack.
         config = small_experiment(duration=16.0)
-        cluster = build_cluster(config, crash_schedule=((6, 0.0),)).run()
+        cluster = config.build(crash_schedule=((6, 0.0),)).run()
         f = cluster.config.resolved_f()
         n = cluster.config.n
         target = 2 * f - 1
@@ -54,7 +53,7 @@ class TestTheorem2CrashFaults:
 
     def test_no_faults_2f_strong_within_n_plus_2_rounds(self):
         config = small_experiment(duration=12.0)
-        cluster = build_cluster(config).run()
+        cluster = config.build().run()
         f = cluster.config.resolved_f()
         n = cluster.config.n
         per_round = round_duration_estimate(cluster)
@@ -73,9 +72,9 @@ class TestTheorem3ByzantineFaults:
         # t = 1 silent Byzantine replica with generalized interval votes:
         # blocks still reach (2f - t)-strong (Theorem 3).
         config = small_experiment(duration=16.0, generalized_intervals=True)
-        cluster = build_cluster(config)
-        cluster.build(replica_overrides={6: make_silent(SFTDiemBFTReplica)})
-        cluster.run()
+        cluster = config.build(
+            replica_overrides={6: make_silent(SFTDiemBFTReplica)}
+        ).run()
         f = cluster.config.resolved_f()
         target = 2 * f - 1
         per_round = round_duration_estimate(cluster)
@@ -91,9 +90,9 @@ class TestTheorem3ByzantineFaults:
         # With a merely-silent adversary no forks arise, so plain
         # markers already deliver the Theorem 2 guarantee.
         config = small_experiment(duration=16.0)
-        cluster = build_cluster(config)
-        cluster.build(replica_overrides={6: make_silent(SFTDiemBFTReplica)})
-        cluster.run()
+        cluster = config.build(
+            replica_overrides={6: make_silent(SFTDiemBFTReplica)}
+        ).run()
         f = cluster.config.resolved_f()
         reached = set()
         for timeline in settled_timelines(cluster, margin=4.0):

@@ -1,7 +1,6 @@
 """Partial synchrony: GST, partitions, recovery."""
 
 from repro.analysis.invariants import check_prefix_consistency
-from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
 
 
@@ -11,7 +10,7 @@ class TestGST:
         config = small_experiment(
             duration=12.0, gst=3.0, pre_gst_delay=0.4, round_timeout=0.3
         )
-        cluster = build_cluster(config).run()
+        cluster = config.build().run()
         assert not check_prefix_consistency(cluster.replicas)
         replica = cluster.replicas[0]
         post_gst_commits = [
@@ -25,14 +24,14 @@ class TestGST:
         config = small_experiment(
             duration=10.0, gst=2.0, pre_gst_delay=0.5, round_timeout=0.25
         )
-        cluster = build_cluster(config).run()
+        cluster = config.build().run()
         assert not check_prefix_consistency(cluster.replicas)
 
 
 class TestPartitions:
     def test_minority_partition_stalls_then_recovers(self):
         config = small_experiment(duration=14.0, round_timeout=0.3)
-        cluster = build_cluster(config).build()
+        cluster = config.build().build()
         # 2 replicas cut off from the 5-replica majority for 4 seconds.
         cluster.network.add_partition(
             [(0, 1, 2, 3, 4), (5, 6)], start=2.0, end=6.0
@@ -47,7 +46,7 @@ class TestPartitions:
 
     def test_split_quorum_partition_halts_commits(self):
         config = small_experiment(duration=10.0, round_timeout=0.3)
-        cluster = build_cluster(config).build()
+        cluster = config.build().build()
         # 4/3 split: neither side has 2f+1 = 5 replicas.
         cluster.network.add_partition(
             [(0, 1, 2, 3), (4, 5, 6)], start=2.0, end=8.0
@@ -65,7 +64,7 @@ class TestPartitions:
 
     def test_commits_resume_after_heal(self):
         config = small_experiment(duration=14.0, round_timeout=0.3)
-        cluster = build_cluster(config).build()
+        cluster = config.build().build()
         cluster.network.add_partition(
             [(0, 1, 2, 3), (4, 5, 6)], start=2.0, end=6.0
         )

@@ -2,15 +2,12 @@
 
 from repro.analysis.invariants import check_prefix_consistency
 from repro.protocols.base import ReplicaConfig
-from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
 
 
 class TestMinimalCluster:
     def test_n4_f1_works(self):
-        cluster = build_cluster(
-            small_experiment(n=4, duration=6.0)
-        ).run()
+        cluster = small_experiment(n=4, duration=6.0).build().run()
         assert not check_prefix_consistency(cluster.replicas)
         replica = cluster.replicas[0]
         assert len(replica.commit_tracker.commit_order) > 30
@@ -36,10 +33,9 @@ class TestMinimalCluster:
         closes exactly this gap (tests/integration/test_block_sync.py);
         this test documents the bare protocol's behaviour.
         """
-        cluster = build_cluster(
-            small_experiment(n=4, duration=10.0, sync_enabled=False),
-            crash_schedule=((3, 1.0),),
-        ).run()
+        cluster = small_experiment(
+            n=4, duration=10.0, sync_enabled=False
+        ).build(crash_schedule=((3, 1.0),)).run()
         survivors = [r for r in cluster.replicas if not r.crashed]
         assert not check_prefix_consistency(survivors)
         replica = survivors[0]
@@ -61,7 +57,7 @@ class TestMinimalCluster:
             ReplicaConfig, "leader_of", lambda self, round_number: round_number % 3
         )
         config = small_experiment(n=4, duration=10.0)
-        cluster = build_cluster(config, crash_schedule=((3, 1.0),)).run()
+        cluster = config.build(crash_schedule=((3, 1.0),)).run()
         survivors = [r for r in cluster.replicas if not r.crashed]
         assert not check_prefix_consistency(survivors)
         late = [
@@ -74,7 +70,7 @@ class TestMinimalCluster:
 
 class TestStaleMessageHandling:
     def test_stale_proposal_dropped(self):
-        cluster = build_cluster(small_experiment(duration=2.0)).run()
+        cluster = small_experiment(duration=2.0).build().run()
         replica = cluster.replicas[0]
         # Re-deliver an old proposal: the replica has moved far past it.
         from repro.types.messages import ProposalMsg
@@ -108,21 +104,18 @@ class TestStaleMessageHandling:
 class TestReorderingAndOrphans:
     def test_high_jitter_reordering_still_safe(self):
         # Jitter larger than the link delay reorders deliveries freely.
-        cluster = build_cluster(
-            small_experiment(
-                duration=8.0, uniform_delay=0.005, jitter=0.02,
-                round_timeout=0.8,
-            )
-        ).run()
+        cluster = small_experiment(
+            duration=8.0, uniform_delay=0.005, jitter=0.02,
+            round_timeout=0.8,
+        ).build().run()
         assert not check_prefix_consistency(cluster.replicas)
         for replica in cluster.replicas:
             assert len(replica.commit_tracker.commit_order) > 10
 
     def test_orphan_buffers_drain(self):
-        cluster = build_cluster(
-            small_experiment(duration=8.0, uniform_delay=0.005, jitter=0.02,
-                             round_timeout=0.8)
-        ).run()
+        cluster = small_experiment(
+            duration=8.0, uniform_delay=0.005, jitter=0.02, round_timeout=0.8
+        ).build().run()
         for replica in cluster.replicas:
             # Nothing left waiting on a missing parent at quiescence.
             assert replica.store.orphan_count() <= 1
@@ -130,8 +123,8 @@ class TestReorderingAndOrphans:
 
 class TestTimeoutCertificatePath:
     def test_tc_proposals_accepted_after_leader_crash(self):
-        cluster = build_cluster(
-            small_experiment(duration=10.0), crash_schedule=((1, 0.0),)
+        cluster = small_experiment(duration=10.0).build(
+            crash_schedule=((1, 0.0),)
         ).run()
         survivors = [r for r in cluster.replicas if not r.crashed]
         assert not check_prefix_consistency(survivors)
@@ -151,9 +144,8 @@ class TestTimeoutCertificatePath:
         assert len(committed_rounds) > 20
 
     def test_backoff_recovers_after_long_partition(self):
-        cluster = build_cluster(
-            small_experiment(duration=16.0, round_timeout=0.25)
-        ).build()
+        spec = small_experiment(duration=16.0, round_timeout=0.25)
+        cluster = spec.build().build()
         cluster.network.add_partition(
             [(0, 1, 2, 3), (4, 5, 6)], start=1.0, end=7.0
         )
@@ -170,12 +162,12 @@ class TestTimeoutCertificatePath:
 
 class TestVerificationToggle:
     def test_unverified_runs_match_verified_runs(self):
-        verified = build_cluster(
-            small_experiment(duration=4.0, verify_signatures=True)
-        ).run()
-        unverified = build_cluster(
-            small_experiment(duration=4.0, verify_signatures=False)
-        ).run()
+        verified = small_experiment(
+            duration=4.0, verify_signatures=True
+        ).build().run()
+        unverified = small_experiment(
+            duration=4.0, verify_signatures=False
+        ).build().run()
         commits_a = [
             event.block_id
             for event in verified.replicas[0].commit_tracker.commit_order
@@ -189,28 +181,24 @@ class TestVerificationToggle:
 
 class TestExtremeWorkloads:
     def test_tiny_blocks(self):
-        cluster = build_cluster(
-            small_experiment(
-                duration=4.0, block_batch_count=1, block_batch_bytes=100
-            )
-        ).run()
+        cluster = small_experiment(
+            duration=4.0, block_batch_count=1, block_batch_bytes=100
+        ).build().run()
         assert not check_prefix_consistency(cluster.replicas)
 
     def test_huge_blocks_with_bandwidth(self):
-        cluster = build_cluster(
-            small_experiment(
-                duration=6.0,
-                block_batch_count=10_000,
-                block_batch_bytes=4_500_000,
-                bandwidth_bytes_per_sec=125_000_000,
-                round_timeout=2.0,
-            )
-        ).run()
+        cluster = small_experiment(
+            duration=6.0,
+            block_batch_count=10_000,
+            block_batch_bytes=4_500_000,
+            bandwidth_bytes_per_sec=125_000_000,
+            round_timeout=2.0,
+        ).build().run()
         assert not check_prefix_consistency(cluster.replicas)
         assert len(cluster.replicas[0].commit_tracker.commit_order) > 5
 
     def test_long_run_memory_sanity(self):
-        cluster = build_cluster(small_experiment(duration=30.0)).run()
+        cluster = small_experiment(duration=30.0).build().run()
         replica = cluster.replicas[0]
         # Nothing accumulates outside the chain itself (that the vote
         # collector releases its buckets is tests/unit/test_vote_collector).

@@ -174,7 +174,7 @@ class TestChainsAgree:
             ]}
             for rid, chain in enumerate(chains)
         }
-        return RuntimeReport(load_scenario(SCENARIO), 1, results, {}, 0.0)
+        return RuntimeReport(load_scenario(SCENARIO), 1, results, 0.0)
 
     def test_different_block_at_one_height_disagrees(self):
         report = self._report(["aa", "bb", "cc"], ["aa", "bd", "cc"])

@@ -5,7 +5,6 @@ import random
 
 from repro.app import KVCommand, KVStateMachine, LedgerExecutor
 from repro.runtime.client import Mempool
-from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
 
 
@@ -17,7 +16,7 @@ def run_kv_workload(duration=8.0, command_count=300, seed=5, crash=None,
     subscribed to its commit stream before the run.
     """
     config = small_experiment(protocol=protocol, duration=duration, seed=seed)
-    cluster = build_cluster(config, crash_schedule=crash).build()
+    cluster = config.build(crash_schedule=crash).build()
     mempools = {}
     executors = {}
     for replica in cluster.replicas:

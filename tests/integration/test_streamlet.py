@@ -1,7 +1,6 @@
 """Streamlet and SFT-Streamlet end-to-end."""
 
 from repro.analysis.invariants import check_prefix_consistency
-from repro.runtime.config import build_cluster
 from repro.runtime.metrics import throughput_txps
 from tests.conftest import small_experiment
 
@@ -14,22 +13,22 @@ def streamlet_experiment(**overrides):
 
 class TestStreamlet:
     def test_lock_step_commits(self):
-        cluster = build_cluster(streamlet_experiment()).run()
+        cluster = streamlet_experiment().build().run()
         for replica in cluster.replicas:
             assert len(replica.commit_tracker.commit_order) > 30
 
     def test_safety(self):
-        cluster = build_cluster(streamlet_experiment()).run()
+        cluster = streamlet_experiment().build().run()
         assert not check_prefix_consistency(cluster.replicas)
 
     def test_votes_are_multicast_and_echoed(self):
-        cluster = build_cluster(streamlet_experiment()).run()
+        cluster = streamlet_experiment().build().run()
         stats = cluster.network.stats()["by_type"]
         assert stats.get("VoteMsg", 0) > 0
         assert stats.get("EchoMsg", 0) > stats.get("VoteMsg", 0)
 
     def test_commit_is_middle_of_three_chain(self):
-        cluster = build_cluster(streamlet_experiment()).run()
+        cluster = streamlet_experiment().build().run()
         replica = cluster.replicas[0]
         last = replica.commit_tracker.commit_order[-1]
         # The committed block's child and the child's child are certified.
@@ -40,15 +39,13 @@ class TestStreamlet:
         )
 
     def test_throughput_positive(self):
-        cluster = build_cluster(streamlet_experiment()).run()
+        cluster = streamlet_experiment().build().run()
         assert throughput_txps(cluster) > 50
 
 
 class TestSFTStreamlet:
     def test_strong_commits_progress(self):
-        cluster = build_cluster(
-            streamlet_experiment(protocol="sft-streamlet")
-        ).run()
+        cluster = streamlet_experiment(protocol="sft-streamlet").build().run()
         replica = cluster.replicas[0]
         f = cluster.config.resolved_f()
         reached = [
@@ -58,15 +55,11 @@ class TestSFTStreamlet:
         assert reached and max(reached) == 2 * f
 
     def test_safety(self):
-        cluster = build_cluster(
-            streamlet_experiment(protocol="sft-streamlet")
-        ).run()
+        cluster = streamlet_experiment(protocol="sft-streamlet").build().run()
         assert not check_prefix_consistency(cluster.replicas)
 
     def test_height_markers_zero_without_forks(self):
-        cluster = build_cluster(
-            streamlet_experiment(protocol="sft-streamlet")
-        ).run()
+        cluster = streamlet_experiment(protocol="sft-streamlet").build().run()
         replica = cluster.replicas[0]
         qc = None
         for event in reversed(replica.commit_tracker.commit_order):
@@ -77,9 +70,7 @@ class TestSFTStreamlet:
         assert all(vote.marker == 0 for vote in qc.votes)
 
     def test_strength_same_at_all_replicas_eventually(self):
-        cluster = build_cluster(
-            streamlet_experiment(protocol="sft-streamlet")
-        ).run()
+        cluster = streamlet_experiment(protocol="sft-streamlet").build().run()
         f = cluster.config.resolved_f()
         # A block committed early should be 2f-strong everywhere.
         reference = cluster.replicas[0].commit_tracker.commit_order[5]

@@ -56,7 +56,7 @@ def _run(spec):
 class TestBatchedWorkload:
     def test_workload_commits_real_transactions(self):
         spec = _workload_spec()
-        cluster = spec.build(spec.seeds[0]).run()
+        cluster = spec.build().run()
         metrics = collect_job_metrics(cluster, spec)
         txs = metrics["txs"]
         latencies = cluster.workload.end_to_end_latencies()
@@ -74,7 +74,7 @@ class TestBatchedWorkload:
         # A tiny batch cap under a fast workload forces a backlog: no
         # committed block may carry more than batch_size transactions.
         spec = _workload_spec(name="tput-cap", batch_size=8, workload_rate=1000.0)
-        cluster = spec.build(spec.seeds[0]).run()
+        cluster = spec.build().run()
         reference = cluster.correct_replicas()[0]
         sizes = [
             len(reference.store.maybe_get(event.block_id).payload.transactions)

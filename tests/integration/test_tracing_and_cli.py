@@ -13,7 +13,6 @@ from repro.obs import (
     breakdown_from_cluster,
     breakdown_from_trace,
 )
-from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
 
 
@@ -22,7 +21,7 @@ class TestTracing:
         config = small_experiment(
             duration=duration, trace_level="spans", **overrides
         )
-        cluster = build_cluster(config).run()
+        cluster = config.build().run()
         return cluster, cluster.trace
 
     def test_lifecycle_spans_traced(self):
@@ -66,7 +65,7 @@ class TestTracing:
 
     def test_tracing_does_not_change_behaviour(self):
         traced_cluster, _ = self._traced_run()
-        plain_cluster = build_cluster(small_experiment(duration=4.0)).run()
+        plain_cluster = small_experiment(duration=4.0).build().run()
         assert (
             traced_cluster.simulator.events_processed
             == plain_cluster.simulator.events_processed
@@ -82,12 +81,12 @@ class TestTracing:
         assert traced_commits == plain_commits
 
     def test_trace_level_off_has_no_span_log(self):
-        cluster = build_cluster(small_experiment(duration=1.0)).run()
+        cluster = small_experiment(duration=1.0).build().run()
         assert cluster.trace is None
 
     def test_full_level_adds_deliveries(self):
         config = small_experiment(duration=2.0, trace_level="full")
-        cluster = build_cluster(config).run()
+        cluster = config.build().run()
         assert len(cluster.trace.events(kind="deliver")) > 100
 
     def test_capacity_bound(self):

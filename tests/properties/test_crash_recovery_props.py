@@ -65,8 +65,7 @@ def _run_schedule(schedule):
             downtime=round(downtime, 3),
         ),
     )
-    cluster = spec.build(seed)
-    cluster.run()
+    cluster = spec.build(seed).run()
     assert cluster.restarts == count
     for replica_id in range(spec.n):
         state = cluster.durable.peek(replica_id)

@@ -20,7 +20,6 @@ from repro.analysis.invariants import (
     check_prefix_consistency,
 )
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
-from repro.runtime.config import build_cluster
 from tests.conftest import small_experiment
 
 BEHAVIOURS = (None, "silent", "equivocate", "withhold")
@@ -71,8 +70,9 @@ def test_safety_under_random_faults(plan):
             overrides[replica_id] = make_withholding_leader(
                 SFTDiemBFTReplica, reach=0.5
             )
-    cluster = build_cluster(config, crash_schedule=crash_schedule)
-    cluster.build(replica_overrides=overrides)
+    cluster = config.build(
+        replica_overrides=overrides, crash_schedule=crash_schedule
+    ).build()
     if partition:
         cluster.network.add_partition(
             [(0, 1, 2, 3), (4, 5, 6)], start=1.0, end=3.0
@@ -100,7 +100,7 @@ def test_safety_under_random_faults(plan):
 )
 def test_fault_free_runs_always_reach_2f(seed):
     config = small_experiment(duration=6.0, seed=seed)
-    cluster = build_cluster(config).run()
+    cluster = config.build().run()
     assert not check_prefix_consistency(cluster.replicas)
     f = cluster.config.resolved_f()
     best = max(

@@ -104,12 +104,14 @@ class TestMarkerAgainstBruteForce:
         builder, blocks = build_tree(parents)
         for mode in ("round", "height"):
             history = VotingHistory(builder.store, mode=mode)
+            voted = []
             for index in vote_indices:
                 block = blocks[index]
                 assert history.marker_for(block) == marker_brute_force(
-                    history, block
+                    builder.store, voted, block, mode
                 ), f"mode={mode} at round {block.round}"
                 history.record_vote(block)
+                voted.append(block.id())
 
     @given(trees_with_votes())
     @settings(max_examples=80)
@@ -117,12 +119,14 @@ class TestMarkerAgainstBruteForce:
         parents, vote_indices = tree_and_votes
         builder, blocks = build_tree(parents)
         history = VotingHistory(builder.store, mode="round")
+        voted = []
         for index in vote_indices:
             block = blocks[index]
             assert history.intervals_for(block) == intervals_brute_force(
-                history, block
+                builder.store, voted, block
             )
             history.record_vote(block)
+            voted.append(block.id())
 
     @given(trees_with_votes())
     @settings(max_examples=80)

@@ -13,15 +13,18 @@ from repro.protocols.diembft import DiemBFTReplica
 from repro.protocols.sft_diembft import SFTDiemBFTReplica
 from repro.protocols.sft_streamlet import SFTStreamletReplica
 from repro.protocols.streamlet import StreamletConfig
-from repro.runtime.config import build_cluster
 from tests.conftest import make_isolated_replica, small_experiment
 
 
 def run_with_override(replica_id, replica_class, duration=6.0, **overrides):
-    cluster = build_cluster(small_experiment(duration=duration, **overrides))
-    cluster.build(replica_overrides={replica_id: replica_class})
-    cluster.run()
-    return cluster
+    spec = small_experiment(duration=duration, **overrides)
+    return spec.build(replica_overrides={replica_id: replica_class}).run()
+
+
+def _ids_at_round(store, round_number):
+    return {
+        block.id() for block in store.all_blocks() if block.round == round_number
+    }
 
 
 class TestSilent:
@@ -58,8 +61,8 @@ class TestEquivocatingLeader:
         for round_number in range(1, cluster.replicas[0].current_round):
             if round_number % n != 2:
                 continue
-            low_blocks = set(low_half.blocks_at_round(round_number))
-            high_blocks = set(high_half.blocks_at_round(round_number))
+            low_blocks = _ids_at_round(low_half, round_number)
+            high_blocks = _ids_at_round(high_half, round_number)
             if low_blocks and high_blocks and low_blocks != high_blocks:
                 diverged.append(round_number)
         assert diverged
@@ -159,7 +162,7 @@ class TestLazyVoter:
         lazy_cluster = run_with_override(
             6, make_lazy_voter(SFTDiemBFTReplica, delay=0.0), duration=4.0
         )
-        honest_cluster = build_cluster(small_experiment(duration=4.0)).run()
+        honest_cluster = small_experiment(duration=4.0).build().run()
         lazy_commits = [
             event.block_id
             for event in lazy_cluster.replicas[0].commit_tracker.commit_order

@@ -189,19 +189,24 @@ PAYLOAD_SOURCE_SITES = {
 }
 
 
-def _payload_source_bindings(root=SRC):
+def _lines_outside(pattern, sites, root=SRC):
+    """Lines matching ``pattern`` outside the (file, function) ``sites``."""
     found = []
     for path in sorted(root.rglob("*.py")):
         text = path.read_text()
         owner = _enclosing_functions(ast.parse(text))
         relative = path.relative_to(root).as_posix()
         for number, line in enumerate(text.splitlines(), start=1):
-            if not PAYLOAD_SOURCE_BINDING.search(line):
+            if not pattern.search(line):
                 continue
-            if (relative, owner.get(number)) in PAYLOAD_SOURCE_SITES:
+            if (relative, owner.get(number)) in sites:
                 continue
             found.append(f"src/repro/{relative}:{number}: {line.strip()}")
     return found
+
+
+def _payload_source_bindings(root=SRC):
+    return _lines_outside(PAYLOAD_SOURCE_BINDING, PAYLOAD_SOURCE_SITES, root)
 
 
 def test_payload_source_sites_exist():
@@ -227,6 +232,92 @@ def test_replicas_are_wired_to_mempools_only_by_attach():
         "payload_source rebound outside repro.runtime.client.attach; "
         "wire the replica to its mempool with attach() instead:\n"
         + "\n".join(violations)
+    )
+
+
+# ----------------------------------------------------------------------
+# One replica construction, one protocol table
+# ----------------------------------------------------------------------
+
+#: Building a replica's context.  Outside ``build_replica`` it is a
+#: second, hand-spelled replica assembly; both tiers and the
+#: simulator's restart call the builder.
+REPLICA_CONTEXT_CALL = re.compile(r"\bReplicaContext\(")
+REPLICA_BUILDER = ("runtime/cluster.py", "build_replica")
+
+
+def _constants(nodes):
+    return {node.value for node in nodes if isinstance(node, ast.Constant)}
+
+
+def _protocol_tables(root=SRC):
+    """Dicts keyed by a protocol name, and collections of every protocol
+    name, other than ``runtime/cluster.py::PROTOCOL_CLASSES``."""
+    from repro.runtime.cluster import PROTOCOL_CLASSES
+
+    names = set(PROTOCOL_CLASSES)
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        lines = text.splitlines()
+        relative = path.relative_to(root).as_posix()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Dict):
+                table = bool(names & _constants(node.keys))
+            elif isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                table = names <= _constants(node.elts)
+            else:
+                continue
+            line = lines[node.lineno - 1].strip()
+            if table and not (
+                relative == "runtime/cluster.py"
+                and line.startswith("PROTOCOL_CLASSES = ")
+            ):
+                found.append(f"src/repro/{relative}:{node.lineno}: {line}")
+    return found
+
+
+def test_the_builder_and_the_table_are_where_the_lint_looks():
+    text = (SRC / REPLICA_BUILDER[0]).read_text()
+    assert "def build_replica(" in text and "\nPROTOCOL_CLASSES = {" in text
+    assert len(REPLICA_CONTEXT_CALL.findall(text)) == 1
+
+
+def test_the_construction_lint_names_a_new_site(tmp_path):
+    (tmp_path / "host.py").write_text(
+        "def make(spec, transport, clock, registry):\n"
+        "    context = ReplicaContext(0, transport, clock, registry)\n"
+    )
+    assert _lines_outside(REPLICA_CONTEXT_CALL, {REPLICA_BUILDER}, tmp_path) == [
+        "src/repro/host.py:2: context = ReplicaContext(0, transport, clock, registry)"
+    ]
+
+
+def test_the_table_lint_names_a_second_table(tmp_path):
+    (tmp_path / "host.py").write_text(
+        'CLASSES = {"fbft": FBFTDiemBFTReplica}\n'
+        'NAMES = ("diembft", "sft-diembft", "fbft", "streamlet", "sft-streamlet")\n'
+        'STREAMLETS = ("streamlet", "sft-streamlet")\n'
+    )
+    assert [site.split(": ")[0] for site in _protocol_tables(tmp_path)] == [
+        "src/repro/host.py:1", "src/repro/host.py:2"
+    ]
+
+
+def test_replicas_are_constructed_only_by_build_replica():
+    violations = _lines_outside(REPLICA_CONTEXT_CALL, {REPLICA_BUILDER})
+    assert not violations, (
+        "ReplicaContext built outside runtime.cluster.build_replica; "
+        "build the replica with build_replica() instead:\n"
+        + "\n".join(violations)
+    )
+
+
+def test_protocol_names_map_to_classes_only_in_protocol_classes():
+    violations = _protocol_tables()
+    assert not violations, (
+        "a second protocol-name table; read runtime.cluster."
+        "PROTOCOL_CLASSES instead:\n" + "\n".join(violations)
     )
 
 

@@ -225,22 +225,7 @@ class TestCertification:
         assert {tip.id() for tip in tips} == {base.id()}
 
 
-class TestBlocksByRoundAndHeight:
-    def test_equivocating_blocks_indexed_by_round(self, builder):
-        base = builder.block(builder.genesis, 1)
-        left = builder.block(base, 2)
-        right = builder.block(base, 2, proposer=1)
-        assert set(builder.store.blocks_at_round(2)) == {left.id(), right.id()}
-
-    def test_blocks_at_height(self, builder):
-        base = builder.block(builder.genesis, 1)
-        left = builder.block(base, 2)
-        right = builder.block(base, 3)
-        assert set(builder.store.blocks_at_height(2)) == {
-            left.id(),
-            right.id(),
-        }
-
+class TestChildren:
     def test_children(self, builder):
         base = builder.block(builder.genesis, 1)
         left = builder.block(base, 2)

@@ -39,8 +39,7 @@ def checkpoint_cluster(**overrides):
         verify_signatures=True,
     )
     params.update(overrides)
-    cluster = ScenarioSpec(**params).build()
-    cluster.run()
+    cluster = ScenarioSpec(**params).build().run()
     return cluster
 
 

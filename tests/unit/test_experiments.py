@@ -18,7 +18,6 @@ from repro.experiments import (
 from repro.net.network import NetworkConfig
 from repro.protocols.base import ReplicaConfig
 from repro.protocols.streamlet.replica import StreamletConfig
-from repro.runtime.config import build_cluster
 from repro.runtime.metrics import strong_latency_series
 
 # Every knob a spec forwards by name, with a non-default value to carry.
@@ -154,13 +153,13 @@ class TestScenarioSpec:
 
     def test_explicit_crash_schedule_keyword(self):
         spec = ScenarioSpec(name="x", n=7, duration=2.0)
-        cluster = build_cluster(spec, 1, crash_schedule=((3, 1.0),)).run()
+        cluster = spec.build(1, crash_schedule=((3, 1.0),)).run()
         crashed = [r.replica_id for r in cluster.replicas if r.crashed]
         assert crashed == [3]
 
     def test_crash_schedule_defaults_to_the_fault_mix(self):
         spec = ScenarioSpec(name="x", n=7, faults=FaultMix(crash=2, crash_at=0.5))
-        schedule = build_cluster(spec, 1).crash_schedule
+        schedule = spec.build(1).crash_schedule
         assert schedule == spec.faults.crash_schedule(7) == ((6, 0.5), (5, 0.5))
 
     def test_series_observers_narrow_the_view_not_the_spec(self):

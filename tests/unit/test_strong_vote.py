@@ -51,11 +51,12 @@ class TestMarkerComputation:
         fork_b = builder.block(base, 3)
         fork_b2 = builder.block(fork_b, 4)
         candidate = builder.block(fork_a, 5)
+        voted = (base, fork_a, fork_b, fork_b2)
         history = VotingHistory(builder.store, mode="round")
-        for block in (base, fork_a, fork_b, fork_b2):
+        for block in voted:
             history.record_vote(block)
         assert history.marker_for(candidate) == marker_brute_force(
-            history, candidate
+            builder.store, [block.id() for block in voted], candidate
         )
 
     def test_height_mode_uses_heights(self, builder):
@@ -139,11 +140,12 @@ class TestIntervalComputation:
         fork_b = builder.block(base, 3)
         fork_b2 = builder.block(fork_b, 5)
         main = builder.block(fork_a, 6)
+        voted = (base, fork_a, fork_b, fork_b2)
         history = VotingHistory(builder.store, mode="round")
-        for block in (base, fork_a, fork_b, fork_b2):
+        for block in voted:
             history.record_vote(block)
         assert history.intervals_for(main) == intervals_brute_force(
-            history, main
+            builder.store, [block.id() for block in voted], main
         )
 
     def test_marker_is_special_case_of_intervals(self, builder):

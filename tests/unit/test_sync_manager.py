@@ -17,7 +17,7 @@ from repro.types.quorum_cert import QuorumCertificate
 from repro.types.vote import Vote
 
 
-def build_cluster(**overrides):
+def sync_cluster(**overrides):
     params = dict(
         name="sync-unit",
         protocol="sft-diembft",
@@ -32,15 +32,13 @@ def build_cluster(**overrides):
     )
     params.update(overrides)
     spec = ScenarioSpec(**params)
-    cluster = spec.build(spec.seeds[0])
-    cluster.build()
-    return cluster
+    return spec.build().build()
 
 
 @pytest.fixture(scope="module")
 def donor():
     """A finished healthy run whose replica 0 holds a certified chain."""
-    cluster = build_cluster()
+    cluster = sync_cluster()
     cluster.run()
     return cluster
 
@@ -111,7 +109,7 @@ class TestServe:
         assert len(response.blocks) == SYNC_MAX_BLOCKS
 
     def test_unknown_target_yields_empty_miss(self, donor):
-        fresh = build_cluster()
+        fresh = sync_cluster()
         replica = fresh.replicas[0]
         sent = capture_sends(replica)
         unknown = donor.replicas[0].store.highest_certified_block().id()
@@ -133,14 +131,14 @@ class TestServe:
 
 class TestRoundLag:
     def test_lag_within_bound_fetches_nothing(self):
-        replica = build_cluster().replicas[0]
+        replica = sync_cluster().replicas[0]
         sent = capture_sends(replica)
         replica.sync.note_round_lag(SYNC_ROUND_LAG, certified_round=0)
         assert sent == []
         assert replica.sync.inflight() == 0
 
     def test_lag_beyond_bound_requests_the_tip(self):
-        replica = build_cluster().replicas[0]
+        replica = sync_cluster().replicas[0]
         sent = capture_sends(replica)
         replica.sync.note_round_lag(SYNC_ROUND_LAG + 1, certified_round=0)
         [(_, request)] = sent
@@ -153,7 +151,7 @@ class TestRoundLag:
 
 class TestResponseValidation:
     def test_invalid_embedded_qc_rejected_without_store_mutation(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         sent = capture_sends(replica)
         chain = donor_chain(donor, 3)
@@ -185,7 +183,7 @@ class TestResponseValidation:
         assert replica.metrics.snapshot()["sync.invalid_responses"] == 1
 
     def test_invalid_tip_qc_rejected_without_store_mutation(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         sent = capture_sends(replica)
         chain = donor_chain(donor, 2)
@@ -206,7 +204,7 @@ class TestResponseValidation:
         assert replica.metrics.snapshot()["sync.invalid_responses"] == 1
 
     def test_broken_linkage_rejected(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         sent = capture_sends(replica)
         chain = donor_chain(donor, 3)
@@ -222,7 +220,7 @@ class TestResponseValidation:
         assert replica.metrics.snapshot()["sync.invalid_responses"] == 1
 
     def test_unsolicited_response_is_dropped(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         chain = donor_chain(donor, 2)
         before = len(replica.store)
@@ -233,7 +231,7 @@ class TestResponseValidation:
 
 class TestRetryAndRotation:
     def test_withholding_peer_triggers_rotation(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         sent = capture_sends(replica)
         target = donor_chain(donor, 1)[0].id()
@@ -246,7 +244,7 @@ class TestRetryAndRotation:
         assert replica.metrics.snapshot()["sync.peer_rotations"] >= 2
 
     def test_rotation_skips_self(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[2]
         sent = capture_sends(replica)
         replica.sync.note_missing(donor_chain(donor, 1)[0].id())
@@ -254,7 +252,7 @@ class TestRetryAndRotation:
         assert 2 not in [dst for dst, _ in sent]
 
     def test_empty_miss_rotates_immediately(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         sent = capture_sends(replica)
         replica.sync.note_missing(donor_chain(donor, 1)[0].id())
@@ -264,7 +262,7 @@ class TestRetryAndRotation:
         assert replica.metrics.snapshot()["sync.peer_rotations"] == 1
 
     def test_gives_up_after_attempt_budget(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         capture_sends(replica)
         replica.sync.note_missing(donor_chain(donor, 1)[0].id())
@@ -277,7 +275,7 @@ class TestRetryAndRotation:
 
 class TestApply:
     def test_valid_chain_inserts_and_resolves(self, donor):
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         sent = capture_sends(replica)
         # The chain must reach genesis for the fresh store to accept it.
@@ -296,7 +294,7 @@ class TestApply:
 
     def test_deep_gap_chases_missing_parent(self, donor, monkeypatch):
         monkeypatch.setattr(sync_manager, "SYNC_MAX_BLOCKS", 2)
-        cluster = build_cluster()
+        cluster = sync_cluster()
         replica = cluster.replicas[0]
         sent = capture_sends(replica)
         chain = donor_chain(donor, 4)
